@@ -17,6 +17,7 @@ exponentially many faces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -274,7 +275,7 @@ def barycentric_subdivision(k, cap: int = DEFAULT_CHAIN_CAP):
     )
 
     total_chains = sum(
-        _factorial(popcount(m)) for m in base.maximal
+        math.factorial(popcount(m)) for m in base.maximal
     )
     if total_chains > cap:
         raise CapExceededError("chain enumeration cap exceeded")
@@ -293,13 +294,6 @@ def barycentric_subdivision(k, cap: int = DEFAULT_CHAIN_CAP):
     if isinstance(k, AntipodalComplex):
         inv = tuple(index[k.map_simplex(s)] for s in sims)
         return AntipodalComplex(out, inv)
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 

@@ -40,17 +40,15 @@ class CapExceededError(RuntimeError):
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -23,8 +23,9 @@ antipodal subcomplex; or VC >= 2 with a shattered pair.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from spheredim.concepts import (
@@ -80,15 +81,23 @@ class CubicalComplex:
 
     cubes: tuple[PartialHypothesis, ...]
     cls: Optional[ConceptClass] = None
+    cofaces: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        have = {(c.plus, c.defined) for c in self.cubes}
-        if len(have) != len(self.cubes):
+        """Check closure under facets and build the coface index:
+        ``cofaces[i]`` is the bitmask of the positions in ``cubes`` of the
+        codimension-one cubes that have ``cubes[i]`` as a facet."""
+        index = {(c.plus, c.defined): i for i, c in enumerate(self.cubes)}
+        if len(index) != len(self.cubes):
             raise ValueError("duplicate cubes")
-        for c in self.cubes:
+        cofaces = [0] * len(self.cubes)
+        for i, c in enumerate(self.cubes):
             for facet in _facets(c):
-                if (facet.plus, facet.defined) not in have:
+                j = index.get((facet.plus, facet.defined))
+                if j is None:
                     raise ValueError(f"cube {c} is missing its facet {facet}")
+                cofaces[j] |= 1 << i
+        object.__setattr__(self, "cofaces", tuple(cofaces))
 
     def dim(self) -> int:
         return max(c.dimension for c in self.cubes)
@@ -154,15 +163,10 @@ def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
     order = sorted(cc.cubes, key=lambda c: (c.dimension, str(c)))
     index = {(c.plus, c.defined): i for i, c in enumerate(order)}
     labels = tuple(str(c) for c in order)
-    have = set(index)
 
-    top = [
-        c
-        for c in order
-        if not any(
-            d != c and c.extends(d) for d in cc.cubes
-        )
-    ]
+    # a cube with a proper coface has a codimension-one coface, since the
+    # complex is closed under faces; so the top cubes are those without one
+    top = [c for c, up in zip(cc.cubes, cc.cofaces) if not up]
     maximal: set[int] = set()
 
     def descend(c: PartialHypothesis, chain_mask: int) -> None:
@@ -245,19 +249,12 @@ def subdivided_realizable_complex(cls: ConceptClass, cap: int = 10**6) -> Simpli
             d2 = defined & ~(1 << x)
             descend(plus & d2, d2, chain_mask | (1 << index[(plus & d2, d2)]))
 
-    total = len(cls) * _perm_count(n)
+    total = len(cls) * math.factorial(n)
     if total > cap:
         raise CapExceededError("chain enumeration cap exceeded")
     for h in cls.hypotheses:
         descend(h.plus, h.defined, 1 << index[(h.plus, h.defined)])
     return SimplicialComplex(labels, tuple(sorted(maximal)))
-
-
-def _perm_count(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
@@ -270,6 +267,15 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
     latter whose vertices are all cube labels is a chain of cubes.  For the
     full cube the containment reverses: every realizable partial hypothesis
     with nonempty support is a cube.
+
+    Fullness is checked on maximal simplices only: for each maximal simplex
+    m of the subdivided realizable complex, its cube part (the vertices of m
+    that are cube labels) must be a simplex of the cube order complex.  Every
+    simplex spanned by cube labels lies in the cube part of some m, and the
+    cube order complex is closed under faces, so this is the same property.
+    No face is enumerated, so this step no longer stops at the
+    face-enumeration cap; inputs that used to exit with code 3 there now
+    finish.
     """
     if not is_extremal(cls).extremal:
         raise WitnessError("embedding check requires an extremal class")
@@ -295,7 +301,6 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
     sub = cubical_barycentric(cc)
     delta1 = subdivided_realizable_complex(cls)
     delta_index = delta1.vertex_index()
-    sub_index = sub.vertex_index()
 
     # every cube label is a vertex of the subdivided realizable complex
     for c in cc.cubes:
@@ -316,17 +321,17 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
         chains += 1
 
     # fullness: simplices of the realizable order complex spanned by cube
-    # labels must be chains of cubes
-    cube_labels = set(sub.vertices)
-    for s in delta1.all_simplices():
-        members = [delta1.vertices[i] for i in bits(s)]
-        if all(v in cube_labels for v in members):
-            image = mask_of(sub_index[v] for v in members)
-            if not sub.has_simplex(image):
-                return EmbeddingReport(
-                    False, False, len(cc.cubes), chains,
-                    f"fullness violated on {members}",
-                )
+    # labels must be chains of cubes, checked on the cube part of each
+    # maximal simplex
+    to_sub = {delta_index[v]: i for i, v in enumerate(sub.vertices)}
+    cube_mask = mask_of(to_sub)
+    for part in sorted({m & cube_mask for m in delta1.maximal}):
+        if not sub.has_simplex(mask_of(to_sub[i] for i in bits(part))):
+            members = [delta1.vertices[i] for i in bits(part)]
+            return EmbeddingReport(
+                False, False, len(cc.cubes), chains,
+                f"fullness violated on {members}",
+            )
     return EmbeddingReport(
         False, True, len(cc.cubes), chains, "full subcomplex embedding verified"
     )
@@ -354,32 +359,48 @@ def collapse_certificate(
     """
     if len(cc.cubes) > cube_cap:
         raise CapExceededError(f"collapse cube cap is {cube_cap}")
-    state = frozenset(cc.cubes)
-    dead: set[frozenset] = set()
+    # A state is a bitmask over the cubes ranked by (dimension, label), so a
+    # scan of its bits visits candidate free faces in greedy order.
+    order = sorted(
+        range(len(cc.cubes)), key=lambda i: (cc.cubes[i].dimension, str(cc.cubes[i]))
+    )
+    rank = {i: r for r, i in enumerate(order)}
+    labels = [str(cc.cubes[i]) for i in order]
+    dims = [cc.cubes[i].dimension for i in order]
+    cofaces = [mask_of(rank[j] for j in bits(cc.cofaces[i])) for i in order]
+    state = (1 << len(order)) - 1
+    dead: set[int] = set()
     moves: list[tuple[str, str]] = []
     nodes = 0
 
-    def free_pairs(st: frozenset) -> list[tuple[PartialHypothesis, PartialHypothesis]]:
+    def free_pairs(st: int) -> list[tuple[int, int]]:
+        # Every state is closed under faces (an elementary collapse keeps
+        # that), so a cube has exactly one proper coface iff it has exactly
+        # one codimension-one coface: a coface of codimension two or more
+        # has two codimension-one cofaces of the cube among its faces.
         out = []
-        for c in st:
-            cofaces = [d for d in st if d is not c and c != d and c.extends(d)]
-            if len(cofaces) == 1:
-                out.append((c, cofaces[0]))
-        out.sort(key=lambda p: (p[0].dimension, str(p[0])))
+        rest = st
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            up = cofaces[c] & st
+            if up and not up & (up - 1):
+                out.append((c, up.bit_length() - 1))
         return out
 
-    def dfs(st: frozenset) -> bool:
+    def dfs(st: int) -> bool:
         nonlocal nodes
-        if len(st) == 1:
-            return next(iter(st)).dimension == 0
+        if st and not st & (st - 1):
+            return dims[st.bit_length() - 1] == 0
         if st in dead:
             return False
         nodes += 1
         if nodes > node_budget:
             raise CapExceededError(f"collapse node budget {node_budget} exceeded")
         for c, d in free_pairs(st):
-            moves.append((str(c), str(d)))
-            if dfs(st - {c, d}):
+            moves.append((labels[c], labels[d]))
+            if dfs(st & ~(1 << c | 1 << d)):
                 return True
             moves.pop()
         dead.add(st)

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from spheredim.concepts import ConceptClass, format_class, parse_class
+from spheredim.concepts import ClassFormatError, ConceptClass, format_class, parse_class
 from spheredim.complexes import (
     AntipodalComplex,
     DeltaComplex,
@@ -30,6 +30,7 @@ from spheredim.signrank import (
 )
 from spheredim.spheres import (
     SphereWitness,
+    WitnessError,
     delta_ant,
     template_from_payload,
     verify_witness,
@@ -162,6 +163,15 @@ def load(kind: str, path: Union[str, Path], cls: Optional[ConceptClass] = None):
     if kind == "class":
         return parse_class(text)
     payload = open_envelope(text, kind)
+    try:
+        return _decode(kind, payload, cls)
+    except (StorageError, ClassFormatError, WitnessError):
+        raise
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise StorageError(f"malformed {kind} payload: {exc!r}") from exc
+
+
+def _decode(kind: str, payload, cls: Optional[ConceptClass]):
     if kind == "complex":
         return complex_from_payload(payload)
     if kind == "witness":

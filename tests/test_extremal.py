@@ -5,15 +5,18 @@ import random
 
 import pytest
 
+from spheredim import extremal
 from spheredim.concepts import (
     CapExceededError,
     ConceptClass,
     DimensionVariant,
     PartialHypothesis,
+    bits,
     dimension,
     family_class,
+    mask_of,
 )
-from spheredim.complexes import euler_characteristic, face_counts
+from spheredim.complexes import SimplicialComplex, euler_characteristic, face_counts
 from spheredim.extremal import (
     CubicalComplex,
     EmbeddingReport,
@@ -139,6 +142,79 @@ def validate_collapse(cc, moves):
         state -= {free, cof}
     assert len(state) == 1
     assert next(iter(state)).dimension == 0
+
+
+def oracle_fullness(sub, delta1):
+    """Fullness by face enumeration: every simplex of ``delta1`` whose
+    vertices are all cube labels is a simplex of ``sub``."""
+    sub_index = sub.vertex_index()
+    for s in delta1.all_simplices():
+        members = [delta1.vertices[i] for i in bits(s)]
+        if all(v in sub_index for v in members):
+            if not sub.has_simplex(mask_of(sub_index[v] for v in members)):
+                return False
+    return True
+
+
+def oracle_collapse_certificate(cc, node_budget=extremal.DEFAULT_COLLAPSE_BUDGET):
+    """The collapse search with free faces found by scanning every pair of
+    cubes in the current state."""
+    state = frozenset(cc.cubes)
+    dead = set()
+    moves = []
+    nodes = 0
+
+    def free_pairs(st):
+        out = []
+        for c in st:
+            cofaces = [d for d in st if d is not c and c != d and c.extends(d)]
+            if len(cofaces) == 1:
+                out.append((c, cofaces[0]))
+        out.sort(key=lambda p: (p[0].dimension, str(p[0])))
+        return out
+
+    def dfs(st):
+        nonlocal nodes
+        if len(st) == 1:
+            return next(iter(st)).dimension == 0
+        if st in dead:
+            return False
+        nodes += 1
+        if nodes > node_budget:
+            raise CapExceededError(f"collapse node budget {node_budget} exceeded")
+        for c, d in free_pairs(st):
+            moves.append((str(c), str(d)))
+            if dfs(st - {c, d}):
+                return True
+            moves.pop()
+        dead.add(st)
+        return False
+
+    if dfs(state):
+        return moves
+    return None
+
+
+def named_extremal_classes():
+    """The figure classes, and cube, threshold and subsets_leq on at most
+    four points."""
+    out = [cls_of(FIG_SQUARE_WHISKER), cls_of(FIG_THRESHOLDISH)]
+    for n in (1, 2, 3, 4):
+        out += [family_class("cube", n), family_class("threshold", n)]
+    out += [family_class("subsets_leq", d) for d in (1, 2, 3)]
+    return out
+
+
+def drop_chain(sub, k):
+    """``sub`` without its k-th maximal chain, or None when that would leave
+    a vertex uncovered."""
+    rest = sub.maximal[:k] + sub.maximal[k + 1:]
+    covered = 0
+    for s in rest:
+        covered |= s
+    if covered != (1 << len(sub.vertices)) - 1:
+        return None
+    return SimplicialComplex(sub.vertices, rest)
 
 
 # --- extremality --------------------------------------------------------
@@ -272,6 +348,45 @@ class TestEmbedding:
         for cls in random_extremal_classes(59, 20):
             assert full_subcomplex_embedding_check(cls).ok
 
+    def test_fullness_agrees_with_face_enumeration(self):
+        for cls in random_extremal_classes(59, 20) + named_extremal_classes():
+            report = full_subcomplex_embedding_check(cls)
+            assert report.ok
+            if report.reversed_case:
+                continue
+            sub = cubical_barycentric(cubical_complex(cls))
+            assert oracle_fullness(sub, subdivided_realizable_complex(cls))
+
+    def test_fullness_agrees_on_dropped_chains(self, monkeypatch):
+        # one order complex with a maximal chain missing per class: both
+        # checks must reject it
+        for cls in random_extremal_classes(101, 8, max_n=3) + [cls_of(FIG_SQUARE_WHISKER)]:
+            if len(cls) == 1 << cls.domain_size:
+                continue
+            sub = cubical_barycentric(cubical_complex(cls))
+            broken = next(
+                (b for k in range(len(sub.maximal)) if (b := drop_chain(sub, k))), None
+            )
+            if broken is None:
+                continue
+            monkeypatch.setattr(extremal, "cubical_barycentric", lambda cc, b=broken: b)
+            report = full_subcomplex_embedding_check(cls)
+            assert report.ok == oracle_fullness(broken, subdivided_realizable_complex(cls))
+            assert not report.ok
+
+    def test_dropped_chain_violates_fullness(self, monkeypatch):
+        cls = cls_of(FIG_SQUARE_WHISKER)
+        real = extremal.cubical_barycentric
+
+        def missing_last_chain(cc):
+            sub = real(cc)
+            return SimplicialComplex(sub.vertices, sub.maximal[:-1])
+
+        monkeypatch.setattr(extremal, "cubical_barycentric", missing_last_chain)
+        report = full_subcomplex_embedding_check(cls)
+        assert not report.ok
+        assert report.detail.startswith("fullness violated")
+
     def test_subdivided_realizable_complex_counts(self):
         # square class: vertices are the 8 nonempty-support realizable
         # partial hypotheses of C_2 minus nothing: 4 total + 4 one-point
@@ -333,6 +448,7 @@ class TestCollapse:
     def test_hollow_cycle_has_no_certificate(self):
         cc = CubicalComplex.from_strings(["--", "-+", "+-", "++", "*-", "*+", "-*", "+*"])
         assert collapse_certificate(cc) is None
+        assert oracle_collapse_certificate(cc) is None
 
     def test_extremal_classes_collapse(self):
         for cls in random_extremal_classes(67, 20):
@@ -345,6 +461,36 @@ class TestCollapse:
         cc = cubical_complex(family_class("cube", 2))
         with pytest.raises(CapExceededError):
             collapse_certificate(cc, node_budget=0)
+        with pytest.raises(CapExceededError):
+            oracle_collapse_certificate(cc, node_budget=0)
+
+    def test_moves_match_pair_scan(self):
+        classes = random_extremal_classes(67, 20) + named_extremal_classes()
+        # non-extremal classes, whose cubical complexes need backtracking or
+        # have no certificate
+        rng = random.Random(103)
+        classes += [random_class(rng, max_n=4) for _ in range(40)]
+        for cls in classes:
+            cc = cubical_complex(cls)
+            assert collapse_certificate(cc) == oracle_collapse_certificate(cc)
+
+    def test_node_budget_matches_pair_scan(self):
+        rng = random.Random(107)
+        for _ in range(30):
+            cc = cubical_complex(random_class(rng, max_n=4))
+            for budget in (0, 1, 2, 3, 5, 8):
+                try:
+                    want = oracle_collapse_certificate(cc, node_budget=budget)
+                except CapExceededError:
+                    with pytest.raises(CapExceededError):
+                        collapse_certificate(cc, node_budget=budget)
+                else:
+                    assert collapse_certificate(cc, node_budget=budget) == want
+
+    def test_unsorted_cubes_match_pair_scan(self):
+        cc = cubical_complex(cls_of(FIG_SQUARE_WHISKER))
+        shuffled = CubicalComplex(tuple(reversed(cc.cubes)))
+        assert collapse_certificate(shuffled) == oracle_collapse_certificate(cc)
 
 
 class TestClassify:

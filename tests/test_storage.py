@@ -150,6 +150,39 @@ class TestRepresentationRoundtrip:
             store(rep, tmp_path / "rep.json")
 
 
+class TestMalformedPayloads:
+    """Malformed payloads raise StorageError, not a bare KeyError or ValueError."""
+
+    @staticmethod
+    def write(tmp_path, kind, payload):
+        p = tmp_path / f"{kind}.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": kind, "payload": payload}))
+        return p
+
+    def test_empty_complex_payload(self, tmp_path):
+        with pytest.raises(StorageError):
+            load("complex", self.write(tmp_path, "complex", {}))
+
+    def test_witness_without_template(self, tmp_path):
+        w = crosspolytope_witness(family_class("cube", 2), (0, 1))
+        p = tmp_path / "w.json"
+        store(w, p)
+        data = json.loads(p.read_text())
+        del data["payload"]["template"]
+        p.write_text(json.dumps(data))
+        with pytest.raises(StorageError):
+            load("witness", p)
+
+    def test_out_of_range_simplex(self, tmp_path):
+        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, 5]]}
+        with pytest.raises(StorageError):
+            load("complex", self.write(tmp_path, "complex", payload))
+
+    def test_empty_cubical_payload(self, tmp_path):
+        with pytest.raises(StorageError):
+            load("cubical", self.write(tmp_path, "cubical", {}))
+
+
 class TestCanonicalBytes:
     def test_store_load_store_stable(self, tmp_path):
         w = crosspolytope_witness(family_class("cube", 2), (0, 1))
