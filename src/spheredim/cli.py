@@ -295,6 +295,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"family parameter n must be >= 1, got {args.n}")
+    if args.power < 1:
+        raise UsageError(f"--power must be >= 1, got {args.power}")
     cls = family_class(args.name, args.n)
     if args.power > 1:
         cls = power_class(cls, args.power)

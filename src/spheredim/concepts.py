@@ -391,10 +391,6 @@ def dimension(cls: ConceptClass, variant: DimensionVariant) -> int:
     return popcount(max_shattered_set(dual, antipodal=True))
 
 
-def vc_dimension(cls: ConceptClass) -> int:
-    return dimension(cls, DimensionVariant.PRIMAL)
-
-
 def dual_antipodal_witnesses(
     cls: ConceptClass, hyp_indices: Sequence[int]
 ) -> Optional[dict[int, tuple[int, bool]]]:

@@ -219,15 +219,20 @@ class EmbeddingReport:
     detail: str
 
 
-def subdivided_realizable_complex(cls: ConceptClass, cap: int = 10**6) -> SimplicialComplex:
-    """Order complex of the realizable partial hypotheses with nonempty
-    support: one vertex per such hypothesis, simplices are extension chains.
+def _chain_cube_parts(
+    cls: ConceptClass, cube_bit: dict[tuple[int, int], int], cap: int = 10**6
+) -> tuple[set[tuple[int, int]], set[int]]:
+    """Walk the maximal simplices of the subdivided realizable complex.
 
-    Maximal simplices are the support-dropping paths from a concept down to a
-    single defined point.
+    That complex is the order complex of the realizable partial hypotheses
+    with nonempty support; its maximal simplices are the support-dropping
+    paths from a concept down to a single defined point.  Returns the vertex
+    keys ``(plus, defined)`` and the distinct cube parts of the paths, where
+    ``cube_bit`` maps the key of each cube to its bit.  The paths are walked
+    once, with the cube parts below each vertex memoized, so the cost
+    follows the vertices rather than the |H|*n! paths.  The vertex and path
+    caps are those of the complex itself.
     """
-    cls.require_total("subdivided_realizable_complex")
-    n = cls.domain_size
     verts: set[tuple[int, int]] = set()
     for h in cls.hypotheses:
         for defined in _submasks(h.defined):
@@ -235,26 +240,31 @@ def subdivided_realizable_complex(cls: ConceptClass, cap: int = 10**6) -> Simpli
                 verts.add((h.plus & defined, defined))
                 if len(verts) > cap:
                     raise CapExceededError("partial hypothesis cap exceeded")
-    order = sorted(verts, key=lambda v: (popcount(v[1]), str(PartialHypothesis(n, *v))))
-    index = {v: i for i, v in enumerate(order)}
-    labels = tuple(str(PartialHypothesis(n, *v)) for v in order)
-
-    maximal: set[int] = set()
-
-    def descend(plus: int, defined: int, chain_mask: int) -> None:
-        if popcount(defined) == 1:
-            maximal.add(chain_mask)
-            return
-        for x in bits(defined):
-            d2 = defined & ~(1 << x)
-            descend(plus & d2, d2, chain_mask | (1 << index[(plus & d2, d2)]))
-
-    total = len(cls) * math.factorial(n)
-    if total > cap:
+    if len(cls) * math.factorial(cls.domain_size) > cap:
         raise CapExceededError("chain enumeration cap exceeded")
+
+    below: dict[tuple[int, int], set[int]] = {}
+
+    def parts_below(plus: int, defined: int) -> set[int]:
+        # the cube parts of the paths from (plus, defined) down
+        key = (plus, defined)
+        out = below.get(key)
+        if out is None:
+            bit = cube_bit.get(key, 0)
+            if not defined & (defined - 1):
+                out = {bit}
+            else:
+                out = set()
+                for x in bits(defined):
+                    d2 = defined & ~(1 << x)
+                    out.update(p | bit for p in parts_below(plus & d2, d2))
+            below[key] = out
+        return out
+
+    parts: set[int] = set()
     for h in cls.hypotheses:
-        descend(h.plus, h.defined, 1 << index[(h.plus, h.defined)])
-    return SimplicialComplex(labels, tuple(sorted(maximal)))
+        parts |= parts_below(h.plus, h.defined)
+    return verts, parts
 
 
 def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
@@ -268,14 +278,15 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
     full cube the containment reverses: every realizable partial hypothesis
     with nonempty support is a cube.
 
-    Fullness is checked on maximal simplices only: for each maximal simplex
-    m of the subdivided realizable complex, its cube part (the vertices of m
-    that are cube labels) must be a simplex of the cube order complex.  Every
-    simplex spanned by cube labels lies in the cube part of some m, and the
-    cube order complex is closed under faces, so this is the same property.
-    No face is enumerated, so this step no longer stops at the
-    face-enumeration cap; inputs that used to exit with code 3 there now
-    finish.
+    The subdivided realizable complex is never built.  Its maximal simplices
+    (the support-dropping paths from each concept) are walked once, and each
+    is kept only as its cube part: the set of its vertices that are cubes.
+    Both containments are checked on cube parts.  A set of cubes lies in a
+    maximal simplex exactly when it lies in that simplex's cube part, so a
+    maximal chain of cubes is a simplex there exactly when some cube part
+    contains it.  Every simplex spanned by cubes lies in some cube part, and
+    the cube order complex is closed under faces, so fullness holds exactly
+    when every cube part is a chain of cubes.
     """
     if not is_extremal(cls).extremal:
         raise WitnessError("embedding check requires an extremal class")
@@ -299,35 +310,40 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
         )
 
     sub = cubical_barycentric(cc)
-    delta1 = subdivided_realizable_complex(cls)
-    delta_index = delta1.vertex_index()
+    sub_index = sub.vertex_index()
+    cube_bit = {
+        (c.plus, c.defined): 1 << sub_index[str(c)]
+        for c in cc.cubes
+        if str(c) in sub_index
+    }
+    verts, parts = _chain_cube_parts(cls, cube_bit)
 
-    # every cube label is a vertex of the subdivided realizable complex
+    # every cube is a vertex of the subdivided realizable complex
     for c in cc.cubes:
-        if c.defined == 0 or str(c) not in delta_index:
+        if c.defined == 0 or (c.plus, c.defined) not in verts:
             return EmbeddingReport(
                 False, False, len(cc.cubes), 0, f"cube {c} is not a realizable vertex"
             )
 
-    # every chain of cubes is a simplex there
+    # every chain of cubes is a simplex there; a maximal chain that is
+    # itself a cube part needs no scan
     chains = 0
     for s in sub.maximal:
-        image = mask_of(delta_index[sub.vertices[i]] for i in bits(s))
-        if not delta1.has_simplex(image):
+        if s not in parts and not any((s & ~p) == 0 for p in parts):
             return EmbeddingReport(
                 False, False, len(cc.cubes), chains,
                 "a chain of cubes is not realizable as a simplex",
             )
         chains += 1
 
-    # fullness: simplices of the realizable order complex spanned by cube
-    # labels must be chains of cubes, checked on the cube part of each
-    # maximal simplex
-    to_sub = {delta_index[v]: i for i, v in enumerate(sub.vertices)}
-    cube_mask = mask_of(to_sub)
-    for part in sorted({m & cube_mask for m in delta1.maximal}):
-        if not sub.has_simplex(mask_of(to_sub[i] for i in bits(part))):
-            members = [delta1.vertices[i] for i in bits(part)]
+    # fullness: every cube part is a chain of cubes
+    for part in sorted(parts):
+        if not sub.has_simplex(part):
+            # in the order of the subdivided realizable complex's vertices
+            members = sorted(
+                (sub.vertices[i] for i in bits(part)),
+                key=lambda v: (len(v) - v.count("*"), v),
+            )
             return EmbeddingReport(
                 False, False, len(cc.cubes), chains,
                 f"fullness violated on {members}",

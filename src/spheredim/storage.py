@@ -57,7 +57,8 @@ def envelope(kind: str, payload) -> dict:
 def open_envelope(text: str, kind: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an over-long integer literal, or nesting too deep
         raise StorageError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"schema_version", "kind", "payload"}:
         raise StorageError("artifact must carry schema_version, kind, and payload")
@@ -76,10 +77,22 @@ def _parse_point_label(label: str) -> Optional[tuple[int, int]]:
     return None
 
 
+def _simplex_mask(indices, size: int) -> int:
+    """Bitmask of a stored simplex, each index checked to be a vertex index
+    first, so that a huge index cannot reach the shift."""
+    indices = list(indices)
+    for i in indices:
+        if type(i) is not int or not 0 <= i < size:
+            raise StorageError(f"a simplex index is not one of the {size} vertex indices")
+    return mask_of(indices)
+
+
 def complex_from_payload(payload: dict):
     """Rebuild a complex, preserving total or partial involutions."""
     vertices = tuple(payload["vertices"])
-    maximal = tuple(sorted(mask_of(s) for s in payload["maximal_simplices"]))
+    maximal = tuple(
+        sorted(_simplex_mask(s, len(vertices)) for s in payload["maximal_simplices"])
+    )
     base = SimplicialComplex(vertices, maximal)
     inv = payload.get("involution") or [None] * len(vertices)
     if len(inv) != len(vertices):
@@ -167,7 +180,10 @@ def load(kind: str, path: Union[str, Path], cls: Optional[ConceptClass] = None):
         return _decode(kind, payload, cls)
     except (StorageError, ClassFormatError, WitnessError):
         raise
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+    except (
+        KeyError, IndexError, TypeError, AttributeError, ValueError,
+        ArithmeticError, RecursionError,
+    ) as exc:
         raise StorageError(f"malformed {kind} payload: {exc!r}") from exc
 
 

@@ -47,6 +47,18 @@ class TestFamily:
         assert len(rows) == 4
         assert all(len(r) == 8 for r in rows)
 
+    def test_nonpositive_n_is_usage_error(self):
+        out = run_cli("family", "cube", "0")
+        assert out.returncode == 1
+        assert out.stderr.startswith("usage error:")
+        assert "Traceback" not in out.stderr
+
+    def test_nonpositive_power_is_usage_error(self):
+        out = run_cli("family", "cube", "2", "-m", "0")
+        assert out.returncode == 1
+        assert out.stderr.startswith("usage error:")
+        assert out.stdout == ""
+
     def test_unknown_family_is_usage_error(self):
         out = run_cli("family", "nonsense", "3")
         assert out.returncode == 1

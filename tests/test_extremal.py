@@ -1,6 +1,7 @@
 """Tests for extremality, cubical complexes, collapsing, and classification."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from spheredim.concepts import (
     dimension,
     family_class,
     mask_of,
+    popcount,
 )
 from spheredim.complexes import SimplicialComplex, euler_characteristic, face_counts
 from spheredim.extremal import (
@@ -33,7 +35,6 @@ from spheredim.extremal import (
     is_extremal,
     realizable_partial,
     restriction,
-    subdivided_realizable_complex,
     verify_threshold_certificate,
     vc_extremal_upper,
 )
@@ -154,6 +155,101 @@ def oracle_fullness(sub, delta1):
             if not sub.has_simplex(mask_of(sub_index[v] for v in members)):
                 return False
     return True
+
+
+def subdivided_realizable_complex(cls, cap=10**6):
+    """Order complex of the realizable partial hypotheses with nonempty
+    support: one vertex per such hypothesis, simplices are extension chains.
+
+    Maximal simplices are the support-dropping paths from a concept down to a
+    single defined point.
+    """
+    n = cls.domain_size
+    verts = set()
+    for h in cls.hypotheses:
+        for defined in range(1, 1 << n):
+            if defined & ~h.defined == 0:
+                verts.add((h.plus & defined, defined))
+                if len(verts) > cap:
+                    raise CapExceededError("partial hypothesis cap exceeded")
+    order = sorted(verts, key=lambda v: (popcount(v[1]), str(PartialHypothesis(n, *v))))
+    index = {v: i for i, v in enumerate(order)}
+    labels = tuple(str(PartialHypothesis(n, *v)) for v in order)
+
+    maximal = set()
+
+    def descend(plus, defined, chain_mask):
+        if popcount(defined) == 1:
+            maximal.add(chain_mask)
+            return
+        for x in bits(defined):
+            d2 = defined & ~(1 << x)
+            descend(plus & d2, d2, chain_mask | (1 << index[(plus & d2, d2)]))
+
+    if len(cls) * math.factorial(n) > cap:
+        raise CapExceededError("chain enumeration cap exceeded")
+    for h in cls.hypotheses:
+        descend(h.plus, h.defined, 1 << index[(h.plus, h.defined)])
+    return SimplicialComplex(labels, tuple(sorted(maximal)))
+
+
+def oracle_embedding_check(cls):
+    """The embedding check on the subdivided realizable complex built as a
+    ``SimplicialComplex``: chains of cubes are looked up with ``has_simplex``
+    and fullness is checked on the cube part of each maximal simplex."""
+    assert is_extremal(cls).extremal and len(cls) < 1 << cls.domain_size
+    cc = cubical_complex(cls)
+    sub = extremal.cubical_barycentric(cc)
+    delta1 = subdivided_realizable_complex(cls)
+    delta_index = delta1.vertex_index()
+    for c in cc.cubes:
+        if c.defined == 0 or str(c) not in delta_index:
+            return EmbeddingReport(
+                False, False, len(cc.cubes), 0, f"cube {c} is not a realizable vertex"
+            )
+    chains = 0
+    for s in sub.maximal:
+        image = mask_of(delta_index[sub.vertices[i]] for i in bits(s))
+        if not delta1.has_simplex(image):
+            return EmbeddingReport(
+                False, False, len(cc.cubes), chains,
+                "a chain of cubes is not realizable as a simplex",
+            )
+        chains += 1
+    to_sub = {delta_index[v]: i for i, v in enumerate(sub.vertices)}
+    cube_mask = mask_of(to_sub)
+    for part in sorted({m & cube_mask for m in delta1.maximal}):
+        if not sub.has_simplex(mask_of(to_sub[i] for i in bits(part))):
+            members = [delta1.vertices[i] for i in bits(part)]
+            return EmbeddingReport(
+                False, False, len(cc.cubes), chains, f"fullness violated on {members}"
+            )
+    return EmbeddingReport(
+        False, True, len(cc.cubes), chains, "full subcomplex embedding verified"
+    )
+
+
+def same_embedding_report(got, want):
+    return (got.ok, got.reversed_case, got.cube_vertices, got.chains_checked) == (
+        want.ok, want.reversed_case, want.cube_vertices, want.chains_checked
+    )
+
+
+def random_downsets(seed, n, count):
+    """Seeded down-closed families of subsets of [n], as classes: the
+    subsets of one or two random sets of at most two points.  Every down-set
+    is extremal; these stay small because the oracle check costs |H|*n!
+    squared."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        members = {0}
+        for _ in range(rng.randint(1, 2)):
+            g = mask_of(rng.sample(range(n), rng.randint(1, 2)))
+            members.update(m for m in range(1 << n) if m & ~g == 0)
+        hyps = tuple(PartialHypothesis.total(n, m) for m in sorted(members))
+        out.append(ConceptClass(n, hyps))
+    return out
 
 
 def oracle_collapse_certificate(cc, node_budget=extremal.DEFAULT_COLLAPSE_BUDGET):
@@ -357,6 +453,17 @@ class TestEmbedding:
             sub = cubical_barycentric(cubical_complex(cls))
             assert oracle_fullness(sub, subdivided_realizable_complex(cls))
 
+    def test_agrees_with_oracle(self):
+        classes = random_extremal_classes(59, 20) + named_extremal_classes()
+        classes += random_downsets(113, 6, 3)
+        for cls in classes:
+            got = full_subcomplex_embedding_check(cls)
+            assert got.ok
+            if len(cls) == 1 << cls.domain_size:
+                assert got.reversed_case
+                continue
+            assert same_embedding_report(got, oracle_embedding_check(cls))
+
     def test_fullness_agrees_on_dropped_chains(self, monkeypatch):
         # one order complex with a maximal chain missing per class: both
         # checks must reject it
@@ -373,6 +480,8 @@ class TestEmbedding:
             report = full_subcomplex_embedding_check(cls)
             assert report.ok == oracle_fullness(broken, subdivided_realizable_complex(cls))
             assert not report.ok
+            assert same_embedding_report(report, oracle_embedding_check(cls))
+            assert report.detail.startswith("fullness violated")
 
     def test_dropped_chain_violates_fullness(self, monkeypatch):
         cls = cls_of(FIG_SQUARE_WHISKER)
@@ -386,6 +495,33 @@ class TestEmbedding:
         report = full_subcomplex_embedding_check(cls)
         assert not report.ok
         assert report.detail.startswith("fullness violated")
+        assert report.detail == oracle_embedding_check(cls).detail
+
+    def test_unrealizable_chain_rejected(self, monkeypatch):
+        # two distinct concepts are never on one support-dropping path, so a
+        # "chain" joining two 0-cubes is not a simplex of the subdivided
+        # realizable complex
+        cls = cls_of(FIG_SQUARE_WHISKER)
+        real = extremal.cubical_barycentric
+
+        def with_bogus_chain(cc):
+            sub = real(cc)
+            index = sub.vertex_index()
+            bogus = mask_of(index[row] for row in ("---", "--+"))
+            return SimplicialComplex(sub.vertices, tuple(sorted(sub.maximal + (bogus,))))
+
+        monkeypatch.setattr(extremal, "cubical_barycentric", with_bogus_chain)
+        report = full_subcomplex_embedding_check(cls)
+        assert not report.ok and not report.reversed_case
+        assert report.detail == "a chain of cubes is not realizable as a simplex"
+        want = oracle_embedding_check(cls)
+        assert same_embedding_report(report, want) and report.detail == want.detail
+
+    def test_chain_cap(self):
+        # a single concept on 10 points has 10! > 10**6 support-dropping paths
+        cls = ConceptClass(10, (PartialHypothesis.total(10, 0),))
+        with pytest.raises(CapExceededError, match="chain enumeration cap exceeded"):
+            full_subcomplex_embedding_check(cls)
 
     def test_subdivided_realizable_complex_counts(self):
         # square class: vertices are the 8 nonempty-support realizable

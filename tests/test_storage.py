@@ -1,10 +1,14 @@
 """Round-trip and validation tests for artifact storage."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from spheredim.concepts import ConceptClass, family_class
+from spheredim.concepts import ClassFormatError, ConceptClass, family_class
 from spheredim.complexes import AntipodalComplex, DeltaComplex, SimplicialComplex, realizable_complex
 from spheredim.extremal import CubicalComplex, cubical_complex
 from spheredim.signrank import universal_representation, verify_representation
@@ -181,6 +185,153 @@ class TestMalformedPayloads:
     def test_empty_cubical_payload(self, tmp_path):
         with pytest.raises(StorageError):
             load("cubical", self.write(tmp_path, "cubical", {}))
+
+
+    @pytest.mark.parametrize("index", [10**12, 10**30, -1, True, 1.0, "0"])
+    def test_simplex_index_not_a_vertex(self, tmp_path, index):
+        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, index]]}
+        with pytest.raises(StorageError):
+            load("complex", self.write(tmp_path, "complex", payload))
+
+    def test_deeply_nested_json(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        with pytest.raises(StorageError):
+            load("complex", p)
+
+    def test_deeply_nested_template(self, tmp_path):
+        w = crosspolytope_witness(family_class("cube", 2), (0, 1))
+        p = tmp_path / "w.json"
+        store(w, p)
+        data = json.loads(p.read_text())
+        depth = 5000
+        data["payload"]["template"] = "TEMPLATE"
+        text = json.dumps(data).replace(
+            '"TEMPLATE"',
+            '{"kind": "subdivided", "depth": 1, "base": ' * depth
+            + json.dumps(w.template.kind_payload())
+            + "}" * depth,
+        )
+        p.write_text(text)
+        with pytest.raises(StorageError):
+            load("witness", p)
+
+    def test_zero_denominator(self, tmp_path):
+        cls = family_class("threshold", 1)
+        payload = {"d": 1, "phi": {"0": [[1, 0]]}, "w": {"-": [1], "+": [1]}}
+        with pytest.raises(StorageError):
+            load("representation", self.write(tmp_path, "representation", payload), cls=cls)
+
+
+# --- fuzzing --------------------------------------------------------------
+
+# Integers stay small except for a few huge values, and dictionary keys in
+# free-form JSON stay short, so that no drawn payload names a template (the
+# keys "template" and "parts" are longer) whose construction is exponential
+# in its parameter.
+SMALL_INTS = st.integers(-2, 4)
+HUGE_INTS = st.sampled_from([10**12, 10**30, -(10**12), 2**64])
+ROWS = st.text(alphabet="-+*", max_size=3)
+LEAVES = (
+    st.none() | st.booleans() | SMALL_INTS | HUGE_INTS | st.floats()
+    | st.text(max_size=4) | ROWS
+)
+JSON = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_json(strategy):
+    return strategy | JSON
+
+
+TEMPLATE_LEAF = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["crosspolytope", "barycentric_boundary", "nonsense"]),
+        "n": _or_json(st.integers(-1, 2)),
+    }
+)
+TEMPLATES = st.recursive(
+    TEMPLATE_LEAF,
+    lambda children: st.fixed_dictionaries(
+        {"kind": st.just("join"), "parts": st.lists(children, max_size=2)}
+    )
+    | st.fixed_dictionaries(
+        {"kind": st.just("subdivided"), "base": children, "depth": st.integers(-1, 1)}
+    ),
+    max_leaves=2,
+)
+INDICES = st.lists(SMALL_INTS | HUGE_INTS | st.booleans() | st.text(max_size=1), max_size=3)
+NUMBERS = SMALL_INTS | HUGE_INTS | st.floats() | st.lists(SMALL_INTS | HUGE_INTS, max_size=3)
+VECTORS = st.lists(NUMBERS, max_size=2)
+FUZZ_CLASS = family_class("threshold", 2)
+TWO_POINT_CLASSES = st.lists(st.sampled_from(["--", "-+", "+-", "++"]), min_size=1, max_size=4)
+
+PAYLOADS = {
+    "complex": st.fixed_dictionaries(
+        {
+            "vertices": _or_json(st.lists(st.sampled_from(["0-", "0+", "1-", "1+", "a"]), max_size=4)),
+            "maximal_simplices": _or_json(st.lists(INDICES, max_size=4)),
+        },
+        optional={"involution": _or_json(st.lists(st.none() | SMALL_INTS, max_size=4))},
+    ),
+    "witness": st.fixed_dictionaries(
+        {
+            "class": _or_json(TWO_POINT_CLASSES | st.lists(ROWS, max_size=4)),
+            "template": _or_json(TEMPLATES),
+            "vertex_map": _or_json(st.lists(st.lists(st.text(max_size=4), max_size=3), max_size=4)),
+            "embedded": _or_json(st.booleans()),
+            "target": JSON,
+        }
+    ),
+    "cubical": st.fixed_dictionaries({"cubes": _or_json(st.lists(ROWS, max_size=6))}),
+    "representation": st.fixed_dictionaries(
+        {
+            "d": _or_json(SMALL_INTS | HUGE_INTS),
+            "phi": _or_json(
+                st.fixed_dictionaries({"0": VECTORS, "1": VECTORS})
+                | st.dictionaries(st.sampled_from(["0", "1", "2"]), VECTORS)
+            ),
+            "w": _or_json(
+                st.fixed_dictionaries({row: VECTORS for row in FUZZ_CLASS.rows()})
+                | st.dictionaries(st.sampled_from(list(FUZZ_CLASS.rows())), VECTORS)
+            ),
+        }
+    ),
+    "report": JSON,
+}
+
+
+def _load_text(kind, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "artifact"
+        p.write_text(text)
+        return load(kind, p, cls=FUZZ_CLASS)
+
+
+class TestLoadFuzz:
+    """Any payload of any kind either loads or raises a typed input error."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(sorted(PAYLOADS)), data=st.data())
+    def test_payload_loads_or_raises_typed(self, kind, data):
+        payload = data.draw(PAYLOADS[kind] | JSON)
+        text = json.dumps({"schema_version": "1", "kind": kind, "payload": payload})
+        try:
+            _load_text(kind, text)
+        except (StorageError, ClassFormatError):
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["class", "complex", "witness", "cubical", "representation", "report"]), doc=JSON)
+    def test_any_document_loads_or_raises_typed(self, kind, doc):
+        try:
+            _load_text(kind, json.dumps(doc))
+        except (StorageError, ClassFormatError):
+            pass
 
 
 class TestCanonicalBytes:
