@@ -33,7 +33,6 @@ from spheredim.complexes import (
     antipodal_subcomplex,
     barycentric_subdivision,
     complex_to_payload,
-    face_counts,
     realizable_complex,
 )
 from spheredim.extremal import (
@@ -43,8 +42,8 @@ from spheredim.extremal import (
     Vc2Plus,
     classify_low_vc,
     collapse_certificate,
-    cubical_barycentric,
     cubical_complex,
+    cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
 )
@@ -241,7 +240,7 @@ def cmd_extremal(args) -> int:
     if report.extremal:
         cc = cubical_complex(cls)
         payload["cube_counts"] = list(cc.counts())
-        payload["barycentric_face_counts"] = list(face_counts(cubical_barycentric(cc)))
+        payload["barycentric_face_counts"] = list(cubical_face_counts(cc))
         moves = collapse_certificate(cc, node_budget=args.collapse_budget)
         payload["collapse"] = (
             {"collapsible": True, "steps": len(moves)}

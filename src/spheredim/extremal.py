@@ -41,7 +41,7 @@ from spheredim.concepts import (
     strongly_shattered_family,
     _shatters_mask,
 )
-from spheredim.complexes import SimplicialComplex
+from spheredim.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from spheredim.spheres import (
     SphereWitness,
     WitnessError,
@@ -154,31 +154,96 @@ def cubical_complex(cls: ConceptClass, cap: int = DEFAULT_CUBE_CAP) -> CubicalCo
     return CubicalComplex(tuple(cubes), cls)
 
 
+def _cube_order(cc: CubicalComplex) -> tuple[list[int], list[int]]:
+    """The positions in ``cc.cubes`` ranked by (dimension, label), and the
+    rank of each position."""
+    order = sorted(
+        range(len(cc.cubes)), key=lambda i: (cc.cubes[i].dimension, str(cc.cubes[i]))
+    )
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return order, rank
+
+
+def _cube_chains(cc: CubicalComplex) -> tuple[list[PartialHypothesis], list[int]]:
+    """The cubes in (dimension, label) order and the maximal chains of the
+    cube poset, sorted, as bitmasks over positions in that order.
+
+    A maximal chain is a facet-descending path from an inclusion-maximal cube
+    down to a vertex.
+    """
+    order, rank = _cube_order(cc)
+    facets: list[list[int]] = [[] for _ in order]
+    for j, up in enumerate(cc.cofaces):
+        for i in bits(up):
+            facets[rank[i]].append(rank[j])
+    maximal: list[int] = []
+
+    def descend(r: int, chain_mask: int) -> None:
+        if not facets[r]:
+            maximal.append(chain_mask)
+            return
+        for f in facets[r]:
+            descend(f, chain_mask | 1 << f)
+
+    # a cube with a proper coface has a codimension-one coface, since the
+    # complex is closed under faces; so the top cubes are those without one
+    for i, up in enumerate(cc.cofaces):
+        if not up:
+            descend(rank[i], 1 << rank[i])
+    return [cc.cubes[i] for i in order], sorted(maximal)
+
+
 def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
     """Order complex of the cube poset: vertices are cubes, simplices chains.
 
     Maximal simplices are the facet-descending paths from the inclusion-
     maximal cubes down to vertices.
     """
-    order = sorted(cc.cubes, key=lambda c: (c.dimension, str(c)))
-    index = {(c.plus, c.defined): i for i, c in enumerate(order)}
-    labels = tuple(str(c) for c in order)
+    order, maximal = _cube_chains(cc)
+    return SimplicialComplex(tuple(str(c) for c in order), tuple(maximal))
 
-    # a cube with a proper coface has a codimension-one coface, since the
-    # complex is closed under faces; so the top cubes are those without one
-    top = [c for c, up in zip(cc.cubes, cc.cofaces) if not up]
-    maximal: set[int] = set()
 
-    def descend(c: PartialHypothesis, chain_mask: int) -> None:
-        if c.dimension == 0:
-            maximal.add(chain_mask)
-            return
-        for facet in _facets(c):
-            descend(facet, chain_mask | (1 << index[(facet.plus, facet.defined)]))
+def cubical_face_counts(
+    cc: CubicalComplex, cap: int = DEFAULT_FACE_CAP
+) -> tuple[int, ...]:
+    """Face counts of ``cubical_barycentric(cc)``, without building it.
 
-    for c in top:
-        descend(c, 1 << index[(c.plus, c.defined)])
-    return SimplicialComplex(labels, tuple(sorted(maximal)))
+    A face of the order complex is a chain of cubes.  The complex is closed
+    under facets, so below a j-cube sits the face lattice of a j-cube, with
+    C(j, i)*2^(j-i) faces of dimension i.  The chains of k+1 cubes topped by
+    a j-cube therefore number c(j, 0) = 1 and c(j, k) = sum over i < j of
+    C(j, i)*2^(j-i)*c(i, k-1), and f_k is the sum of c(dim, k) over cubes.
+    """
+    if not cc.cubes:
+        return ()
+    chains: list[list[int]] = []  # chains[j][k] = c(j, k), zero for k > j
+    for j in range(cc.dim() + 1):
+        below = [math.comb(j, i) * 2 ** (j - i) for i in range(j)]
+        chains.append([1] + [
+            sum(below[i] * chains[i][k - 1] for i in range(k - 1, j))
+            for k in range(1, j + 1)
+        ])
+    counts = cc.counts()
+    out = tuple(
+        sum(counts[j] * chains[j][k] for j in range(k, len(counts)))
+        for k in range(len(counts))
+    )
+    if sum(out) > cap:
+        raise CapExceededError("face enumeration cap exceeded")
+    return out
+
+
+def _is_chain(order: list[PartialHypothesis], mask: int) -> bool:
+    """True when the cubes at the positions in ``mask`` form a chain: in
+    position order, dimensions strictly increase and each cube extends the
+    next.  Equivalently, the set is a simplex of the cube order complex,
+    since every chain of a finite poset lies in a maximal chain."""
+    members = [order[i] for i in bits(mask)]
+    return all(
+        a.dimension < b.dimension and a.extends(b) for a, b in zip(members, members[1:])
+    )
 
 
 def realizable_partial(cls: ConceptClass, h: PartialHypothesis) -> bool:
@@ -278,15 +343,17 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
     full cube the containment reverses: every realizable partial hypothesis
     with nonempty support is a cube.
 
-    The subdivided realizable complex is never built.  Its maximal simplices
-    (the support-dropping paths from each concept) are walked once, and each
-    is kept only as its cube part: the set of its vertices that are cubes.
-    Both containments are checked on cube parts.  A set of cubes lies in a
-    maximal simplex exactly when it lies in that simplex's cube part, so a
-    maximal chain of cubes is a simplex there exactly when some cube part
-    contains it.  Every simplex spanned by cubes lies in some cube part, and
-    the cube order complex is closed under faces, so fullness holds exactly
-    when every cube part is a chain of cubes.
+    Neither subdivided complex is built.  The maximal chains of cubes come
+    from one walk of the cube poset (``_cube_chains``).  The maximal simplices
+    of the subdivided realizable complex (the support-dropping paths from
+    each concept) are walked once, and each is kept only as its cube part:
+    the set of its vertices that are cubes.  Both containments are checked
+    on cube parts.  A set of cubes lies in a maximal simplex exactly when it
+    lies in that simplex's cube part, so a maximal chain of cubes is a
+    simplex there exactly when some cube part contains it.  Every simplex
+    spanned by cubes lies in some cube part, and the cube order complex is
+    closed under faces, so fullness holds exactly when every cube part is a
+    chain of cubes, which is tested on the poset directly.
     """
     if not is_extremal(cls).extremal:
         raise WitnessError("embedding check requires an extremal class")
@@ -309,13 +376,8 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
             "reversed case: the subdivided realizable complex sits inside the cube poset",
         )
 
-    sub = cubical_barycentric(cc)
-    sub_index = sub.vertex_index()
-    cube_bit = {
-        (c.plus, c.defined): 1 << sub_index[str(c)]
-        for c in cc.cubes
-        if str(c) in sub_index
-    }
+    order, maximal = _cube_chains(cc)
+    cube_bit = {(c.plus, c.defined): 1 << i for i, c in enumerate(order)}
     verts, parts = _chain_cube_parts(cls, cube_bit)
 
     # every cube is a vertex of the subdivided realizable complex
@@ -328,7 +390,7 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
     # every chain of cubes is a simplex there; a maximal chain that is
     # itself a cube part needs no scan
     chains = 0
-    for s in sub.maximal:
+    for s in maximal:
         if s not in parts and not any((s & ~p) == 0 for p in parts):
             return EmbeddingReport(
                 False, False, len(cc.cubes), chains,
@@ -338,10 +400,10 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
 
     # fullness: every cube part is a chain of cubes
     for part in sorted(parts):
-        if not sub.has_simplex(part):
+        if not _is_chain(order, part):
             # in the order of the subdivided realizable complex's vertices
             members = sorted(
-                (sub.vertices[i] for i in bits(part)),
+                (str(order[i]) for i in bits(part)),
                 key=lambda v: (len(v) - v.count("*"), v),
             )
             return EmbeddingReport(
@@ -377,10 +439,7 @@ def collapse_certificate(
         raise CapExceededError(f"collapse cube cap is {cube_cap}")
     # A state is a bitmask over the cubes ranked by (dimension, label), so a
     # scan of its bits visits candidate free faces in greedy order.
-    order = sorted(
-        range(len(cc.cubes)), key=lambda i: (cc.cubes[i].dimension, str(cc.cubes[i]))
-    )
-    rank = {i: r for r, i in enumerate(order)}
+    order, rank = _cube_order(cc)
     labels = [str(cc.cubes[i]) for i in order]
     dims = [cc.cubes[i].dimension for i in order]
     cofaces = [mask_of(rank[j] for j in bits(cc.cofaces[i])) for i in order]

@@ -47,6 +47,7 @@ from spheredim.extremal import (
     collapse_certificate,
     cubical_barycentric,
     cubical_complex,
+    cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
     realizable_partial,
@@ -137,6 +138,7 @@ def test_criterion_02_figure_counts():
         # One vertex per cube (11); one edge per nested pair (5*2 + 4 + 4 = 18);
         # one triangle per flag vertex < edge < square (4 vertices * 2 edges = 8).
         assert face_counts(sub) == (11, 18, 8)
+        assert cubical_face_counts(cc) == (11, 18, 8)
         chi_cubes = sum((-1) ** d * c for d, c in enumerate(cc.counts()))
         assert euler_characteristic(sub) == chi_cubes == 1
 

@@ -144,6 +144,34 @@ class TestSd:
         assert "sd interval [0, 0]" in out.stdout
 
 
+class TestExtremal:
+    @staticmethod
+    def extremal_of_cube(n, tmp_path):
+        path = tmp_path / f"cube{n}.cls"
+        assert run_cli("family", "cube", str(n), "-o", str(path)).returncode == 0
+        return run_cli("extremal", str(path))
+
+    def test_cube_5_face_counts(self, tmp_path):
+        out = self.extremal_of_cube(5, tmp_path)
+        assert out.returncode == 0
+        assert "barycentric face counts (243, 2882, 10800, 17760, 13440, 3840)\n" in out.stdout
+
+    def test_cube_6_finishes(self, tmp_path):
+        out = self.extremal_of_cube(6, tmp_path)
+        assert out.returncode == 0
+        assert (
+            "barycentric face counts (729, 14896, 87128, 224640, 289920, 184320, 46080)\n"
+            in out.stdout
+        )
+
+    def test_cube_7_exceeds_face_cap(self, tmp_path):
+        # 17,121,893 chains of cubes, over the 10**7 face cap
+        out = self.extremal_of_cube(7, tmp_path)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == "budget exceeded: face enumeration cap exceeded\n"
+
+
 class TestClassify:
     def test_threshold(self, threshold3):
         out = run_cli("--json", "classify", threshold3)

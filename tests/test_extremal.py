@@ -31,6 +31,7 @@ from spheredim.extremal import (
     collapse_certificate,
     cubical_barycentric,
     cubical_complex,
+    cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
     realizable_partial,
@@ -301,16 +302,24 @@ def named_extremal_classes():
     return out
 
 
-def drop_chain(sub, k):
-    """``sub`` without its k-th maximal chain, or None when that would leave
-    a vertex uncovered."""
-    rest = sub.maximal[:k] + sub.maximal[k + 1:]
-    covered = 0
-    for s in rest:
-        covered |= s
-    if covered != (1 << len(sub.vertices)) - 1:
-        return None
-    return SimplicialComplex(sub.vertices, rest)
+def inject_cube_part(monkeypatch, bogus):
+    """Make the embedding check see ``bogus`` (a bitmask over the cubes in
+    (dimension, label) order) as one more cube part of the subdivided
+    realizable complex."""
+    real = extremal._chain_cube_parts
+
+    def with_bogus_part(cls, cube_bit):
+        verts, parts = real(cls, cube_bit)
+        return verts, parts | {bogus}
+
+    monkeypatch.setattr(extremal, "_chain_cube_parts", with_bogus_part)
+
+
+def fullness_detail(labels):
+    """The fullness failure naming ``labels`` in the order of the subdivided
+    realizable complex's vertices: by support size, then label."""
+    members = sorted(labels, key=lambda v: (len(v) - v.count("*"), v))
+    return f"fullness violated on {members}"
 
 
 # --- extremality --------------------------------------------------------
@@ -420,6 +429,38 @@ class TestCubicalBarycentric:
         cc = cubical_complex(cls_of(["-", "+"]))
         assert face_counts(cubical_barycentric(cc)) == (3, 2)
 
+    def test_face_counts_agree_with_order_complex(self):
+        classes = random_extremal_classes(53, 15) + named_extremal_classes()
+        classes += random_downsets(113, 6, 3)
+        classes += [family_class("threshold", n) for n in (5, 6)]
+        complexes = [cubical_complex(cls) for cls in classes] + [CubicalComplex(())]
+        for cc in complexes:
+            assert cubical_face_counts(cc) == face_counts(cubical_barycentric(cc))
+
+    def test_face_cap_agrees_with_order_complex(self):
+        for cls in [cls_of(FIG_SQUARE_WHISKER), family_class("cube", 3)]:
+            cc = cubical_complex(cls)
+            total = sum(face_counts(cubical_barycentric(cc)))
+            want = face_counts(cubical_barycentric(cc), cap=total)
+            assert cubical_face_counts(cc, cap=total) == want
+            with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
+                cubical_face_counts(cc, cap=total - 1)
+            with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
+                face_counts(cubical_barycentric(cc), cap=total - 1)
+
+    def test_chain_test_agrees_with_order_complex(self):
+        rng = random.Random(127)
+        for cls in random_extremal_classes(131, 10) + [cls_of(FIG_SQUARE_WHISKER)]:
+            cc = cubical_complex(cls)
+            sub = cubical_barycentric(cc)
+            order = sorted(cc.cubes, key=lambda c: (c.dimension, str(c)))
+            for _ in range(50):
+                size = rng.randint(1, min(4, len(order)))
+                part = mask_of(rng.sample(range(len(order)), size))
+                assert extremal._is_chain(order, part) == sub.has_simplex(part)
+            for s in sub.maximal:
+                assert extremal._is_chain(order, s)
+
     def test_euler_characteristic_matches_cube_counts(self):
         for cls in random_extremal_classes(53, 15):
             cc = cubical_complex(cls)
@@ -465,52 +506,55 @@ class TestEmbedding:
             assert same_embedding_report(got, oracle_embedding_check(cls))
 
     def test_fullness_agrees_on_dropped_chains(self, monkeypatch):
-        # one order complex with a maximal chain missing per class: both
-        # checks must reject it
+        # a maximal chain whose vertex is swapped for one outside its top
+        # cube is not a simplex of the order complex; injected as a cube
+        # part, it must fail fullness with its members named
         for cls in random_extremal_classes(101, 8, max_n=3) + [cls_of(FIG_SQUARE_WHISKER)]:
             if len(cls) == 1 << cls.domain_size:
                 continue
             sub = cubical_barycentric(cubical_complex(cls))
-            broken = next(
-                (b for k in range(len(sub.maximal)) if (b := drop_chain(sub, k))), None
-            )
-            if broken is None:
-                continue
-            monkeypatch.setattr(extremal, "cubical_barycentric", lambda cc, b=broken: b)
-            report = full_subcomplex_embedding_check(cls)
-            assert report.ok == oracle_fullness(broken, subdivided_realizable_complex(cls))
-            assert not report.ok
-            assert same_embedding_report(report, oracle_embedding_check(cls))
-            assert report.detail.startswith("fullness violated")
+            cubes = [PartialHypothesis.from_string(v) for v in sub.vertices]
+            for s in sub.maximal:
+                top = cubes[max(bits(s))]
+                outside = [
+                    i for i, c in enumerate(cubes) if c.dimension == 0 and not c.extends(top)
+                ]
+                if popcount(s) < 2 or not outside:
+                    continue
+                bogus = (s & ~(1 << min(bits(s)))) | 1 << outside[0]
+                assert not sub.has_simplex(bogus)
+                with monkeypatch.context() as patch:
+                    inject_cube_part(patch, bogus)
+                    report = full_subcomplex_embedding_check(cls)
+                assert not report.ok and not report.reversed_case
+                assert report.chains_checked == len(sub.maximal)
+                assert report.detail == fullness_detail(sub.vertices[i] for i in bits(bogus))
 
     def test_dropped_chain_violates_fullness(self, monkeypatch):
+        # the chain **- > *-- with -+-, which is not a vertex of *--
         cls = cls_of(FIG_SQUARE_WHISKER)
-        real = extremal.cubical_barycentric
-
-        def missing_last_chain(cc):
-            sub = real(cc)
-            return SimplicialComplex(sub.vertices, sub.maximal[:-1])
-
-        monkeypatch.setattr(extremal, "cubical_barycentric", missing_last_chain)
+        sub = cubical_barycentric(cubical_complex(cls))
+        index = sub.vertex_index()
+        inject_cube_part(monkeypatch, mask_of(index[row] for row in ("-+-", "*--", "**-")))
         report = full_subcomplex_embedding_check(cls)
-        assert not report.ok
-        assert report.detail.startswith("fullness violated")
-        assert report.detail == oracle_embedding_check(cls).detail
+        assert not report.ok and not report.reversed_case
+        assert report.chains_checked == len(sub.maximal) == 10
+        assert report.detail == "fullness violated on ['**-', '*--', '-+-']"
 
     def test_unrealizable_chain_rejected(self, monkeypatch):
         # two distinct concepts are never on one support-dropping path, so a
         # "chain" joining two 0-cubes is not a simplex of the subdivided
         # realizable complex
         cls = cls_of(FIG_SQUARE_WHISKER)
-        real = extremal.cubical_barycentric
+        real = extremal._cube_chains
 
         def with_bogus_chain(cc):
-            sub = real(cc)
-            index = sub.vertex_index()
-            bogus = mask_of(index[row] for row in ("---", "--+"))
-            return SimplicialComplex(sub.vertices, tuple(sorted(sub.maximal + (bogus,))))
+            order, maximal = real(cc)
+            labels = [str(c) for c in order]
+            bogus = mask_of(labels.index(row) for row in ("---", "--+"))
+            return order, sorted(maximal + [bogus])
 
-        monkeypatch.setattr(extremal, "cubical_barycentric", with_bogus_chain)
+        monkeypatch.setattr(extremal, "_cube_chains", with_bogus_chain)
         report = full_subcomplex_embedding_check(cls)
         assert not report.ok and not report.reversed_case
         assert report.detail == "a chain of cubes is not realizable as a simplex"
