@@ -205,9 +205,7 @@ def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
     return SimplicialComplex(tuple(str(c) for c in order), tuple(maximal))
 
 
-def cubical_face_counts(
-    cc: CubicalComplex, cap: int = DEFAULT_FACE_CAP
-) -> tuple[int, ...]:
+def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
     """Face counts of ``cubical_barycentric(cc)``, without building it.
 
     A face of the order complex is a chain of cubes.  The complex is closed
@@ -215,6 +213,7 @@ def cubical_face_counts(
     C(j, i)*2^(j-i) faces of dimension i.  The chains of k+1 cubes topped by
     a j-cube therefore number c(j, 0) = 1 and c(j, k) = sum over i < j of
     C(j, i)*2^(j-i)*c(i, k-1), and f_k is the sum of c(dim, k) over cubes.
+    A total over ``DEFAULT_FACE_CAP`` raises, as ``face_counts`` would.
     """
     if not cc.cubes:
         return ()
@@ -230,20 +229,18 @@ def cubical_face_counts(
         sum(counts[j] * chains[j][k] for j in range(k, len(counts)))
         for k in range(len(counts))
     )
-    if sum(out) > cap:
+    if sum(out) > DEFAULT_FACE_CAP:
         raise CapExceededError("face enumeration cap exceeded")
     return out
 
 
 def _is_chain(order: list[PartialHypothesis], mask: int) -> bool:
     """True when the cubes at the positions in ``mask`` form a chain: in
-    position order, dimensions strictly increase and each cube extends the
-    next.  Equivalently, the set is a simplex of the cube order complex,
-    since every chain of a finite poset lies in a maximal chain."""
+    position order, each cube extends the next.  Equivalently, the set is a
+    simplex of the cube order complex, since every chain of a finite poset
+    lies in a maximal chain."""
     members = [order[i] for i in bits(mask)]
-    return all(
-        a.dimension < b.dimension and a.extends(b) for a, b in zip(members, members[1:])
-    )
+    return all(a.extends(b) for a, b in zip(members, members[1:]))
 
 
 def realizable_partial(cls: ConceptClass, h: PartialHypothesis) -> bool:

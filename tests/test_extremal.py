@@ -437,14 +437,16 @@ class TestCubicalBarycentric:
         for cc in complexes:
             assert cubical_face_counts(cc) == face_counts(cubical_barycentric(cc))
 
-    def test_face_cap_agrees_with_order_complex(self):
+    def test_face_cap_agrees_with_order_complex(self, monkeypatch):
         for cls in [cls_of(FIG_SQUARE_WHISKER), family_class("cube", 3)]:
             cc = cubical_complex(cls)
             total = sum(face_counts(cubical_barycentric(cc)))
             want = face_counts(cubical_barycentric(cc), cap=total)
-            assert cubical_face_counts(cc, cap=total) == want
+            monkeypatch.setattr(extremal, "DEFAULT_FACE_CAP", total)
+            assert cubical_face_counts(cc) == want
+            monkeypatch.setattr(extremal, "DEFAULT_FACE_CAP", total - 1)
             with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
-                cubical_face_counts(cc, cap=total - 1)
+                cubical_face_counts(cc)
             with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
                 face_counts(cubical_barycentric(cc), cap=total - 1)
 
