@@ -247,7 +247,7 @@ def cmd_extremal(args) -> int:
             if moves is not None
             else {"collapsible": False}
         )
-        embed = full_subcomplex_embedding_check(cls)
+        embed = full_subcomplex_embedding_check(cls, cc)
         payload["embedding"] = {
             "ok": embed.ok,
             "reversed_case": embed.reversed_case,

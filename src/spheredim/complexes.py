@@ -6,7 +6,11 @@ a simplex query is a subset test against the maximal list.  The realizable
 complex of a total class has a vertex for every point-label pair occurring in
 some concept graph and one maximal simplex per concept; label flipping is kept
 as a partial vertex involution and becomes total on the antipodal subcomplex,
-which keeps exactly the simplices realizable together with their flips.
+which keeps exactly the simplices realizable together with their flips.  That
+subcomplex is built by incidence: one bitmask of concepts per vertex answers
+whether a labelled set and its flip are both realizable, and its maximal
+simplices are the disagreement sets of concept pairs that no vertex extends,
+with no pairwise comparison of candidates.
 
 Barycentric subdivision, joins, small-instance isomorphism testing, and exact
 face counting round out the toolbox.  Face enumeration is explicitly capped:
@@ -226,26 +230,45 @@ def antipodal_subcomplex(delta: DeltaComplex) -> AntipodalComplex:
 
     May be empty; the result carries a total involution and is reindexed to
     its own vertex set.
+
+    Membership is answered by incidence.  ``col[v]`` is the bitmask of the
+    maximal simplices (the concepts) containing vertex v, so a set s of
+    flippable vertices is a simplex here iff the AND of ``col`` over s and
+    the AND of ``col`` over flip(s) are both nonzero.  Every such s lies in
+    a candidate m1 & flip(m2), the set where two concepts disagree labelled
+    by the first, and a candidate is maximal iff no flippable v outside it
+    extends it, which costs two ANDs per v instead of a comparison with
+    every other candidate.  The involution must pair flippable vertices, as
+    ``realizable_complex`` gives it.
     """
-    flippable = mask_of(i for i, j in enumerate(delta.involution) if j is not None)
-
-    def flip(mask: int) -> int:
+    inv = delta.involution
+    flippable = mask_of(i for i, j in enumerate(inv) if j is not None)
+    col = [0] * len(delta.complex.vertices)
+    for c, m in enumerate(delta.complex.maximal):
+        for v in bits(m):
+            col[v] |= 1 << c
+    flipped = []
+    for m in delta.complex.maximal:
         out = 0
-        for i in bits(mask):
-            out |= 1 << delta.involution[i]  # type: ignore[index]
-        return out
-
-    candidates = set()
-    for m1 in delta.complex.maximal:
-        for m2 in delta.complex.maximal:
-            s = m1 & flip(m2 & flippable) & flippable
-            if s:
-                candidates.add(s)
-    keep = [
-        s
-        for s in candidates
-        if not any(s != t and (s & ~t) == 0 for t in candidates)
-    ]
+        for v in bits(m & flippable):
+            out |= 1 << inv[v]  # type: ignore[operator]
+        flipped.append(out)
+    candidates = {m1 & f for m1 in delta.complex.maximal for f in flipped}
+    candidates.discard(0)
+    # (bit, col[v], col[inv[v]]) for every flippable v
+    pairs = [(1 << v, col[v], col[inv[v]]) for v in bits(flippable)]  # type: ignore[index]
+    keep = []
+    for s in candidates:
+        a = b = -1
+        for bit, cv, cw in pairs:
+            if s & bit:
+                a &= cv
+                b &= cw
+        for bit, cv, cw in pairs:
+            if a & cv and b & cw and not s & bit:
+                break  # s plus this vertex is still a simplex
+        else:
+            keep.append(s)
     used = 0
     for s in keep:
         used |= s

@@ -26,6 +26,7 @@ from spheredim.spheres import (
     SphereTemplate,
     SphereWitness,
     WitnessError,
+    _target_index,
     delta_ant,
     verify_witness,
 )
@@ -299,9 +300,7 @@ def sphere_from_disambiguation(
     restricted, reps = representatives_restriction(d.cls, domain)
     rep_pos = {x: j for j, x in enumerate(reps)}
     target = delta_ant(restricted)
-    if target.points is None:
-        raise WitnessError("target carries no point labels")
-    index = {p: i for i, p in enumerate(target.points)}
+    index = _target_index(target)
     vmap = []
     for v in range(domain.size):
         r = domain.representative[v]

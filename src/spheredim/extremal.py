@@ -45,6 +45,7 @@ from spheredim.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from spheredim.spheres import (
     SphereWitness,
     WitnessError,
+    _target_index,
     delta_ant,
     make_barycentric_boundary,
     verify_witness,
@@ -329,7 +330,9 @@ def _chain_cube_parts(
     return verts, parts
 
 
-def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
+def full_subcomplex_embedding_check(
+    cls: ConceptClass, cc: Optional[CubicalComplex] = None
+) -> EmbeddingReport:
     """Check the embedding between the subdivided cubical complex and the
     subdivided realizable complex of an extremal class.
 
@@ -351,11 +354,15 @@ def full_subcomplex_embedding_check(cls: ConceptClass) -> EmbeddingReport:
     spanned by cubes lies in some cube part, and the cube order complex is
     closed under faces, so fullness holds exactly when every cube part is a
     chain of cubes, which is tested on the poset directly.
+
+    A caller that has already found the class extremal passes its cubical
+    complex as ``cc``; without it, extremality is checked here first.
     """
-    if not is_extremal(cls).extremal:
-        raise WitnessError("embedding check requires an extremal class")
+    if cc is None:
+        if not is_extremal(cls).extremal:
+            raise WitnessError("embedding check requires an extremal class")
+        cc = cubical_complex(cls)
     n = cls.domain_size
-    cc = cubical_complex(cls)
     if len(cls) == 1 << n:
         # full binary cube: check every realizable nonempty-support partial
         # hypothesis is a cube
@@ -537,9 +544,7 @@ def _hexagon_witness(
     """Build the 1-sphere witness from six (point, sign) pairs in flipped
     coordinates, listed cyclically with opposite vertices antipodal."""
     target = delta_ant(cls)
-    if target.points is None:
-        raise WitnessError("target carries no point labels")
-    index = {p: i for i, p in enumerate(target.points)}
+    index = _target_index(target)
     unflipped = [
         (x, -s if flip_mask & (1 << x) else s) for x, s in cycle
     ]

@@ -292,7 +292,7 @@ def delta_ant(cls: ConceptClass) -> AntipodalComplex:
 
 def _target_index(target: AntipodalComplex) -> dict[tuple[int, int], int]:
     if target.points is None:
-        raise ValueError("target carries no point labels")
+        raise WitnessError("target carries no point labels")
     return {p: i for i, p in enumerate(target.points)}
 
 

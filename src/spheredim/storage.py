@@ -11,6 +11,7 @@ inconsistent complex.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -127,7 +128,121 @@ def witness_payload(w: SphereWitness) -> dict:
     }
 
 
+def _template_param(payload: dict, key: str, least: int) -> int:
+    value = payload[key]
+    if not isinstance(value, int):
+        raise StorageError(f"template {key} must be an integer")
+    if value < least:
+        raise StorageError(f"template {key} must be >= {least}")
+    return value
+
+
+def _stirling_rows(m: int) -> list[list[int]]:
+    """Stirling numbers of the second kind, ``rows[a][b] == S(a, b)``."""
+    rows = [[1]]
+    for a in range(1, m + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [b * prev[b] + prev[b - 1] for b in range(1, a + 1)])
+    return rows
+
+
+def _subdivision_face_counts(f: list[int]) -> list[int]:
+    """Face counts of sd K from those of K: a chain of k+1 faces topped by a
+    j-simplex is an ordered partition of its j+1 vertices into k+1 blocks."""
+    s = _stirling_rows(len(f))
+    return [
+        math.factorial(k + 1) * sum(f[j] * s[j + 1][k + 1] for j in range(k, len(f)))
+        for k in range(len(f))
+    ]
+
+
+def _template_face_counts(payload: dict, limit: int) -> Optional[list[int]]:
+    """Face counts by dimension of the template a kind tree names, or None
+    once their total exceeds ``limit``; nothing is built.  A complex with
+    at most ``limit`` faces has dimension below log2(limit + 1), so every
+    list here stays that short."""
+    kind = payload["kind"]
+    if kind == "crosspolytope":
+        n = _template_param(payload, "n", 0)
+        if 2 * (n + 1) > limit:
+            return None
+        f: list[int] = []
+        for i in range(n + 1):
+            f.append(math.comb(n + 1, i + 1) << (i + 1))
+            if sum(f) > limit:
+                return None
+        return f
+    if kind == "barycentric_boundary":
+        n = _template_param(payload, "n", 0)
+        if n + 2 > limit.bit_length() + 1:  # 2^(n+2) - 2 vertices
+            return None
+        s = _stirling_rows(n + 2)[n + 2]
+        f = [math.factorial(i + 2) * s[i + 2] for i in range(n + 1)]
+    elif kind == "join":
+        # the face polynomial 1 + sum f_i t^(i+1) is multiplicative
+        poly = [1]
+        for part in payload["parts"]:
+            g = _template_face_counts(part, limit)
+            if g is None:
+                return None
+            product = [0] * (len(poly) + len(g))
+            for a, x in enumerate(poly):
+                for b, y in enumerate([1] + g):
+                    product[a + b] += x * y
+            poly = product
+            if sum(poly) - 1 > limit:
+                return None
+        f = poly[1:]
+    elif kind == "subdivided":
+        depth = _template_param(payload, "depth", 1)
+        f = _template_face_counts(payload["base"], limit)
+        # below dimension 1 a subdivision only relabels; above it every
+        # subdivision adds faces, so the loop ends by the limit
+        while depth and f is not None and len(f) > 1:
+            f = _subdivision_face_counts(f)
+            depth -= 1
+            if sum(f) > limit:
+                return None
+    else:
+        raise StorageError(f"unknown template kind {kind!r}")
+    return None if f is None or sum(f) > limit else f
+
+
+def _template_vertex_count(payload: dict, limit: int) -> Optional[int]:
+    """Vertex count of the template a kind tree names, or None once it
+    exceeds ``limit``; nothing is built."""
+    kind = payload["kind"]
+    if kind == "crosspolytope":
+        count = 2 * (_template_param(payload, "n", 0) + 1)
+    elif kind == "barycentric_boundary":
+        n = _template_param(payload, "n", 0)
+        count = (1 << (n + 2)) - 2 if n + 2 <= limit.bit_length() + 1 else None
+    elif kind == "join":
+        count = 0
+        for part in payload["parts"]:
+            c = _template_vertex_count(part, limit - count)
+            if c is None:
+                return None
+            count += c
+    elif kind == "subdivided":
+        # a subdivision's vertices are the faces of the complex it subdivides
+        depth = _template_param(payload, "depth", 1)
+        inner = payload["base"] if depth == 1 else {**payload, "depth": depth - 1}
+        f = _template_face_counts(inner, limit)
+        count = None if f is None else sum(f)
+    else:
+        raise StorageError(f"unknown template kind {kind!r}")
+    return None if count is None or count > limit else count
+
+
 def witness_from_payload(payload: dict) -> SphereWitness:
+    # the template is checked against the vertex map before it is built,
+    # since a few bytes of kind tree can name an exponentially large sphere
+    size = len(payload["vertex_map"])
+    count = _template_vertex_count(payload["template"], size)
+    if count != size:
+        found = "more" if count is None else str(count)
+        raise StorageError(f"template has {found} vertices but the vertex map lists {size}")
     cls = ConceptClass.from_strings(payload["class"])
     template = template_from_payload(payload["template"])
     target = delta_ant(cls)

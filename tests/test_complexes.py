@@ -1,7 +1,10 @@
 """Tests for simplicial complexes and the realizable-distribution complex."""
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +12,16 @@ from spheredim.concepts import (
     CapExceededError,
     ConceptClass,
     PartialHypothesis,
+    bits,
     family_class,
+    mask_of,
+    parse_class,
     product_class,
     search_class_leq,
 )
 from spheredim.complexes import (
     AntipodalComplex,
+    DeltaComplex,
     SimplicialComplex,
     antipodal_subcomplex,
     barycentric_subdivision,
@@ -26,7 +33,9 @@ from spheredim.complexes import (
     join_complex,
     realizable_complex,
 )
-from spheredim.storage import complex_from_payload
+from spheredim.storage import complex_from_payload, load, store
+
+BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
 
 
 def crosspolytope_complex(n):
@@ -141,6 +150,156 @@ class TestAntipodalSubcomplex:
         with pytest.raises(ValueError):
             # involution with a fixed simplex pair violation: edge {a, b} with a<->b
             AntipodalComplex(SimplicialComplex(("a", "b"), (0b11,)), (1, 0))
+
+
+def oracle_antipodal_subcomplex(delta):
+    """The pairwise construction: every disagreement set m1 & flip(m2), then
+    the candidates contained in no other candidate."""
+    flippable = mask_of(i for i, j in enumerate(delta.involution) if j is not None)
+
+    def flip(mask):
+        out = 0
+        for i in bits(mask):
+            out |= 1 << delta.involution[i]
+        return out
+
+    candidates = set()
+    for m1 in delta.complex.maximal:
+        for m2 in delta.complex.maximal:
+            s = m1 & flip(m2 & flippable) & flippable
+            if s:
+                candidates.add(s)
+    keep = [
+        s
+        for s in candidates
+        if not any(s != t and (s & ~t) == 0 for t in candidates)
+    ]
+    used = 0
+    for s in keep:
+        used |= s
+    old_indices = list(bits(used))
+    new_index = {o: i for i, o in enumerate(old_indices)}
+    labels = tuple(delta.complex.vertices[o] for o in old_indices)
+    points = tuple(delta.points[o] for o in old_indices)
+    maximal = tuple(
+        sorted(mask_of(new_index[i] for i in bits(s)) for s in keep)
+    )
+    involution = tuple(new_index[delta.involution[o]] for o in old_indices)
+    return AntipodalComplex(SimplicialComplex(labels, maximal), involution, points)
+
+
+def assert_same_antipodal(delta):
+    """Compare with the oracle field by field; return the oracle's complex."""
+    got = antipodal_subcomplex(delta)
+    want = oracle_antipodal_subcomplex(delta)
+    assert got.complex.vertices == want.complex.vertices
+    assert got.complex.maximal == want.complex.maximal
+    assert got.involution == want.involution
+    assert got.points == want.points
+    return want
+
+
+def random_total_class(rng, max_n=8, max_size=30):
+    n = rng.randint(1, max_n)
+    size = rng.randint(1, min(max_size, 2**n))
+    masks = rng.sample(range(2**n), size)
+    return ConceptClass(n, tuple(PartialHypothesis.total(n, m) for m in masks))
+
+
+def bench_corpus():
+    """bench/corpus.py, loaded by path: it generates class files without
+    importing spheredim."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def corpus_classes():
+    """Every distinct class of the steady benchmark workloads, seeds 1 and 2."""
+    corpus = bench_corpus()
+    texts = set()
+    for workload in corpus.STEADY_WORKLOADS:
+        for seed in (1, 2):
+            texts |= set(corpus.build(workload, seed).corpus.values())
+    return [parse_class(t) for t in sorted(texts)]
+
+
+def max_hamming_distance(cls):
+    masks = [h.plus for h in cls.hypotheses]
+    return max(bin(a ^ b).count("1") for a in masks for b in masks)
+
+
+class TestAntipodalOracle:
+    """The incidence construction against the pairwise filter it replaced."""
+
+    def test_bench_corpora(self, corpus_classes):
+        assert len(corpus_classes) > 40
+        for cls in corpus_classes:
+            assert_same_antipodal(realizable_complex(cls))
+
+    def test_random_total_classes(self):
+        rng = random.Random(6)
+        for _ in range(2000):
+            assert_same_antipodal(realizable_complex(random_total_class(rng)))
+
+    def test_storage_round_trip(self, tmp_path):
+        rng = random.Random(7)
+        path = tmp_path / "delta.json"
+        partial = 0
+        for _ in range(500):
+            delta = realizable_complex(random_total_class(rng, max_size=8))
+            store(delta, path)
+            if all(j is not None for j in delta.involution):
+                # a total involution loads as an AntipodalComplex, or not at
+                # all when it is not simplicial on the whole complex
+                continue
+            back = load("complex", path)
+            if isinstance(back, DeltaComplex):
+                partial += 1
+                assert back == delta
+                assert_same_antipodal(back)
+        assert partial > 120
+
+    def test_membership_of_random_labelled_sets(self):
+        """A labelled set is in the antipodal complex iff one hypothesis
+        agrees with it and one agrees with its flip."""
+        def agrees(cls, labels):
+            return any(
+                all(bool(h.plus >> x & 1) == (s > 0) for x, s in labels)
+                for h in cls.hypotheses
+            )
+
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(200):
+            cls = random_total_class(rng, max_n=6, max_size=20)
+            oracle = assert_same_antipodal(realizable_complex(cls))
+            index = {p: i for i, p in enumerate(oracle.points)}
+            n = cls.domain_size
+            for _ in range(20):
+                points = rng.sample(range(n), rng.randint(1, n))
+                sigma = [(x, rng.choice((-1, +1))) for x in points]
+                member = agrees(cls, sigma) and agrees(cls, [(x, -s) for x, s in sigma])
+                if all(p in index for p in sigma):
+                    assert oracle.complex.has_simplex(mask_of(index[p] for p in sigma)) == member
+                    checked += 1
+                else:
+                    assert not member
+        assert checked > 1000
+
+    def test_dimension_is_max_hamming_distance_minus_one(self, corpus_classes):
+        for cls in corpus_classes:
+            ant = antipodal_subcomplex(realizable_complex(cls))
+            assert ant.dim() == max_hamming_distance(cls) - 1
+
+    def test_twelve_by_two_hundred(self):
+        cls = parse_class(bench_corpus().scale(1).corpus["r12x200"])
+        assert (cls.domain_size, len(cls)) == (12, 200)
+        assert max_hamming_distance(cls) == 12
+        assert antipodal_subcomplex(realizable_complex(cls)).dim() == 11
 
 
 class TestBarycentricSubdivision:

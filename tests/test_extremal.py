@@ -15,6 +15,7 @@ from spheredim.concepts import (
     bits,
     dimension,
     family_class,
+    format_class,
     mask_of,
     popcount,
 )
@@ -486,6 +487,34 @@ class TestEmbedding:
     def test_random_extremal_classes(self):
         for cls in random_extremal_classes(59, 20):
             assert full_subcomplex_embedding_check(cls).ok
+
+    def test_given_cubical_complex_gives_the_same_report(self):
+        for cls in random_extremal_classes(59, 20) + named_extremal_classes():
+            given = full_subcomplex_embedding_check(cls, cubical_complex(cls))
+            assert given == full_subcomplex_embedding_check(cls)
+
+    def test_cli_checks_extremality_and_builds_cubes_once(self, monkeypatch, tmp_path, capsys):
+        from spheredim import cli
+
+        calls = {"is_extremal": 0, "cubical_complex": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, extremal):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(module, name))
+        path = tmp_path / "subsets.cls"
+        path.write_text(format_class(family_class("subsets_leq", 4)))
+        assert cli.main(["extremal", str(path)]) == 0
+        assert "embedding full subcomplex embedding verified\n" in capsys.readouterr().out
+        assert calls == {"is_extremal": 1, "cubical_complex": 1}
 
     def test_fullness_agrees_with_face_enumeration(self):
         for cls in random_extremal_classes(59, 20) + named_extremal_classes():

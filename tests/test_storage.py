@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spheredim.concepts import ClassFormatError, ConceptClass, family_class
-from spheredim.complexes import AntipodalComplex, DeltaComplex, SimplicialComplex, realizable_complex
+from spheredim.complexes import (
+    AntipodalComplex,
+    DeltaComplex,
+    SimplicialComplex,
+    face_counts,
+    realizable_complex,
+)
 from spheredim.extremal import CubicalComplex, cubical_complex
 from spheredim.signrank import universal_representation, verify_representation
-from spheredim.spheres import crosspolytope_witness, verify_witness
-from spheredim.storage import StorageError, load, store
+from spheredim.spheres import crosspolytope_witness, template_from_payload, verify_witness
+from spheredim.storage import (
+    StorageError,
+    _template_face_counts,
+    _template_vertex_count,
+    load,
+    store,
+)
 
 
 class TestClassRoundtrip:
@@ -107,6 +120,101 @@ class TestWitnessRoundtrip:
         store(w, p)
         data = json.loads(p.read_text())
         data["payload"]["target"]["maximal_simplices"] = [[0, 2]]
+        p.write_text(json.dumps(data))
+        with pytest.raises(StorageError):
+            load("witness", p)
+
+
+def cross(n):
+    return {"kind": "crosspolytope", "n": n}
+
+
+def bary(n):
+    return {"kind": "barycentric_boundary", "n": n}
+
+
+def join(*parts):
+    return {"kind": "join", "parts": list(parts)}
+
+
+def sd(base, depth=1):
+    return {"kind": "subdivided", "base": base, "depth": depth}
+
+
+KIND_TREES = (
+    cross(0), cross(1), cross(2), cross(3), bary(0), bary(1), bary(2), bary(3),
+    join(cross(0), cross(0)), join(cross(1), bary(1)), join(cross(0), cross(0), cross(0)),
+    sd(cross(0), 3), sd(cross(1)), sd(cross(1), 2), sd(cross(2)), sd(bary(1)),
+    sd(join(cross(0), cross(1))), join(sd(cross(1)), cross(0)), sd(sd(cross(1))),
+)
+
+
+class TestTemplateSize:
+    """Face and vertex counts read from a kind tree, without building it."""
+
+    @pytest.mark.parametrize("kind", KIND_TREES, ids=json.dumps)
+    def test_counts_agree_with_built_template(self, kind):
+        built = template_from_payload(kind).complex
+        f = list(face_counts(built))
+        vertices = len(built.complex.vertices)
+        assert _template_face_counts(kind, 10**9) == f
+        assert _template_face_counts(kind, sum(f)) == f
+        assert _template_face_counts(kind, sum(f) - 1) is None
+        assert _template_vertex_count(kind, 10**9) == vertices
+        assert _template_vertex_count(kind, vertices) == vertices
+        assert _template_vertex_count(kind, vertices - 1) is None
+
+    @pytest.mark.parametrize(
+        "kind",
+        [bary(10**9), cross(10**9), sd(bary(10**9)), sd(cross(10**9), 10**9),
+         sd(cross(3), 10**12), join(cross(1), bary(10**9))],
+        ids=json.dumps,
+    )
+    def test_huge_kinds_stop_at_the_limit(self, kind):
+        start = time.monotonic()
+        assert _template_vertex_count(kind, 10**6) is None
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize(
+        "template",
+        [bary(7), bary(10**9), cross(2), sd(cross(1), 10**12), join(cross(0), cross(0), cross(0))],
+        ids=json.dumps,
+    )
+    def test_witness_with_oversized_template_rejected_before_building(self, tmp_path, template):
+        w = crosspolytope_witness(family_class("cube", 2), (0, 1))
+        p = tmp_path / "w.json"
+        store(w, p)
+        data = json.loads(p.read_text())
+        data["payload"]["template"] = template
+        p.write_text(json.dumps(data))
+        start = time.monotonic()
+        with pytest.raises(StorageError, match="vertices but the vertex map lists 4"):
+            load("witness", p)
+        assert time.monotonic() - start < 1
+
+    def test_small_witness_naming_a_large_sphere(self, tmp_path):
+        payload = {
+            "class": ["--", "-+", "+-", "++"],
+            "template": bary(7),
+            "vertex_map": [],
+            "embedded": True,
+            "target": {},
+        }
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "witness", "payload": payload}))
+        assert p.stat().st_size < 200
+        start = time.monotonic()
+        with pytest.raises(StorageError, match="more vertices"):
+            load("witness", p)
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("n", [-1, 1.5, "2", None, [1]])
+    def test_template_parameter_must_be_a_natural_number(self, tmp_path, n):
+        w = crosspolytope_witness(family_class("cube", 2), (0, 1))
+        p = tmp_path / "w.json"
+        store(w, p)
+        data = json.loads(p.read_text())
+        data["payload"]["template"] = cross(n)
         p.write_text(json.dumps(data))
         with pytest.raises(StorageError):
             load("witness", p)
@@ -226,9 +334,9 @@ class TestMalformedPayloads:
 # --- fuzzing --------------------------------------------------------------
 
 # Integers stay small except for a few huge values, and dictionary keys in
-# free-form JSON stay short, so that no drawn payload names a template (the
-# keys "template" and "parts" are longer) whose construction is exponential
-# in its parameter.
+# free-form JSON stay short.  Template parameters range wider: a template
+# whose vertex count differs from its vertex map's length is rejected before
+# it is built, and a vertex map holds at most four entries here.
 SMALL_INTS = st.integers(-2, 4)
 HUGE_INTS = st.sampled_from([10**12, 10**30, -(10**12), 2**64])
 ROWS = st.text(alphabet="-+*", max_size=3)
@@ -251,7 +359,7 @@ def _or_json(strategy):
 TEMPLATE_LEAF = st.fixed_dictionaries(
     {
         "kind": st.sampled_from(["crosspolytope", "barycentric_boundary", "nonsense"]),
-        "n": _or_json(st.integers(-1, 2)),
+        "n": _or_json(st.integers(-1, 12) | HUGE_INTS),
     }
 )
 TEMPLATES = st.recursive(
@@ -260,7 +368,7 @@ TEMPLATES = st.recursive(
         {"kind": st.just("join"), "parts": st.lists(children, max_size=2)}
     )
     | st.fixed_dictionaries(
-        {"kind": st.just("subdivided"), "base": children, "depth": st.integers(-1, 1)}
+        {"kind": st.just("subdivided"), "base": children, "depth": st.integers(-1, 3)}
     ),
     max_leaves=2,
 )
