@@ -18,14 +18,10 @@ from spheredim.concepts import (
     CapExceededError,
     ClassFormatError,
     ConceptClass,
-    DimensionVariant,
-    bits,
-    dimension,
-    dual_class,
     family_class,
     format_class,
-    max_shattered_set,
     parse_class,
+    popcount,
     power_class,
     product_class,
 )
@@ -40,20 +36,13 @@ from spheredim.extremal import (
     ThresholdLike,
     Vc1NonThreshold,
     Vc2Plus,
-    classify_low_vc,
     collapse_certificate,
     cubical_complex,
     cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
 )
-from spheredim.spheres import (
-    WitnessError,
-    barycentric_witness,
-    crosspolytope_witness,
-    sd_bounds,
-    verify_witness,
-)
+from spheredim.spheres import ClassAnalysis, WitnessError, sd_bounds, verify_witness
 from spheredim.storage import StorageError, canonical_json, envelope, witness_payload
 
 
@@ -102,14 +91,14 @@ def _flip_string(mask: int, n: int) -> str:
     return "".join("-" if mask & (1 << x) else "+" for x in range(n))
 
 
-def _classification_payload(cls: ConceptClass) -> dict:
-    got = classify_low_vc(cls)
+def _classification_payload(analysis: ClassAnalysis) -> dict:
+    got = analysis.classification
     if isinstance(got, Singleton):
         return {"bucket": "singleton"}
     if isinstance(got, ThresholdLike):
         return {
             "bucket": "threshold_like",
-            "flip": _flip_string(got.flip_mask, cls.domain_size),
+            "flip": _flip_string(got.flip_mask, analysis.cls.domain_size),
             "order": list(got.order),
         }
     if isinstance(got, Vc1NonThreshold):
@@ -124,18 +113,25 @@ def _classification_payload(cls: ConceptClass) -> dict:
     return {"bucket": "vc2_plus", "shattered_pair": list(got.shattered_pair)}
 
 
-def _dims_payload(cls: ConceptClass) -> dict:
+# (--variant value, payload key, text name, ClassAnalysis field)
+DIMENSIONS = (
+    ("vc", "vc", "VC", "shattered"),
+    ("dual", "vc_dual", "VC*", "dual_shattered"),
+    ("antipodal", "vc_antipodal", "VC^a", "antipodally_shattered"),
+    ("dual-antipodal", "vc_dual_antipodal", "VC*a", "dual_antipodally_shattered"),
+)
+
+
+def _dims_payload(analysis: ClassAnalysis, variant: str = "all") -> dict:
     return {
-        "vc": dimension(cls, DimensionVariant.PRIMAL),
-        "vc_dual": dimension(cls, DimensionVariant.DUAL),
-        "vc_antipodal": dimension(cls, DimensionVariant.PRIMAL_ANTIPODAL),
-        "vc_dual_antipodal": dimension(cls, DimensionVariant.DUAL_ANTIPODAL),
+        key: popcount(getattr(analysis, field))
+        for choice, key, _, field in DIMENSIONS
+        if variant in ("all", choice)
     }
 
 
-def _sd_payload(cls: ConceptClass) -> dict:
-    sb = sd_bounds(cls)
-    lower_names, upper_names = sb.certificate_names()
+def _sd_payload(analysis: ClassAnalysis) -> dict:
+    sb = sd_bounds(analysis)
     return {
         "lower": sb.lower,
         "upper": sb.upper,
@@ -149,27 +145,12 @@ def _sd_payload(cls: ConceptClass) -> dict:
 
 
 def cmd_dims(args) -> int:
-    cls = _load_class(args.file, args)
-    table = _dims_payload(cls)
-    keys = {
-        "vc": ("vc",),
-        "dual": ("vc_dual",),
-        "antipodal": ("vc_antipodal",),
-        "dual-antipodal": ("vc_dual_antipodal",),
-        "all": ("vc", "vc_dual", "vc_antipodal", "vc_dual_antipodal"),
-    }[args.variant]
+    table = _dims_payload(ClassAnalysis(_load_class(args.file, args)), args.variant)
     if args.json:
-        payload = {k: table[k] for k in keys}
-        _emit(canonical_json(envelope("report", payload)), args.output)
+        _emit(canonical_json(envelope("report", table)), args.output)
     else:
-        names = {
-            "vc": "VC",
-            "vc_dual": "VC*",
-            "vc_antipodal": "VC^a",
-            "vc_dual_antipodal": "VC*a",
-        }
-        lines = [f"{names[k]:6} {table[k]}" for k in keys]
-        _emit("\n".join(lines) + "\n", args.output)
+        names = {key: name for _, key, name, _ in DIMENSIONS}
+        _emit("".join(f"{names[k]:6} {v}\n" for k, v in table.items()), args.output)
     return 0
 
 
@@ -185,26 +166,9 @@ def cmd_complex(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cls = _load_class(args.file, args)
-    candidates = []
-    smask = max_shattered_set(cls)
-    spoints = tuple(bits(smask))
-    if spoints:
-        candidates.append(("crosspolytope", len(spoints) - 1))
-    dual, _ = dual_class(cls)
-    hmask = max_shattered_set(dual, antipodal=True)
-    hyps = tuple(bits(hmask))
-    if len(hyps) >= 2:
-        candidates.append(("barycentric", len(hyps) - 2))
-    if args.method != "auto":
-        candidates = [c for c in candidates if c[0] == args.method]
-    if not candidates:
+    witness = ClassAnalysis(_load_class(args.file, args)).witness(args.method)
+    if witness is None:
         raise VerificationFailure("no witness construction applies to this class")
-    method = max(candidates, key=lambda c: (c[1], c[0] == "crosspolytope"))[0]
-    if method == "crosspolytope":
-        witness = crosspolytope_witness(cls, spoints)
-    else:
-        witness = barycentric_witness(cls, hyps)
     report = verify_witness(witness)
     if not report:
         raise VerificationFailure(f"witness failed verification: {report.detail}")
@@ -213,8 +177,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sd(args) -> int:
-    cls = _load_class(args.file, args)
-    payload = _sd_payload(cls)
+    payload = _sd_payload(ClassAnalysis(_load_class(args.file, args)))
     if args.json:
         _emit(canonical_json(envelope("report", payload)), args.output)
     else:
@@ -280,8 +243,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cls = _load_class(args.file, args)
-    payload = _classification_payload(cls)
+    payload = _classification_payload(ClassAnalysis(_load_class(args.file, args)))
     if args.json:
         _emit(canonical_json(envelope("report", payload)), args.output)
     else:
@@ -314,18 +276,16 @@ def cmd_product(args) -> int:
 
 def cmd_report(args) -> int:
     cls = _load_class(args.file, args)
-    dims = _dims_payload(cls)
-    sd = _sd_payload(cls)
-    try:
-        rep = is_extremal(cls)
-        ext: Optional[dict] = {
-            "size": rep.size,
-            "shattered_sets": rep.shattered_count,
-            "extremal": rep.extremal,
-        }
-    except CapExceededError:
-        ext = None
-    classification = _classification_payload(cls)
+    analysis = ClassAnalysis(cls)
+    dims = _dims_payload(analysis)
+    sd = _sd_payload(analysis)
+    rep = analysis.extremality
+    ext = None if rep is None else {
+        "size": rep.size,
+        "shattered_sets": rep.shattered_count,
+        "extremal": rep.extremal,
+    }
+    classification = _classification_payload(analysis)
     lr_floor = (sd["lower"] + 3 + 1) // 2 if sd["lower"] >= 1 else None
     payload = {
         "class": {"hash": _class_hash(cls), "points": cls.domain_size, "hypotheses": len(cls)},
@@ -377,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument(
         "--variant",
-        choices=("vc", "dual", "antipodal", "dual-antipodal", "all"),
+        choices=tuple(choice for choice, *_ in DIMENSIONS) + ("all",),
         default="all",
     )
     p.add_argument("-o", "--output")

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from spheredim.concepts import CapExceededError, ConceptClass, bits, mask_of, popcount
+from spheredim.concepts import CapExceededError, ConceptClass, bits, columns, mask_of, popcount
 
 DEFAULT_FACE_CAP = 10**7
 DEFAULT_ISO_VERTEX_CAP = 64
@@ -201,12 +201,12 @@ def realizable_complex(cls: ConceptClass) -> DeltaComplex:
     """The complex with one vertex per realized (point, label) pair and one
     maximal simplex per concept graph."""
     cls.require_total("realizable_complex")
+    full_h = (1 << len(cls)) - 1
     present: list[tuple[int, int]] = []
-    for x in range(cls.domain_size):
-        bit = 1 << x
-        if any(not (h.plus & bit) for h in cls.hypotheses):
+    for x, col in enumerate(columns(cls.domain_size, cls.hypotheses)):
+        if col != full_h:
             present.append((x, -1))
-        if any(h.plus & bit for h in cls.hypotheses):
+        if col:
             present.append((x, +1))
     index = {p: i for i, p in enumerate(present)}
     labels = tuple(point_label(x, s) for x, s in present)

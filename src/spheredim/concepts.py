@@ -107,10 +107,6 @@ class PartialHypothesis:
     def is_total(self) -> bool:
         return self.defined == (1 << self.n) - 1
 
-    @property
-    def support_mask(self) -> int:
-        return self.defined
-
     def support(self) -> tuple[int, ...]:
         return tuple(bits(self.defined))
 
@@ -341,6 +337,16 @@ def strongly_shattered_family(cls: ConceptClass) -> list[list[int]]:
     return _monotone_family(cls, lambda m: _strongly_shatters_mask(cls, m))
 
 
+def columns(n: int, hyps: Sequence[PartialHypothesis]) -> list[int]:
+    """For each of the ``n`` points, the mask of the positions in ``hyps``
+    of the hypotheses positive there.  ``hyps`` may repeat a hypothesis."""
+    out = [0] * n
+    for j, h in enumerate(hyps):
+        for x in bits(h.plus):
+            out[x] |= 1 << j
+    return out
+
+
 def dual_class(cls: ConceptClass) -> tuple[ConceptClass, tuple[int, ...]]:
     """The dual class, with duplicate columns collapsed.
 
@@ -349,19 +355,15 @@ def dual_class(cls: ConceptClass) -> tuple[ConceptClass, tuple[int, ...]]:
     """
     cls.require_total("dual_class")
     m = len(cls.hypotheses)
-    columns: list[PartialHypothesis] = []
+    dual: list[PartialHypothesis] = []
     index_of: dict[int, int] = {}
     collapse = []
-    for x in range(cls.domain_size):
-        col = 0
-        for j, h in enumerate(cls.hypotheses):
-            if h.plus & (1 << x):
-                col |= 1 << j
+    for col in columns(cls.domain_size, cls.hypotheses):
         if col not in index_of:
-            index_of[col] = len(columns)
-            columns.append(PartialHypothesis.total(m, col))
+            index_of[col] = len(dual)
+            dual.append(PartialHypothesis.total(m, col))
         collapse.append(index_of[col])
-    return ConceptClass(m, tuple(columns)), tuple(collapse)
+    return ConceptClass(m, tuple(dual)), tuple(collapse)
 
 
 class DimensionVariant(enum.Enum):
@@ -404,15 +406,10 @@ def dual_antipodal_witnesses(
     scanning the domain in index order.
     """
     k = len(hyp_indices)
-    hyps = [cls.hypotheses[i] for i in hyp_indices]
     found: dict[int, tuple[int, bool]] = {}
     full = (1 << k) - 1
-    for x in range(cls.domain_size):
-        bit = 1 << x
-        col = 0
-        for j, h in enumerate(hyps):
-            if h.plus & bit:
-                col |= 1 << j
+    cols = columns(cls.domain_size, [cls.hypotheses[i] for i in hyp_indices])
+    for x, col in enumerate(cols):
         if col not in found:
             found[col] = (x, True)
         neg = full & ~col
@@ -532,12 +529,9 @@ def verify_class_leq(
     for j in sigma:
         if not 0 <= j < len(b):
             raise IndexError("sigma maps outside the target class")
-    for i, h in enumerate(a.hypotheses):
-        img = b.hypotheses[sigma[i]]
-        for x in range(a.domain_size):
-            if bool(h.plus & (1 << x)) != bool(img.plus & (1 << phi[x])):
-                return False
-    return True
+    images = columns(b.domain_size, [b.hypotheses[j] for j in sigma])
+    cols = columns(a.domain_size, a.hypotheses)
+    return all(col == images[phi[x]] for x, col in enumerate(cols))
 
 
 def search_class_leq(
@@ -557,41 +551,20 @@ def search_class_leq(
 
     na, nb = a.domain_size, b.domain_size
 
-    def column(cls: ConceptClass, x: int, hyp_indices: Sequence[int]) -> int:
-        col = 0
-        for j, i in enumerate(hyp_indices):
-            if cls.hypotheses[i].plus & (1 << x):
-                col |= 1 << j
-        return col
+    def image_columns(sigma_prefix: list[int]) -> list[int]:
+        return columns(nb, [b.hypotheses[j] for j in sigma_prefix])
 
     def candidates_exist(sigma_prefix: list[int]) -> bool:
         # every a-point must still have a compatible image point
-        idx = list(range(len(sigma_prefix)))
-        for x in range(na):
-            want = column(a, x, idx) & ((1 << len(sigma_prefix)) - 1)
-            ok = False
-            for z in range(nb):
-                if column(b, z, sigma_prefix) == want:
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        have = set(image_columns(sigma_prefix))
+        return all(want in have for want in columns(na, a.hypotheses[: len(sigma_prefix)]))
 
     def extend(sigma_prefix: list[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         if len(sigma_prefix) == len(a):
-            phi = []
-            for x in range(na):
-                want = column(a, x, range(len(a)))
-                z_found = None
-                for z in range(nb):
-                    if column(b, z, sigma_prefix) == want:
-                        z_found = z
-                        break
-                if z_found is None:
-                    return None
-                phi.append(z_found)
-            return tuple(phi), tuple(sigma_prefix)
+            # candidates_exist passed on the full map, so every column is found
+            cols_b = image_columns(sigma_prefix)
+            phi = tuple(cols_b.index(want) for want in columns(na, a.hypotheses))
+            return phi, tuple(sigma_prefix)
         for j in range(len(b)):
             sigma_prefix.append(j)
             if candidates_exist(sigma_prefix):

@@ -27,6 +27,7 @@ from spheredim.spheres import (
     SphereWitness,
     WitnessError,
     _target_index,
+    _verified,
     delta_ant,
     verify_witness,
 )
@@ -309,10 +310,5 @@ def sphere_from_disambiguation(
             vmap.append(index[(rep_pos[r], sign)])
         except KeyError as exc:
             raise WitnessError(f"vertex {v} has no image in the target") from exc
-    witness = SphereWitness(
-        d.template, tuple(vmap), target, restricted, embedded=True
-    )
-    report = verify_witness(witness)
-    if not report:
-        raise WitnessError(f"extracted sphere failed verification: {report.detail}")
-    return witness
+    witness = SphereWitness(d.template, tuple(vmap), target, restricted, embedded=True)
+    return _verified(witness, "extracted sphere")

@@ -34,6 +34,7 @@ from spheredim.concepts import (
     DimensionVariant,
     PartialHypothesis,
     bits,
+    columns,
     dimension,
     mask_of,
     popcount,
@@ -46,9 +47,9 @@ from spheredim.spheres import (
     SphereWitness,
     WitnessError,
     _target_index,
+    _verified,
     delta_ant,
     make_barycentric_boundary,
-    verify_witness,
 )
 
 DEFAULT_EXTREMAL_CAP = 16
@@ -553,11 +554,7 @@ def _hexagon_witness(
     # visits them as {0},{01},{1},{12},{2},{02}
     cycle_position = (0, 2, 4, 1, 5, 3)
     vmap = tuple(index[unflipped[pos]] for pos in cycle_position)
-    witness = SphereWitness(template, vmap, target, cls, embedded=True)
-    report = verify_witness(witness)
-    if not report:
-        raise WitnessError(f"hexagon failed verification: {report.detail}")
-    return witness
+    return _verified(SphereWitness(template, vmap, target, cls, embedded=True), "hexagon")
 
 
 def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
@@ -585,16 +582,10 @@ def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
         flip0 = 0
     else:
         flip0 = full_x & ~cls.hypotheses[0].plus
-    columns = []
-    for x in range(n):
-        col = 0
-        for j, h in enumerate(cls.hypotheses):
-            if (h.plus ^ flip0) & (1 << x):
-                col |= 1 << j
-        columns.append(col)
     groups: dict[int, list[int]] = defaultdict(list)
-    for x in range(n):
-        groups[columns[x]].append(x)
+    for x, col in enumerate(columns(n, cls.hypotheses)):
+        # a flipped point's column is the complement
+        groups[full_h & ~col if flip0 >> x & 1 else col].append(x)
     bottom = groups.pop(full_h, [])  # all-plus columns sit below everything
     reps = sorted(groups, key=lambda c: groups[c][0])
 

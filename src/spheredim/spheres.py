@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from spheredim.concepts import (
     CapExceededError,
@@ -46,6 +47,9 @@ from spheredim.complexes import (
     realizable_complex,
     subset_label,
 )
+
+if TYPE_CHECKING:
+    from spheredim.extremal import ExtremalityReport, LowVcClassification
 
 
 class WitnessError(ValueError):
@@ -156,10 +160,7 @@ def make_barycentric_boundary(n: int) -> SphereTemplate:
         raise ValueError("dimension must be >= 0")
     u = n + 2
     full = (1 << u) - 1
-    subsets = sorted(
-        (m for m in range(1, full + 1) if m != full),
-        key=lambda m: (popcount(m), m),
-    )
+    subsets = _proper_subsets(u)
     index = {m: i for i, m in enumerate(subsets)}
     labels = tuple(subset_label(m) for m in subsets)
     maximal = set()
@@ -173,6 +174,12 @@ def make_barycentric_boundary(n: int) -> SphereTemplate:
     inv = tuple(index[full & ~m] for m in subsets)
     complex_ = AntipodalComplex(SimplicialComplex(labels, tuple(sorted(maximal))), inv)
     return SphereTemplate(BarycentricBoundaryKind(n), complex_)
+
+
+def _proper_subsets(k: int) -> list[int]:
+    """The nonempty proper subsets of a k-set, by size and then by mask:
+    the vertex order of the barycentric boundary on k points."""
+    return sorted(range(1, (1 << k) - 1), key=lambda m: (popcount(m), m))
 
 
 def join_templates(a: SphereTemplate, b: SphereTemplate) -> SphereTemplate:
@@ -285,6 +292,15 @@ def verify_witness(w: SphereWitness) -> WitnessReport:
     return WitnessReport(True, None, "", tuple(lines))
 
 
+def _verified(w: SphereWitness, what: str) -> SphereWitness:
+    """``w`` once ``verify_witness`` passes it; else a WitnessError naming
+    ``what`` failed."""
+    report = verify_witness(w)
+    if not report:
+        raise WitnessError(f"{what} failed verification: {report.detail}")
+    return w
+
+
 def delta_ant(cls: ConceptClass) -> AntipodalComplex:
     """The antipodal subcomplex of the class's realizable complex."""
     return antipodal_subcomplex(realizable_complex(cls))
@@ -321,10 +337,7 @@ def crosspolytope_witness(
         vmap.append(index[(x, -1)])
         vmap.append(index[(x, +1)])
     witness = SphereWitness(template, tuple(vmap), target, cls, embedded=True)
-    report = verify_witness(witness)
-    if not report:
-        raise WitnessError(f"construction failed verification: {report.detail}")
-    return witness
+    return _verified(witness, "construction")
 
 
 def barycentric_witness(
@@ -353,20 +366,12 @@ def barycentric_witness(
         target = delta_ant(cls)
     template = make_barycentric_boundary(k - 2)
     index = _target_index(target)
-    full = (1 << k) - 1
-    subsets = sorted(
-        (m for m in range(1, full + 1) if m != full),
-        key=lambda m: (popcount(m), m),
-    )
     vmap = []
-    for pattern in subsets:
+    for pattern in _proper_subsets(k):
         x, positively = found[pattern]
         vmap.append(index[(x, +1 if positively else -1)])
     witness = SphereWitness(template, tuple(vmap), target, cls, embedded=True)
-    report = verify_witness(witness)
-    if not report:
-        raise WitnessError(f"construction failed verification: {report.detail}")
-    return witness
+    return _verified(witness, "construction")
 
 
 def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, ConceptClass]:
@@ -389,12 +394,8 @@ def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, Con
     for v in b.vertex_map:
         x, s = b.target.points[v]
         vmap.append(index[(x + shift, s)])
-    embedded = a.embedded and b.embedded
-    witness = SphereWitness(template, tuple(vmap), target, product, embedded=embedded)
-    report = verify_witness(witness)
-    if not report:
-        raise WitnessError(f"construction failed verification: {report.detail}")
-    return witness, product
+    witness = SphereWitness(template, tuple(vmap), target, product, a.embedded and b.embedded)
+    return _verified(witness, "construction"), product
 
 
 def transport_witness(
@@ -411,10 +412,7 @@ def transport_witness(
         vmap.append(index[(phi[x], s)])
     embedded = len(set(vmap)) == len(vmap)
     out = SphereWitness(w.template, tuple(vmap), target, target_cls, embedded=embedded)
-    report = verify_witness(out)
-    if not report:
-        raise WitnessError(f"transported witness failed verification: {report.detail}")
-    return out
+    return _verified(out, "transported witness")
 
 
 # --- bounds -------------------------------------------------------------
@@ -441,10 +439,99 @@ class SdBounds:
         )
 
 
+class ClassAnalysis:
+    """What the commands read about one total class.
+
+    Each part is computed when first read and kept, so one analysis computes
+    nothing twice: the dual, the four maximum (antipodally) shattered sets
+    as masks, the antipodal subcomplex, the two witnesses built on it, the
+    extremality report and the low-VC classification.  An analysis belongs
+    to one call and is not shared between calls.
+    """
+
+    def __init__(self, cls: ConceptClass):
+        cls.require_total("class analysis")
+        self.cls = cls
+
+    @cached_property
+    def dual(self) -> ConceptClass:
+        return dual_class(self.cls)[0]
+
+    @cached_property
+    def shattered(self) -> int:
+        """The lexicographically least maximum shattered point set."""
+        return max_shattered_set(self.cls)
+
+    @cached_property
+    def antipodally_shattered(self) -> int:
+        return max_shattered_set(self.cls, antipodal=True)
+
+    @cached_property
+    def dual_shattered(self) -> int:
+        return max_shattered_set(self.dual)
+
+    @cached_property
+    def dual_antipodally_shattered(self) -> int:
+        """The least maximum dually antipodally shattered hypothesis set."""
+        return max_shattered_set(self.dual, antipodal=True)
+
+    @cached_property
+    def delta_ant(self) -> AntipodalComplex:
+        return delta_ant(self.cls)
+
+    @cached_property
+    def crosspolytope(self) -> Optional[SphereWitness]:
+        """The witness on ``shattered``; None when that set is empty."""
+        points = tuple(bits(self.shattered))
+        if not points:
+            return None
+        return crosspolytope_witness(self.cls, points, target=self.delta_ant)
+
+    @cached_property
+    def barycentric(self) -> Optional[SphereWitness]:
+        """The witness on ``dual_antipodally_shattered``; None below two
+        hypotheses."""
+        hyps = tuple(bits(self.dual_antipodally_shattered))
+        if len(hyps) < 2:
+            return None
+        return barycentric_witness(self.cls, hyps, target=self.delta_ant)
+
+    def witness(self, method: str = "auto") -> Optional[SphereWitness]:
+        """The witness of largest dimension, the crosspolytope on a tie, among
+        the constructions ``method`` allows ("auto" allows both).  Only the
+        chosen witness is built; None when no allowed construction applies."""
+        dims = {
+            "crosspolytope": popcount(self.shattered) - 1,
+            "barycentric": popcount(self.dual_antipodally_shattered) - 2,
+        }
+        allowed = [m for m, d in dims.items() if d >= 0 and method in ("auto", m)]
+        if not allowed:
+            return None
+        best = max(allowed, key=lambda m: (dims[m], m == "crosspolytope"))
+        return self.crosspolytope if best == "crosspolytope" else self.barycentric
+
+    @cached_property
+    def extremality(self) -> Optional[ExtremalityReport]:
+        """The Pajor counts of ``extremal.is_extremal``, or None past its
+        default cap on the number of points."""
+        from spheredim import extremal
+
+        try:
+            return extremal.is_extremal(self.cls)
+        except CapExceededError:
+            return None
+
+    @cached_property
+    def classification(self) -> LowVcClassification:
+        """The bucket of ``extremal.classify_low_vc``."""
+        from spheredim import extremal
+
+        return extremal.classify_low_vc(self.cls)
+
+
 def sd_bounds(
-    cls: ConceptClass,
+    analysis: Union[ClassAnalysis, ConceptClass],
     sign_rank_upper: Optional[int] = None,
-    extremal_cap: int = 16,
 ) -> SdBounds:
     """Certified lower and sound upper bounds on the spherical dimension.
 
@@ -455,49 +542,37 @@ def sd_bounds(
     the dimension of the antipodal subcomplex (the coindex of a free complex
     never exceeds its dimension), 2*VC-1 for extremal classes, 1 when VC<=1,
     0 for threshold-like classes, and optionally d-1 from a verified
-    d-dimensional sign representation.
+    d-dimensional sign representation.  Given a bare class, it analyses it.
     """
     from spheredim import extremal as _extremal
 
-    cls.require_total("sd_bounds")
-    ant = delta_ant(cls)
+    a = analysis if isinstance(analysis, ClassAnalysis) else ClassAnalysis(analysis)
+    ant = a.delta_ant
     if ant.is_empty:
         cert = (BoundCertificate("empty antipodal subcomplex", -1),)
         return SdBounds(-1, -1, cert, cert)
 
-    lower_certs: list[BoundCertificate] = []
-    smask = max_shattered_set(cls)
-    points = tuple(bits(smask))
-    w = crosspolytope_witness(cls, points, target=ant)
-    lower_certs.append(BoundCertificate("crosspolytope", w.dimension, w))
-
-    vc = len(points)
-    dual, _ = dual_class(cls)
-    hmask = max_shattered_set(dual, antipodal=True)
-    hyps = tuple(bits(hmask))
-    if len(hyps) >= 2:
-        bw = barycentric_witness(cls, hyps, target=ant)
+    # a nonempty antipodal subcomplex has a point with both labels, so the
+    # maximum shattered set is nonempty
+    w = a.crosspolytope
+    lower_certs = [BoundCertificate("crosspolytope", w.dimension, w)]
+    if a.barycentric is not None:
+        bw = a.barycentric
         lower_certs.append(BoundCertificate("barycentric", bw.dimension, bw))
 
-    upper_certs: list[BoundCertificate] = [
-        BoundCertificate("dimension bound", ant.dim())
-    ]
-    classification = None
+    upper_certs = [BoundCertificate("dimension bound", ant.dim())]
+    vc = popcount(a.shattered)
     if vc <= 1:
         upper_certs.append(BoundCertificate("low VC bound", 1))
-        classification = _extremal.classify_low_vc(cls)
+        classification = a.classification
         if isinstance(classification, _extremal.ThresholdLike):
             upper_certs.append(BoundCertificate("threshold classification", 0))
         elif isinstance(classification, _extremal.Vc1NonThreshold):
             lower_certs.append(
                 BoundCertificate("hexagon", 1, classification.witness)
             )
-    try:
-        ext = _extremal.is_extremal(cls, cap=extremal_cap)
-        if ext.extremal:
-            upper_certs.append(BoundCertificate("extremal bound", 2 * vc - 1))
-    except CapExceededError:
-        pass
+    if a.extremality is not None and a.extremality.extremal:
+        upper_certs.append(BoundCertificate("extremal bound", 2 * vc - 1))
     if sign_rank_upper is not None:
         upper_certs.append(BoundCertificate("sign-rank bound", sign_rank_upper - 1))
 

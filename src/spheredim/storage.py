@@ -3,9 +3,12 @@
 Class files are plain text (one row per line, '#' comments).  Every other
 artifact is JSON wrapped in {"schema_version", "kind", "payload"} with
 canonical formatting: sorted keys, two-space indent, sorted simplex indices,
-one trailing newline.  Store-then-load returns an equal value; witnesses are
-reloaded against a recomputed target so a tampered file cannot smuggle in an
-inconsistent complex.
+one trailing newline.  Store-then-load returns an equal value, with one
+exception: a realizable complex whose label flip is already simplicial and
+free of antipodal pairs, such as that of {--, ++}, stores the same bytes as
+its antipodal subcomplex and loads as that equal ``AntipodalComplex``.
+Witnesses are reloaded against a recomputed target so a tampered file cannot
+smuggle in an inconsistent complex.
 """
 
 from __future__ import annotations
@@ -98,12 +101,21 @@ def complex_from_payload(payload: dict):
     inv = payload.get("involution") or [None] * len(vertices)
     if len(inv) != len(vertices):
         raise StorageError("involution length does not match the vertex list")
+    for i, j in enumerate(inv):
+        valid = type(j) is int and 0 <= j < len(inv) and j != i and inv[j] == i
+        if j is not None and not valid:
+            raise StorageError("involution entries must pair distinct vertices")
     points = tuple(_parse_point_label(v) for v in vertices)
     have_points = all(p is not None for p in points)
     if all(j is None for j in inv):
         return base
     if all(j is not None for j in inv):
-        return AntipodalComplex(base, tuple(inv), points if have_points else None)
+        try:
+            return AntipodalComplex(base, tuple(inv), points if have_points else None)
+        except ValueError:
+            # a realizable complex in which every point takes both labels
+            if not have_points:
+                raise
     if not have_points:
         raise StorageError("a partial involution requires point-pair vertex labels")
     return DeltaComplex(base, tuple(inv), points)
@@ -235,6 +247,16 @@ def _template_vertex_count(payload: dict, limit: int) -> Optional[int]:
     return None if count is None or count > limit else count
 
 
+def _subdivision_depth(payload: dict) -> int:
+    """The largest total subdivision depth on a path of a kind tree."""
+    kind = payload["kind"]
+    if kind == "join":
+        return max((_subdivision_depth(p) for p in payload["parts"]), default=0)
+    if kind == "subdivided":
+        return _template_param(payload, "depth", 1) + _subdivision_depth(payload["base"])
+    return 0
+
+
 def witness_from_payload(payload: dict) -> SphereWitness:
     # the template is checked against the vertex map before it is built,
     # since a few bytes of kind tree can name an exponentially large sphere
@@ -243,6 +265,12 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     if count != size:
         found = "more" if count is None else str(count)
         raise StorageError(f"template has {found} vertices but the vertex map lists {size}")
+    # a subdivision of a 0-dimensional template keeps its vertex count but
+    # wraps every label in one more pair of brackets, so the labels bound
+    # the depth that can match them
+    longest = max((len(pair[0]) for pair in payload["vertex_map"]), default=0)
+    if 2 * _subdivision_depth(payload["template"]) > longest:
+        raise StorageError(f"template is subdivided deeper than labels of {longest} characters allow")
     cls = ConceptClass.from_strings(payload["class"])
     template = template_from_payload(payload["template"])
     target = delta_ant(cls)

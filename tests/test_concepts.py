@@ -16,6 +16,7 @@ from spheredim.concepts import (
     antipodally_shatters,
     class_canonical_form,
     classes_equivalent,
+    columns,
     dimension,
     dual_antipodal_witnesses,
     dual_class,
@@ -81,6 +82,18 @@ def oracle_antipodally_shatters(cls, S):
     return all(
         tuple(p) in realized for p in itertools.product("-+", repeat=len(S))
     )
+
+
+def oracle_columns(cls, hyp_indices):
+    """The per-point transpose loop that ``columns`` replaced."""
+    out = []
+    for x in range(cls.domain_size):
+        col = 0
+        for j, i in enumerate(hyp_indices):
+            if cls.hypotheses[i].plus & (1 << x):
+                col |= 1 << j
+        out.append(col)
+    return out
 
 
 def oracle_vc(cls):
@@ -451,6 +464,25 @@ class TestClassOrder:
     def test_search_is_deterministic(self):
         a, b = threshold(2), threshold(3)
         assert search_class_leq(a, b) == search_class_leq(a, b)
+
+
+class TestColumns:
+    def test_agrees_with_the_per_point_loop(self):
+        rng = random.Random(67)
+        for _ in range(600):
+            cls = random_class(rng, max_n=8, max_size=40)
+            got = columns(cls.domain_size, cls.hypotheses)
+            assert got == oracle_columns(cls, range(len(cls)))
+
+    def test_repeated_hypotheses_as_search_class_leq_passes_them(self):
+        # search_class_leq transposes prefixes of a hypothesis map, which
+        # may send several hypotheses to one
+        rng = random.Random(71)
+        for _ in range(600):
+            cls = random_class(rng, max_n=7, max_size=10)
+            sigma = [rng.randrange(len(cls)) for _ in range(rng.randint(0, 8))]
+            got = columns(cls.domain_size, [cls.hypotheses[i] for i in sigma])
+            assert got == oracle_columns(cls, sigma)
 
 
 class TestDualAntipodalWitnesses:

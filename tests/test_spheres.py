@@ -5,16 +5,21 @@ import random
 
 import pytest
 
+from spheredim import cli, complexes, concepts, disamb, extremal, signrank, spheres, storage
 from spheredim.concepts import (
     ConceptClass,
     DimensionVariant,
     PartialHypothesis,
     dimension,
     family_class,
+    format_class,
     search_class_leq,
 )
 from spheredim.complexes import complexes_isomorphic, face_counts
 from spheredim.spheres import (
+    BarycentricBoundaryKind,
+    ClassAnalysis,
+    CrosspolytopeKind,
     SphereWitness,
     WitnessError,
     barycentric_witness,
@@ -292,3 +297,82 @@ class TestSdBounds:
         lower_names, upper_names = sb.certificate_names()
         assert "crosspolytope" in lower_names
         assert "dimension bound" in upper_names
+
+
+# --- one analysis per class ----------------------------------------------
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of the named library functions, wrapped under every
+    module that holds them, as the functions themselves make them."""
+    calls = dict.fromkeys(names, 0)
+    for module in (cli, complexes, concepts, disamb, extremal, signrank, spheres, storage):
+        for name in names:
+            if name in vars(module):
+                original = getattr(module, name)
+
+                def wrapper(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def seeded_random_class():
+    rng = random.Random(73)
+    return ConceptClass(6, tuple(PartialHypothesis.total(6, m) for m in rng.sample(range(64), 14)))
+
+
+ANALYSED = {
+    "figure": ConceptClass.from_strings(["---", "-+-", "++-", "+--", "--+"]),
+    "cube3": family_class("cube", 3),
+    "random6x14": seeded_random_class(),
+}
+
+
+class TestClassAnalysis:
+    @pytest.mark.parametrize("name", sorted(ANALYSED))
+    def test_report_computes_each_part_once(self, name, monkeypatch, tmp_path, capsys):
+        calls = count_calls(
+            monkeypatch, ("max_shattered_set", "dual_class", "is_extremal", "classify_low_vc")
+        )
+        path = tmp_path / "c.cls"
+        path.write_text(format_class(ANALYSED[name]))
+        assert cli.main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("class ")
+        assert calls["max_shattered_set"] == 4
+        assert calls["dual_class"] == 1
+        assert calls["is_extremal"] == 1
+        assert calls["classify_low_vc"] <= 1
+
+    @pytest.mark.parametrize("name", sorted(ANALYSED))
+    def test_witness_builds_one_antipodal_subcomplex(self, name, monkeypatch, tmp_path, capsys):
+        calls = count_calls(
+            monkeypatch, ("delta_ant", "crosspolytope_witness", "barycentric_witness")
+        )
+        path = tmp_path / "c.cls"
+        path.write_text(format_class(ANALYSED[name]))
+        assert cli.main(["witness", str(path)]) == 0
+        assert '"kind": "witness"' in capsys.readouterr().out
+        assert calls["delta_ant"] == 1
+        # only the chosen witness is built
+        assert calls["crosspolytope_witness"] + calls["barycentric_witness"] == 1
+
+    @pytest.mark.parametrize("name", sorted(ANALYSED))
+    def test_sd_bounds_of_a_class_and_of_its_analysis_agree(self, name):
+        cls = ANALYSED[name]
+        assert sd_bounds(ClassAnalysis(cls)) == sd_bounds(cls)
+
+    def test_witness_choice(self):
+        # universal 2: both constructions give dimension 0, and the tie
+        # goes to the crosspolytope
+        u2 = ClassAnalysis(family_class("universal", 2))
+        assert isinstance(u2.witness().template.kind, CrosspolytopeKind)
+        # universal 3: the barycentric witness is larger unless excluded
+        u3 = ClassAnalysis(family_class("universal", 3))
+        assert isinstance(u3.witness().template.kind, BarycentricBoundaryKind)
+        assert u3.witness("crosspolytope").dimension == 0
+        single = ClassAnalysis(ConceptClass.from_strings(["+-"]))
+        assert single.witness() is None
+        assert ClassAnalysis(family_class("threshold", 1)).witness("barycentric") is None

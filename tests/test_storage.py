@@ -14,12 +14,21 @@ from spheredim.complexes import (
     AntipodalComplex,
     DeltaComplex,
     SimplicialComplex,
+    complex_to_payload,
     face_counts,
     realizable_complex,
 )
 from spheredim.extremal import CubicalComplex, cubical_complex
 from spheredim.signrank import universal_representation, verify_representation
-from spheredim.spheres import crosspolytope_witness, template_from_payload, verify_witness
+from spheredim.spheres import (
+    SphereWitness,
+    crosspolytope_witness,
+    delta_ant,
+    make_crosspolytope,
+    subdivide_template,
+    template_from_payload,
+    verify_witness,
+)
 from spheredim.storage import (
     StorageError,
     _template_face_counts,
@@ -64,6 +73,38 @@ class TestComplexRoundtrip:
         back = load("complex", p)
         assert isinstance(back, DeltaComplex)
         assert back == delta
+
+    def test_delta_in_which_every_point_takes_both_labels(self, tmp_path):
+        # the involution is total, but the flip of a concept is no concept
+        delta = realizable_complex(ConceptClass.from_strings(["--", "-+", "+-"]))
+        p = tmp_path / "delta.json"
+        store(delta, p)
+        back = load("complex", p)
+        assert isinstance(back, DeltaComplex)
+        assert back == delta
+
+    def test_delta_whose_flip_is_antipodal_loads_as_its_antipodal_form(self, tmp_path):
+        from spheredim.complexes import antipodal_subcomplex
+
+        delta = realizable_complex(ConceptClass.from_strings(["--", "++"]))
+        ant = antipodal_subcomplex(delta)
+        p, q = tmp_path / "delta.json", tmp_path / "ant.json"
+        store(delta, p)
+        store(ant, q)
+        assert p.read_bytes() == q.read_bytes()
+        assert load("complex", p) == ant
+
+    @pytest.mark.parametrize("involution", [[1, 0, 3, 3], [1, 0, 2, 7], [1, 0, 3, "2"]])
+    def test_involution_must_pair_distinct_vertices(self, tmp_path, involution):
+        payload = {
+            "vertices": ["0-", "0+", "1-", "1+"],
+            "maximal_simplices": [[0, 2], [1, 3]],
+            "involution": involution,
+        }
+        p = tmp_path / "k.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "complex", "payload": payload}))
+        with pytest.raises(StorageError, match="pair distinct vertices"):
+            load("complex", p)
 
     def test_plain_complex(self, tmp_path):
         k = SimplicialComplex(("a", "b", "c"), (0b011, 0b110))
@@ -207,6 +248,38 @@ class TestTemplateSize:
         with pytest.raises(StorageError, match="more vertices"):
             load("witness", p)
         assert time.monotonic() - start < 1
+
+    def test_deep_subdivision_of_a_0_sphere_rejected_by_its_labels(self, tmp_path):
+        # a subdivision of a 0-dimensional template keeps its two vertices,
+        # so the vertex count matches at any depth
+        cls = family_class("threshold", 1)
+        payload = {
+            "class": list(cls.rows()),
+            "template": sd(cross(0), 10**12),
+            "vertex_map": [["[e0-]", "0-"], ["[e0+]", "0+"]],
+            "embedded": True,
+            "target": complex_to_payload(delta_ant(cls)),
+        }
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "witness", "payload": payload}))
+        assert p.stat().st_size < 400
+        start = time.monotonic()
+        with pytest.raises(StorageError, match="subdivided deeper"):
+            load("witness", p)
+        assert time.monotonic() - start < 1
+
+    def test_depth_2_subdivided_witness_loads(self, tmp_path):
+        cls = family_class("threshold", 1)
+        target = delta_ant(cls)
+        template = subdivide_template(make_crosspolytope(0), 2)
+        assert template.complex.complex.vertices == ("[[e0-]]", "[[e0+]]")
+        w = SphereWitness(template, (0, 1), target, cls, embedded=True)
+        assert verify_witness(w)
+        p = tmp_path / "w.json"
+        store(w, p)
+        back = load("witness", p)
+        assert back == w
+        assert verify_witness(back)
 
     @pytest.mark.parametrize("n", [-1, 1.5, "2", None, [1]])
     def test_template_parameter_must_be_a_natural_number(self, tmp_path, n):
