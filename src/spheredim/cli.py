@@ -42,7 +42,7 @@ from spheredim.extremal import (
     full_subcomplex_embedding_check,
     is_extremal,
 )
-from spheredim.spheres import ClassAnalysis, WitnessError, sd_bounds, verify_witness
+from spheredim.spheres import ClassAnalysis, WitnessError, sd_bounds
 from spheredim.storage import StorageError, canonical_json, envelope, witness_payload
 
 
@@ -169,9 +169,7 @@ def cmd_witness(args) -> int:
     witness = ClassAnalysis(_load_class(args.file, args)).witness(args.method)
     if witness is None:
         raise VerificationFailure("no witness construction applies to this class")
-    report = verify_witness(witness)
-    if not report:
-        raise VerificationFailure(f"witness failed verification: {report.detail}")
+    # the constructor verified it, and the transcript verifies it again
     _emit(canonical_json(envelope("witness", witness_payload(witness))), args.output)
     return 0
 

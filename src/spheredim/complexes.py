@@ -1,16 +1,19 @@
 """Abstract simplicial complexes and the realizable-distribution complex.
 
 A complex is stored by its maximal simplices only (vertex-index bitmasks over
-an ordered list of opaque string labels); the downward closure is implicit and
-a simplex query is a subset test against the maximal list.  The realizable
-complex of a total class has a vertex for every point-label pair occurring in
-some concept graph and one maximal simplex per concept; label flipping is kept
-as a partial vertex involution and becomes total on the antipodal subcomplex,
-which keeps exactly the simplices realizable together with their flips.  That
-subcomplex is built by incidence: one bitmask of concepts per vertex answers
-whether a labelled set and its flip are both realizable, and its maximal
-simplices are the disagreement sets of concept pairs that no vertex extends,
-with no pairwise comparison of candidates.
+an ordered list of opaque string labels); the downward closure is implicit.
+A simplex query is answered by incidence: the transpose of the maximal list
+gives, per vertex, the bitmask of the maximal simplices containing it, and a
+set is a simplex iff the AND of those masks over its vertices is nonzero.
+The realizable complex of a total class has a vertex for every point-label
+pair occurring in some concept graph and one maximal simplex per concept;
+label flipping is kept as a partial vertex involution and becomes total on
+the antipodal subcomplex, which keeps exactly the simplices realizable
+together with their flips.  That subcomplex is built from the same
+incidence: the masks of concepts per vertex answer whether a labelled set
+and its flip are both realizable, and its maximal simplices are the
+disagreement sets of concept pairs that no vertex extends, with no pairwise
+comparison of candidates.
 
 Barycentric subdivision, joins, small-instance isomorphism testing, and exact
 face counting round out the toolbox.  Face enumeration is explicitly capped:
@@ -23,9 +26,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from spheredim.concepts import CapExceededError, ConceptClass, bits, columns, mask_of, popcount
+from spheredim.concepts import (
+    CapExceededError,
+    ConceptClass,
+    bits,
+    columns,
+    mask_of,
+    popcount,
+    transpose,
+)
 
 DEFAULT_FACE_CAP = 10**7
 DEFAULT_ISO_VERTEX_CAP = 64
@@ -96,8 +108,25 @@ class SimplicialComplex:
             return -1
         return max(popcount(s) for s in self.maximal) - 1
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """For each vertex, the mask of the positions in ``maximal`` of the
+        maximal simplices containing it: the transpose of ``maximal``, built
+        on first read and kept with the instance (not a field)."""
+        return tuple(transpose(len(self.vertices), self.maximal))
+
     def has_simplex(self, mask: int) -> bool:
-        return any((mask & ~s) == 0 for s in self.maximal)
+        """Whether ``mask`` lies in some maximal simplex: the empty mask iff
+        the complex has a simplex, never a mask past the last vertex."""
+        if mask >> len(self.vertices):
+            return False
+        incidence = self.incidence
+        common = (1 << len(self.maximal)) - 1
+        while mask:  # bits(mask), inlined on the hot path of verification
+            low = mask & -mask
+            common &= incidence[low.bit_length() - 1]
+            mask ^= low
+        return common != 0
 
     def all_simplices(self, cap: int = DEFAULT_FACE_CAP) -> set[int]:
         """The downward closure, nonempty simplices only."""
@@ -231,22 +260,20 @@ def antipodal_subcomplex(delta: DeltaComplex) -> AntipodalComplex:
     May be empty; the result carries a total involution and is reindexed to
     its own vertex set.
 
-    Membership is answered by incidence.  ``col[v]`` is the bitmask of the
-    maximal simplices (the concepts) containing vertex v, so a set s of
-    flippable vertices is a simplex here iff the AND of ``col`` over s and
-    the AND of ``col`` over flip(s) are both nonzero.  Every such s lies in
-    a candidate m1 & flip(m2), the set where two concepts disagree labelled
-    by the first, and a candidate is maximal iff no flippable v outside it
-    extends it, which costs two ANDs per v instead of a comparison with
-    every other candidate.  The involution must pair flippable vertices, as
-    ``realizable_complex`` gives it.
+    Membership is answered by incidence.  ``col[v]``, the complex's
+    ``incidence``, is the bitmask of the maximal simplices (the concepts)
+    containing vertex v, so a set s of flippable vertices is a simplex here
+    iff the AND of ``col`` over s and the AND of ``col`` over flip(s) are
+    both nonzero.  Every such s lies in a candidate m1 & flip(m2), the set
+    where two concepts disagree labelled by the first, and a candidate is
+    maximal iff no flippable v outside it extends it, which costs two ANDs
+    per v instead of a comparison with every other candidate.  The
+    involution must pair flippable vertices, as ``realizable_complex``
+    gives it.
     """
     inv = delta.involution
     flippable = mask_of(i for i, j in enumerate(inv) if j is not None)
-    col = [0] * len(delta.complex.vertices)
-    for c, m in enumerate(delta.complex.maximal):
-        for v in bits(m):
-            col[v] |= 1 << c
+    col = delta.complex.incidence
     flipped = []
     for m in delta.complex.maximal:
         out = 0
@@ -410,9 +437,8 @@ def complexes_isomorphic(
             if complete:
                 if img_mask not in maximal_b:
                     return False
-            else:
-                if not any((img_mask & ~t) == 0 for t in maximal_b):
-                    return False
+            elif not cb.has_simplex(img_mask):
+                return False
         return True
 
     def backtrack(pos: int) -> bool:

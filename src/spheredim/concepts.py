@@ -337,14 +337,23 @@ def strongly_shattered_family(cls: ConceptClass) -> list[list[int]]:
     return _monotone_family(cls, lambda m: _strongly_shatters_mask(cls, m))
 
 
+def transpose(n: int, rows: Iterable[int]) -> list[int]:
+    """For each of ``n`` columns, the mask of the positions of the rows
+    (bitmasks over the columns) that contain it."""
+    out = [0] * n
+    for j, row in enumerate(rows):
+        bit = 1 << j
+        while row:  # bits(row), inlined: every complex and class goes through here
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
 def columns(n: int, hyps: Sequence[PartialHypothesis]) -> list[int]:
     """For each of the ``n`` points, the mask of the positions in ``hyps``
     of the hypotheses positive there.  ``hyps`` may repeat a hypothesis."""
-    out = [0] * n
-    for j, h in enumerate(hyps):
-        for x in bits(h.plus):
-            out[x] |= 1 << j
-    return out
+    return transpose(n, (h.plus for h in hyps))
 
 
 def dual_class(cls: ConceptClass) -> tuple[ConceptClass, tuple[int, ...]]:
@@ -374,9 +383,15 @@ class DimensionVariant(enum.Enum):
 
 
 def max_shattered_set(cls: ConceptClass, antipodal: bool = False) -> int:
-    """Lexicographically least maximum-size (antipodally) shattered set, as a mask."""
+    """Lexicographically least maximum-size (antipodally) shattered set, as a mask.
+
+    The search stops at the Sauer-Shelah cap: a shattered k-set needs 2^k
+    distinct patterns and an antipodally shattered one 2^(k-1) pairs of
+    them, each from its own hypothesis, so k <= log2|H| (+1 when antipodal).
+    """
     pred = _antipodally_shatters_mask if antipodal else _shatters_mask
-    levels = _monotone_family(cls, lambda m: pred(cls, m))
+    cap = len(cls).bit_length() - 1 + (1 if antipodal else 0)
+    levels = _monotone_family(cls, lambda m: pred(cls, m), max_size=cap)
     return min(levels[-1], key=lambda m: tuple(bits(m)))
 
 

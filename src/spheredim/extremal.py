@@ -44,11 +44,11 @@ from spheredim.concepts import (
 )
 from spheredim.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from spheredim.spheres import (
+    ClassAnalysis,
     SphereWitness,
     WitnessError,
     _target_index,
     _verified,
-    delta_ant,
     make_barycentric_boundary,
 )
 
@@ -540,11 +540,12 @@ def verify_threshold_certificate(
 
 
 def _hexagon_witness(
-    cls: ConceptClass, flip_mask: int, cycle: list[tuple[int, int]]
+    analysis: ClassAnalysis, flip_mask: int, cycle: list[tuple[int, int]]
 ) -> SphereWitness:
     """Build the 1-sphere witness from six (point, sign) pairs in flipped
-    coordinates, listed cyclically with opposite vertices antipodal."""
-    target = delta_ant(cls)
+    coordinates, listed cyclically with opposite vertices antipodal, on the
+    analysis's antipodal subcomplex."""
+    target = analysis.delta_ant
     index = _target_index(target)
     unflipped = [
         (x, -s if flip_mask & (1 << x) else s) for x, s in cycle
@@ -554,17 +555,22 @@ def _hexagon_witness(
     # visits them as {0},{01},{1},{12},{2},{02}
     cycle_position = (0, 2, 4, 1, 5, 3)
     vmap = tuple(index[unflipped[pos]] for pos in cycle_position)
-    return _verified(SphereWitness(template, vmap, target, cls, embedded=True), "hexagon")
+    witness = SphereWitness(template, vmap, target, analysis.cls, embedded=True)
+    return _verified(witness, "hexagon")
 
 
-def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
+def classify_low_vc(analysis: Union[ConceptClass, ClassAnalysis]) -> LowVcClassification:
     """Classify a total class per its spherical dimension regime.
 
     Mutually exclusive outcomes: Singleton; ThresholdLike with a verified
     (flip, order) certificate; Vc1NonThreshold with a verified hexagon
-    witness; Vc2Plus with a shattered pair.
+    witness; Vc2Plus with a shattered pair.  Only the hexagon needs the
+    antipodal subcomplex; given an analysis, it reads the analysis's one.
     """
-    cls.require_total("classify_low_vc")
+    if not isinstance(analysis, ClassAnalysis):
+        analysis.require_total("classify_low_vc")
+        analysis = ClassAnalysis(analysis)
+    cls = analysis.cls
     n = cls.domain_size
     m = len(cls)
     if m == 1:
@@ -615,7 +621,7 @@ def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
     if len(minimal) >= 3:
         x, z, w = (rep_point(c) for c in minimal[:3])
         cycle = [(x, +1), (z, -1), (w, +1), (x, -1), (z, +1), (w, -1)]
-        return Vc1NonThreshold(_hexagon_witness(cls, flip0, cycle))
+        return Vc1NonThreshold(_hexagon_witness(analysis, flip0, cycle))
 
     if len(minimal) != 2:
         raise AssertionError("incomparable pair with a single minimal element")
@@ -628,11 +634,11 @@ def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
             # two incomparable minimals with a common upper bound
             z1, z2, x = rep_point(c1), rep_point(c2), rep_point(c)
             cycle = [(x, +1), (z2, +1), (z1, -1), (x, -1), (z2, -1), (z1, +1)]
-            return Vc1NonThreshold(_hexagon_witness(cls, flip0, cycle))
+            return Vc1NonThreshold(_hexagon_witness(analysis, flip0, cycle))
         if not with1 and not with2:
             u, z1, z2 = rep_point(c), rep_point(c1), rep_point(c2)
             cycle = [(u, +1), (z1, -1), (z2, +1), (u, -1), (z1, +1), (z2, -1)]
-            return Vc1NonThreshold(_hexagon_witness(cls, flip0, cycle))
+            return Vc1NonThreshold(_hexagon_witness(analysis, flip0, cycle))
         (chain1 if with1 else chain2).append(c)
 
     for part in (chain1, chain2):

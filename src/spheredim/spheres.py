@@ -523,10 +523,11 @@ class ClassAnalysis:
 
     @cached_property
     def classification(self) -> LowVcClassification:
-        """The bucket of ``extremal.classify_low_vc``."""
+        """The bucket of ``extremal.classify_low_vc``; a hexagon is built on
+        ``delta_ant``."""
         from spheredim import extremal
 
-        return extremal.classify_low_vc(self.cls)
+        return extremal.classify_low_vc(self)
 
 
 def sd_bounds(

@@ -16,6 +16,7 @@ from spheredim.concepts import (
     family_class,
     mask_of,
     parse_class,
+    popcount,
     product_class,
     search_class_leq,
 )
@@ -32,6 +33,12 @@ from spheredim.complexes import (
     induced_vertex_map,
     join_complex,
     realizable_complex,
+)
+from spheredim.spheres import (
+    join_templates,
+    make_barycentric_boundary,
+    make_crosspolytope,
+    subdivide_template,
 )
 from spheredim.storage import complex_from_payload, load, store
 
@@ -147,9 +154,124 @@ class TestAntipodalSubcomplex:
         assert sorted(ant.complex.maximal) == sorted(delta.complex.maximal)
 
     def test_axioms_checked(self):
-        with pytest.raises(ValueError):
+        pair = "a simplex contains an antipodal vertex pair"
+        with pytest.raises(ValueError, match=pair):
             # involution with a fixed simplex pair violation: edge {a, b} with a<->b
             AntipodalComplex(SimplicialComplex(("a", "b"), (0b11,)), (1, 0))
+        # a square a-b-c-d with a<->b, c<->d: the edge {a, b} is a side
+        square = SimplicialComplex(("a", "b", "c", "d"), (0b0011, 0b0110, 0b1001, 0b1100))
+        with pytest.raises(ValueError, match=pair):
+            AntipodalComplex(square, (1, 0, 3, 2))
+        # the edge {a, b} maps to {c, d}, which is not an edge
+        k = SimplicialComplex(("a", "b", "c", "d"), (0b0011, 0b0100, 0b1000))
+        with pytest.raises(ValueError, match="involution is not simplicial"):
+            AntipodalComplex(k, (2, 3, 0, 1))
+        # a triangle and an edge swapped by the involution
+        k = SimplicialComplex(("a", "b", "c", "d", "e", "f"), (0b000111, 0b011000, 0b100000))
+        with pytest.raises(ValueError, match="involution is not simplicial"):
+            AntipodalComplex(k, (3, 4, 5, 0, 1, 2))
+
+
+def oracle_has_simplex(k, mask):
+    """The linear scan that ``has_simplex`` replaced: a subset test against
+    every maximal simplex."""
+    return any((mask & ~s) == 0 for s in k.maximal)
+
+
+def random_complex(rng, max_vertices=10, max_simplices=12):
+    """A complex from random simplices, with a singleton for every vertex
+    they leave uncovered."""
+    n = rng.randint(1, max_vertices)
+    sims = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, max_simplices))]
+    covered = 0
+    for s in sims:
+        covered |= s
+    sims += [1 << v for v in range(n) if not covered >> v & 1]
+    return SimplicialComplex.from_maximal(tuple(f"v{i}" for i in range(n)), sims)
+
+
+def probe_masks(rng, k, count=200):
+    """Masks to ask ``k`` about: 0, bits past the last vertex, faces of
+    maximal simplices, faces plus one vertex, and random masks."""
+    n = len(k.vertices)
+    masks = {0, 1 << n, (1 << (n + 1)) - 1, 1 << (n + 3)}
+    for s in k.maximal:
+        masks.add(s)
+        face = s & rng.randrange(1 << n)
+        masks.add(face)
+        masks.add(face | 1 << rng.randrange(n))
+        masks.add(s | 1 << (n + rng.randrange(3)))
+    if n <= 10:
+        masks.update(range(1 << (n + 1)))
+    else:
+        masks.update(rng.randrange(1 << (n + 1)) for _ in range(count))
+    return sorted(masks)
+
+
+def template_complexes():
+    """Every template kind up to dimension 3: crosspolytopes, barycentric
+    boundaries, joins of two, and first subdivisions."""
+    small = [make_crosspolytope(n) for n in range(4)]
+    small += [make_barycentric_boundary(n) for n in range(4)]
+    out = list(small)
+    for a, b in itertools.product(small, repeat=2):
+        if a.dimension + b.dimension + 1 <= 3:
+            out.append(join_templates(a, b))
+    for t in small:
+        if t.dimension <= 2:
+            out.append(subdivide_template(t))
+    return out
+
+
+class TestMembershipOracle:
+    """``has_simplex`` by incidence against the linear scan it replaced."""
+
+    def test_random_maximal_lists(self):
+        rng = random.Random(89)
+        checked = 0
+        for _ in range(2000):
+            k = random_complex(rng)
+            for mask in probe_masks(rng, k):
+                assert k.has_simplex(mask) == oracle_has_simplex(k, mask)
+                checked += 1
+        assert checked > 500_000
+
+    def test_every_template_kind(self):
+        rng = random.Random(97)
+        kinds = set()
+        for t in template_complexes():
+            kinds.add(type(t.kind).__name__)
+            k = t.complex.complex
+            for mask in probe_masks(rng, k, count=3000):
+                assert k.has_simplex(mask) == oracle_has_simplex(k, mask)
+        assert kinds == {"CrosspolytopeKind", "BarycentricBoundaryKind", "JoinKind", "SubdividedKind"}
+
+    def test_empty_complex(self):
+        k = SimplicialComplex((), ())
+        assert k.incidence == ()
+        for mask in (0, 1, 0b10, 0b111):
+            assert k.has_simplex(mask) is False
+            assert oracle_has_simplex(k, mask) is False
+
+    def test_empty_mask_and_bits_past_the_last_vertex(self):
+        k = SimplicialComplex(("a", "b", "c"), (0b011, 0b110))
+        assert k.has_simplex(0) is True
+        assert k.has_simplex(0b1000) is False
+        assert k.has_simplex(0b1011) is False
+        assert k.has_simplex(-1) is False
+
+    def test_incidence_is_the_transpose_and_not_a_field(self):
+        rng = random.Random(101)
+        for _ in range(200):
+            k = random_complex(rng)
+            twin = SimplicialComplex(k.vertices, k.maximal)
+            assert len(k.incidence) == len(k.vertices)
+            for v, col in enumerate(k.incidence):
+                assert col == mask_of(j for j, s in enumerate(k.maximal) if s >> v & 1)
+            assert sum(map(popcount, k.incidence)) == sum(map(popcount, k.maximal))
+            # twin has not built its index: equality, hash and repr ignore it
+            assert k == twin and hash(k) == hash(twin) and repr(k) == repr(twin)
+            assert "incidence" not in repr(k)
 
 
 def oracle_antipodal_subcomplex(delta):

@@ -14,6 +14,7 @@ from spheredim.concepts import (
     DimensionVariant,
     PartialHypothesis,
     antipodally_shatters,
+    bits,
     class_canonical_form,
     classes_equivalent,
     columns,
@@ -32,6 +33,9 @@ from spheredim.concepts import (
     strongly_shattered_family,
     strongly_shatters,
     verify_class_leq,
+    _antipodally_shatters_mask,
+    _monotone_family,
+    _shatters_mask,
 )
 
 V = DimensionVariant
@@ -94,6 +98,23 @@ def oracle_columns(cls, hyp_indices):
                 col |= 1 << j
         out.append(col)
     return out
+
+
+def oracle_max_shattered_set(cls, antipodal=False):
+    """The uncapped breadth-first search that ``max_shattered_set`` stops at
+    the Sauer-Shelah cap: every shattered set, then the least largest one."""
+    pred = _antipodally_shatters_mask if antipodal else _shatters_mask
+    levels = _monotone_family(cls, lambda m: pred(cls, m))
+    return min(levels[-1], key=lambda m: tuple(bits(m)))
+
+
+def random_partial_class(rng, max_n=6, max_size=20):
+    """Distinct random hypotheses over {-, +, *}; some may be total."""
+    n = rng.randint(1, max_n)
+    rows = set()
+    for _ in range(rng.randint(1, max_size)):
+        rows.add("".join(rng.choice("-+*") for _ in range(n)))
+    return ConceptClass.from_strings(sorted(rows))
 
 
 def oracle_vc(cls):
@@ -307,6 +328,44 @@ class TestDimensions:
             cls = family_class("subsets_leq", d)
             assert dimension(cls, V.PRIMAL) == d
             assert dimension(cls, V.PRIMAL_ANTIPODAL) == d + 1
+
+
+class TestSauerShelahCap:
+    """The capped search against the uncapped one it replaced."""
+
+    @staticmethod
+    def assert_same(cls):
+        for antipodal in (False, True):
+            got = max_shattered_set(cls, antipodal=antipodal)
+            assert got == oracle_max_shattered_set(cls, antipodal=antipodal)
+
+    def test_random_total_classes_and_their_duals(self):
+        rng = random.Random(79)
+        for _ in range(2000):
+            cls = random_class(rng, max_n=6, max_size=16)
+            self.assert_same(cls)
+            self.assert_same(dual_class(cls)[0])
+
+    def test_random_partial_classes(self):
+        rng = random.Random(83)
+        partial = 0
+        for _ in range(2000):
+            cls = random_partial_class(rng)
+            partial += cls.is_partial
+            self.assert_same(cls)
+        assert partial > 1800
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_classes_at_the_cap(self, n):
+        # cube n: VC = n = log2|H|; universal n: VC = floor(log2 n) and
+        # VC^a one more, both the cap; their duals swap the two
+        for cls in (cube(n), universal(n)):
+            self.assert_same(cls)
+            self.assert_same(dual_class(cls)[0])
+        log2 = n.bit_length() - 1
+        assert bin(max_shattered_set(cube(n))).count("1") == n
+        assert bin(max_shattered_set(universal(n))).count("1") == log2
+        assert bin(max_shattered_set(universal(n), antipodal=True)).count("1") == log2 + 1
 
 
 class TestAssouadChain:

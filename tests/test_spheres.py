@@ -359,6 +359,38 @@ class TestClassAnalysis:
         # only the chosen witness is built
         assert calls["crosspolytope_witness"] + calls["barycentric_witness"] == 1
 
+    def test_witness_is_verified_twice(self, monkeypatch, tmp_path, capsys):
+        # once by its constructor, once for the stored transcript
+        calls = count_calls(monkeypatch, ("verify_witness", "rebuild_template"))
+        path = tmp_path / "c.cls"
+        path.write_text(format_class(ANALYSED["cube3"]))
+        assert cli.main(["witness", str(path)]) == 0
+        assert '"simplicial: ok"' in capsys.readouterr().out
+        assert calls == {"verify_witness": 2, "rebuild_template": 2}
+
+    @pytest.mark.parametrize("command", ["sd", "report", "classify"])
+    def test_hexagon_reads_the_analysis_antipodal_subcomplex(
+        self, command, monkeypatch, tmp_path, capsys
+    ):
+        calls = count_calls(monkeypatch, ("delta_ant",))
+        path = tmp_path / "c.cls"
+        path.write_text(format_class(ConceptClass.from_strings(["+--", "-+-", "--+"])))
+        assert cli.main([command, str(path)]) == 0
+        assert "hexagon" in capsys.readouterr().out
+        assert calls["delta_ant"] == 1
+
+    @pytest.mark.parametrize("name", ["cube", "threshold"])
+    def test_classify_builds_no_antipodal_subcomplex_it_does_not_need(
+        self, name, monkeypatch, tmp_path, capsys
+    ):
+        cls = family_class(name, 3)
+        calls = count_calls(monkeypatch, ("delta_ant",))
+        path = tmp_path / "c.cls"
+        path.write_text(format_class(cls))
+        assert cli.main(["classify", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("bucket ")
+        assert calls["delta_ant"] == 0
+
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_sd_bounds_of_a_class_and_of_its_analysis_agree(self, name):
         cls = ANALYSED[name]
