@@ -9,6 +9,7 @@ sequentially regardless of --workers).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -59,7 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+
+
 def _load_class(path: str, args) -> ConceptClass:
+    _require_count("--max-domain", args.max_domain)
+    _require_count("--max-hypotheses", args.max_hypotheses)
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -155,6 +163,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    _require_count("--barycentric", args.barycentric)
     cls = _load_class(args.file, args)
     value = realizable_complex(cls)
     if args.antipodal:
@@ -191,6 +200,7 @@ def cmd_sd(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    _require_count("--collapse-budget", args.collapse_budget)
     cls = _load_class(args.file, args)
     report = is_extremal(cls)
     payload: dict = {
@@ -319,7 +329,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    Parsing leaves no state in it: each ``parse_args`` call fills a fresh
+    namespace.
+    """
     parser = _Parser(prog="spheredim", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--max-domain", type=int, default=1 << 20)
@@ -339,14 +355,12 @@ def build_parser() -> _Parser:
         default="all",
     )
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("complex", help="export the realizable complex")
     p.add_argument("file")
     p.add_argument("--antipodal", action="store_true")
     p.add_argument("--barycentric", type=int, default=0, metavar="K")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("witness", help="construct and verify a sphere witness")
     p.add_argument("file")
@@ -354,40 +368,33 @@ def build_parser() -> _Parser:
         "--method", choices=("auto", "crosspolytope", "barycentric"), default="auto"
     )
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("sd", help="spherical-dimension interval with certificates")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_sd)
 
     p = sub.add_parser("extremal", help="Pajor counts and cubical analysis")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("classify", help="low-VC classification with certificate")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("family", help="emit a named class family")
     p.add_argument("name", choices=("cube", "universal", "universal_plus", "threshold", "subsets_leq"))
     p.add_argument("n", type=int)
     p.add_argument("-m", "--power", type=int, default=1)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("product", help="product of two class files")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("report", help="full analysis report")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -396,7 +403,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up at each call, not stored in the shared parser, so a
+        # rebound cmd_* (a test's monkeypatch, a tracing wrapper) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

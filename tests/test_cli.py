@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from spheredim import cli
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -212,6 +214,21 @@ class TestErrors:
         out = run_cli("--max-hypotheses", "4", "report", cube3)
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("flag", [
+        "--barycentric", "--collapse-budget", "--max-domain", "--max-hypotheses",
+    ])
+    def test_negative_count_is_usage_error(self, cube3, flag):
+        argv = {
+            "--barycentric": ("complex", flag, "-1"),
+            "--collapse-budget": (flag, "-1", "extremal"),
+            "--max-domain": (flag, "-1", "dims"),
+            "--max-hypotheses": (flag, "-1", "dims"),
+        }[flag]
+        out = run_cli(*argv, cube3)
+        assert out.returncode == 1
+        assert out.stderr == f"usage error: {flag} must be >= 0, got -1\n"
+        assert out.stdout == ""
+
     def test_diagnostics_on_stderr(self, tmp_path):
         p = tmp_path / "bad.cls"
         p.write_text("xx\n")
@@ -239,3 +256,39 @@ class TestDeterminism:
                     assert out.returncode == 0
                     outputs.add(out.stdout)
             assert len(outputs) == 1, cmd
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_carries_between_calls(self, cube3, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "witness.json"
+        calls = [
+            ["dims"],
+            ["--json", "dims", cube3],
+            ["dims", "--variant", "dual", cube3],
+            ["dims", cube3],
+            ["witness", cube3, "-o", str(out)],
+            ["witness", "--method", "barycentric", cube3],
+            ["witness", cube3],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                out.unlink(missing_ok=True)
+                code = cli.main(argv)
+                stdout, stderr = capsys.readouterr()
+                written = out.read_text() if out.exists() else None
+                results.append((argv, code, stdout, stderr, written))
+            return results
+
+        shared = run_all()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = run_all()
+        assert shared == fresh
+        # the sequence reaches what leaked state would change
+        assert shared[0][1] == 1 and shared[0][3].startswith("usage error:")
+        assert shared[4][2] == "" and shared[4][4] == shared[6][2] != ""
