@@ -178,7 +178,7 @@ def cmd_witness(args) -> int:
     witness = ClassAnalysis(_load_class(args.file, args)).witness(args.method)
     if witness is None:
         raise VerificationFailure("no witness construction applies to this class")
-    # the constructor verified it, and the transcript verifies it again
+    # the constructor verified it; the transcript reads the report it kept
     _emit(canonical_json(envelope("witness", witness_payload(witness))), args.output)
     return 0
 
@@ -403,6 +403,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         # looked up at each call, not stored in the shared parser, so a
         # rebound cmd_* (a test's monkeypatch, a tracing wrapper) is the one run
         return globals()[f"cmd_{args.command}"](args)

@@ -218,6 +218,14 @@ class SphereWitness:
     def dimension(self) -> int:
         return self.template.dimension
 
+    @cached_property
+    def report(self) -> WitnessReport:
+        """The four witness checks, run on first use and kept: every field
+        is frozen, so the outcome cannot change.  Not a field, so it stays
+        out of eq, hash and repr; a modified copy is a new object and is
+        checked afresh."""
+        return _run_checks(self)
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -235,7 +243,12 @@ def _simplex_labels(c: SimplicialComplex, mask: int) -> tuple[str, ...]:
 
 
 def verify_witness(w: SphereWitness) -> WitnessReport:
-    """Run the four witness checks in order, reporting the first violation."""
+    """The four witness checks in order, reporting the first violation.
+    They run once per witness object; later calls return the kept report."""
+    return w.report
+
+
+def _run_checks(w: SphereWitness) -> WitnessReport:
     lines: list[str] = []
 
     # (a) template invariants

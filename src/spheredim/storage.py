@@ -7,8 +7,9 @@ one trailing newline.  Store-then-load returns an equal value, with one
 exception: a realizable complex whose label flip is already simplicial and
 free of antipodal pairs, such as that of {--, ++}, stores the same bytes as
 its antipodal subcomplex and loads as that equal ``AntipodalComplex``.
-Witnesses are reloaded against a recomputed target so a tampered file cannot
-smuggle in an inconsistent complex.
+Witnesses are reloaded against a recomputed target, so a tampered file cannot
+smuggle in an inconsistent complex, and a loaded witness must pass
+``verify_witness``, so a tampered vertex map or embedded flag is rejected too.
 """
 
 from __future__ import annotations
@@ -281,7 +282,11 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     if [pair[0] for pair in payload["vertex_map"]] != list(tpl_vertices):
         raise StorageError("vertex map does not cover the template vertices in order")
     vmap = tuple(target_index[pair[1]] for pair in payload["vertex_map"])
-    return SphereWitness(template, vmap, target, cls, payload["embedded"])
+    witness = SphereWitness(template, vmap, target, cls, payload["embedded"])
+    report = verify_witness(witness)
+    if not report:
+        raise StorageError(f"witness fails the {report.check} check: {report.detail}")
+    return witness
 
 
 def store(value, path: Union[str, Path], kind: Optional[str] = None, cls: Optional[ConceptClass] = None) -> None:

@@ -229,6 +229,12 @@ class TestErrors:
         assert out.stderr == f"usage error: {flag} must be >= 0, got -1\n"
         assert out.stdout == ""
 
+    def test_zero_workers_is_usage_error(self, cube3):
+        out = run_cli("--workers", "0", "dims", cube3)
+        assert out.returncode == 1
+        assert out.stderr == "usage error: --workers must be >= 1, got 0\n"
+        assert out.stdout == ""
+
     def test_diagnostics_on_stderr(self, tmp_path):
         p = tmp_path / "bad.cls"
         p.write_text("xx\n")

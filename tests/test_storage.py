@@ -165,6 +165,19 @@ class TestWitnessRoundtrip:
         with pytest.raises(StorageError):
             load("witness", p)
 
+    def test_tampered_vertex_map_rejected(self, tmp_path):
+        # e0- and e1- trade targets: every label still names a target
+        # vertex, but the edge {e0+, e1-} now maps onto the pair {0+, 0-}
+        w = crosspolytope_witness(family_class("cube", 2), (0, 1))
+        p = tmp_path / "w.json"
+        store(w, p)
+        data = json.loads(p.read_text())
+        vmap = data["payload"]["vertex_map"]
+        vmap[0][1], vmap[2][1] = vmap[2][1], vmap[0][1]
+        p.write_text(json.dumps(data))
+        with pytest.raises(StorageError, match=r"simplicial check: simplex \('e0\+', 'e1-'\)"):
+            load("witness", p)
+
 
 def cross(n):
     return {"kind": "crosspolytope", "n": n}
