@@ -72,6 +72,8 @@ def _load_class(path: str, args) -> ConceptClass:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ClassFormatError(f"cannot decode {path}: {exc}") from exc
     cls = parse_class(text)
     if cls.domain_size > args.max_domain:
         raise CapExceededError(
@@ -85,10 +87,13 @@ def _load_class(path: str, args) -> ConceptClass:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _class_hash(cls: ConceptClass) -> str:

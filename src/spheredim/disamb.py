@@ -26,10 +26,9 @@ from spheredim.spheres import (
     SphereTemplate,
     SphereWitness,
     WitnessError,
-    _target_index,
-    _verified,
     delta_ant,
     verify_witness,
+    witness_on,
 )
 
 DEFAULT_SIMPLEX_CAP = 10**6
@@ -300,15 +299,6 @@ def sphere_from_disambiguation(
         )
     restricted, reps = representatives_restriction(d.cls, domain)
     rep_pos = {x: j for j, x in enumerate(reps)}
+    pairs = [(rep_pos[r], +1 if r == v else -1) for v, r in enumerate(domain.representative)]
     target = delta_ant(restricted)
-    index = _target_index(target)
-    vmap = []
-    for v in range(domain.size):
-        r = domain.representative[v]
-        sign = +1 if r == v else -1
-        try:
-            vmap.append(index[(rep_pos[r], sign)])
-        except KeyError as exc:
-            raise WitnessError(f"vertex {v} has no image in the target") from exc
-    witness = SphereWitness(d.template, tuple(vmap), target, restricted, embedded=True)
-    return _verified(witness, "extracted sphere")
+    return witness_on(d.template, pairs, target, restricted, True, "extracted sphere")

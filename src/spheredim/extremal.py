@@ -47,9 +47,8 @@ from spheredim.spheres import (
     ClassAnalysis,
     SphereWitness,
     WitnessError,
-    _target_index,
-    _verified,
     make_barycentric_boundary,
+    witness_on,
 )
 
 DEFAULT_EXTREMAL_CAP = 16
@@ -545,18 +544,16 @@ def _hexagon_witness(
     """Build the 1-sphere witness from six (point, sign) pairs in flipped
     coordinates, listed cyclically with opposite vertices antipodal, on the
     analysis's antipodal subcomplex."""
-    target = analysis.delta_ant
-    index = _target_index(target)
     unflipped = [
         (x, -s if flip_mask & (1 << x) else s) for x, s in cycle
     ]
-    template = make_barycentric_boundary(1)
     # template vertex order is {0},{1},{2},{01},{02},{12}; the hexagon cycle
     # visits them as {0},{01},{1},{12},{2},{02}
     cycle_position = (0, 2, 4, 1, 5, 3)
-    vmap = tuple(index[unflipped[pos]] for pos in cycle_position)
-    witness = SphereWitness(template, vmap, target, analysis.cls, embedded=True)
-    return _verified(witness, "hexagon")
+    pairs = [unflipped[pos] for pos in cycle_position]
+    return witness_on(
+        make_barycentric_boundary(1), pairs, analysis.delta_ant, analysis.cls, True, "hexagon"
+    )
 
 
 def classify_low_vc(analysis: Union[ConceptClass, ClassAnalysis]) -> LowVcClassification:

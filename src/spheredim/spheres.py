@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from spheredim.concepts import (
     CapExceededError,
@@ -71,12 +71,12 @@ class BarycentricBoundaryKind:
 
 @dataclass(frozen=True)
 class JoinKind:
-    parts: tuple["SphereTemplate", ...]
+    parts: tuple["TemplateKind", ...]
 
 
 @dataclass(frozen=True)
 class SubdividedKind:
-    base: "SphereTemplate"
+    base: "TemplateKind"
     depth: int
 
 
@@ -99,13 +99,11 @@ class SphereTemplate:
 
 
 def _kind_dimension(kind: TemplateKind) -> int:
-    if isinstance(kind, CrosspolytopeKind):
-        return kind.n
-    if isinstance(kind, BarycentricBoundaryKind):
+    if isinstance(kind, (CrosspolytopeKind, BarycentricBoundaryKind)):
         return kind.n
     if isinstance(kind, JoinKind):
-        return sum(p.dimension for p in kind.parts) + len(kind.parts) - 1
-    return kind.base.dimension
+        return sum(_kind_dimension(p) for p in kind.parts) + len(kind.parts) - 1
+    return _kind_dimension(kind.base)
 
 
 def _kind_payload(kind: TemplateKind) -> dict:
@@ -114,25 +112,46 @@ def _kind_payload(kind: TemplateKind) -> dict:
     if isinstance(kind, BarycentricBoundaryKind):
         return {"kind": "barycentric_boundary", "n": kind.n}
     if isinstance(kind, JoinKind):
-        return {"kind": "join", "parts": [p.kind_payload() for p in kind.parts]}
-    return {"kind": "subdivided", "base": kind.base.kind_payload(), "depth": kind.depth}
+        return {"kind": "join", "parts": [_kind_payload(p) for p in kind.parts]}
+    return {"kind": "subdivided", "base": _kind_payload(kind.base), "depth": kind.depth}
 
 
-def template_from_payload(payload: dict) -> SphereTemplate:
+def kind_from_payload(payload: dict) -> TemplateKind:
+    """The kind tree a stored dict names, without building it.  Raises
+    ValueError on an unknown kind, an empty join, or an ``n`` or ``depth``
+    that is not an int (a bool is not one) of at least its least value."""
+
+    def param(key: str, least: int) -> int:
+        value = payload[key]
+        if type(value) is not int or value < least:
+            raise ValueError(f"template {key} must be an integer >= {least}")
+        return value
+
     kind = payload["kind"]
     if kind == "crosspolytope":
-        return make_crosspolytope(payload["n"])
+        return CrosspolytopeKind(param("n", 0))
     if kind == "barycentric_boundary":
-        return make_barycentric_boundary(payload["n"])
+        return BarycentricBoundaryKind(param("n", 0))
     if kind == "join":
-        parts = [template_from_payload(p) for p in payload["parts"]]
-        out = parts[0]
-        for p in parts[1:]:
-            out = join_templates(out, p)
-        return out
+        parts = tuple(kind_from_payload(p) for p in payload["parts"])
+        if not parts:
+            raise ValueError("template join must have parts")
+        return JoinKind(parts)
     if kind == "subdivided":
-        return subdivide_template(template_from_payload(payload["base"]), payload["depth"])
+        return SubdividedKind(kind_from_payload(payload["base"]), param("depth", 1))
     raise ValueError(f"unknown template kind {kind!r}")
+
+
+def build_template(kind: TemplateKind) -> SphereTemplate:
+    """The certified template a kind tree names, built from its leaves; the
+    parts of a join are joined from the left."""
+    if isinstance(kind, CrosspolytopeKind):
+        return make_crosspolytope(kind.n)
+    if isinstance(kind, BarycentricBoundaryKind):
+        return make_barycentric_boundary(kind.n)
+    if isinstance(kind, JoinKind):
+        return reduce(join_templates, [build_template(p) for p in kind.parts])
+    return subdivide_template(build_template(kind.base), kind.depth)
 
 
 def make_crosspolytope(n: int) -> SphereTemplate:
@@ -184,7 +203,7 @@ def _proper_subsets(k: int) -> list[int]:
 
 def join_templates(a: SphereTemplate, b: SphereTemplate) -> SphereTemplate:
     joined = join_complex(a.complex, b.complex)
-    return SphereTemplate(JoinKind((a, b)), joined)
+    return SphereTemplate(JoinKind((a.kind, b.kind)), joined)
 
 
 def subdivide_template(t: SphereTemplate, depth: int = 1) -> SphereTemplate:
@@ -193,12 +212,7 @@ def subdivide_template(t: SphereTemplate, depth: int = 1) -> SphereTemplate:
     c = t.complex
     for _ in range(depth):
         c = barycentric_subdivision(c)
-    return SphereTemplate(SubdividedKind(t, depth), c)
-
-
-def rebuild_template(t: SphereTemplate) -> SphereTemplate:
-    """Reconstruct the template from its kind tree alone."""
-    return template_from_payload(t.kind_payload())
+    return SphereTemplate(SubdividedKind(t.kind, depth), c)
 
 
 # --- witnesses ----------------------------------------------------------
@@ -253,7 +267,7 @@ def _run_checks(w: SphereWitness) -> WitnessReport:
 
     # (a) template invariants
     try:
-        reference = rebuild_template(w.template)
+        reference = build_template(w.template.kind)
     except Exception as exc:  # malformed kind tree
         return WitnessReport(False, "template", f"kind tree invalid: {exc}", tuple(lines))
     got, want = w.template.complex, reference.complex
@@ -305,24 +319,33 @@ def _run_checks(w: SphereWitness) -> WitnessReport:
     return WitnessReport(True, None, "", tuple(lines))
 
 
-def _verified(w: SphereWitness, what: str) -> SphereWitness:
-    """``w`` once ``verify_witness`` passes it; else a WitnessError naming
-    ``what`` failed."""
-    report = verify_witness(w)
-    if not report:
-        raise WitnessError(f"{what} failed verification: {report.detail}")
-    return w
-
-
 def delta_ant(cls: ConceptClass) -> AntipodalComplex:
     """The antipodal subcomplex of the class's realizable complex."""
     return antipodal_subcomplex(realizable_complex(cls))
 
 
-def _target_index(target: AntipodalComplex) -> dict[tuple[int, int], int]:
+def witness_on(
+    template: SphereTemplate,
+    pairs: Iterable[tuple[int, int]],
+    target: AntipodalComplex,
+    cls: ConceptClass,
+    embedded: bool,
+    what: str,
+) -> SphereWitness:
+    """The witness that sends template vertex v to the target vertex of the
+    v-th (point, sign) pair of ``pairs``; a WitnessError naming ``what``
+    unless ``verify_witness`` passes it."""
     if target.points is None:
         raise WitnessError("target carries no point labels")
-    return {p: i for i, p in enumerate(target.points)}
+    index = {p: i for i, p in enumerate(target.points)}
+    vmap = [index.get(pair) for pair in pairs]
+    if None in vmap:
+        raise WitnessError(f"vertex {vmap.index(None)} has no image in the target")
+    witness = SphereWitness(template, tuple(vmap), target, cls, embedded)
+    report = verify_witness(witness)
+    if not report:
+        raise WitnessError(f"{what} failed verification: {report.detail}")
+    return witness
 
 
 def crosspolytope_witness(
@@ -343,14 +366,8 @@ def crosspolytope_witness(
         raise WitnessError(f"set {points} is not shattered")
     if target is None:
         target = delta_ant(cls)
-    template = make_crosspolytope(len(points) - 1)
-    index = _target_index(target)
-    vmap = []
-    for i, x in enumerate(points):
-        vmap.append(index[(x, -1)])
-        vmap.append(index[(x, +1)])
-    witness = SphereWitness(template, tuple(vmap), target, cls, embedded=True)
-    return _verified(witness, "construction")
+    pairs = [(x, s) for x in points for s in (-1, +1)]
+    return witness_on(make_crosspolytope(len(points) - 1), pairs, target, cls, True, "construction")
 
 
 def barycentric_witness(
@@ -377,14 +394,9 @@ def barycentric_witness(
         )
     if target is None:
         target = delta_ant(cls)
-    template = make_barycentric_boundary(k - 2)
-    index = _target_index(target)
-    vmap = []
-    for pattern in _proper_subsets(k):
-        x, positively = found[pattern]
-        vmap.append(index[(x, +1 if positively else -1)])
-    witness = SphereWitness(template, tuple(vmap), target, cls, embedded=True)
-    return _verified(witness, "construction")
+    realized = (found[pattern] for pattern in _proper_subsets(k))
+    pairs = [(x, +1 if positively else -1) for x, positively in realized]
+    return witness_on(make_barycentric_boundary(k - 2), pairs, target, cls, True, "construction")
 
 
 def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, ConceptClass]:
@@ -396,19 +408,12 @@ def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, Con
         if w.target.points is None:
             raise WitnessError("join requires class-backed witness targets")
     product = product_class(a.cls, b.cls)
-    target = delta_ant(product)
-    index = _target_index(target)
-    template = join_templates(a.template, b.template)
     shift = a.cls.domain_size
-    vmap = []
-    for v in a.vertex_map:
-        x, s = a.target.points[v]
-        vmap.append(index[(x, s)])
-    for v in b.vertex_map:
-        x, s = b.target.points[v]
-        vmap.append(index[(x + shift, s)])
-    witness = SphereWitness(template, tuple(vmap), target, product, a.embedded and b.embedded)
-    return _verified(witness, "construction"), product
+    pairs = [a.target.points[v] for v in a.vertex_map]
+    pairs += [(x + shift, s) for x, s in (b.target.points[v] for v in b.vertex_map)]
+    template = join_templates(a.template, b.template)
+    embedded = a.embedded and b.embedded
+    return witness_on(template, pairs, delta_ant(product), product, embedded, "construction"), product
 
 
 def transport_witness(
@@ -417,15 +422,10 @@ def transport_witness(
     """Carry a witness along a class-order map via (x, y) -> (phi(x), y)."""
     if w.target.points is None:
         raise WitnessError("transport requires a class-backed witness target")
+    pairs = [(phi[x], s) for x, s in (w.target.points[v] for v in w.vertex_map)]
+    embedded = len(set(pairs)) == len(pairs)
     target = delta_ant(target_cls)
-    index = _target_index(target)
-    vmap = []
-    for v in w.vertex_map:
-        x, s = w.target.points[v]
-        vmap.append(index[(phi[x], s)])
-    embedded = len(set(vmap)) == len(vmap)
-    out = SphereWitness(w.template, tuple(vmap), target, target_cls, embedded=embedded)
-    return _verified(out, "transported witness")
+    return witness_on(w.template, pairs, target, target_cls, embedded, "transported witness")
 
 
 # --- bounds -------------------------------------------------------------

@@ -34,10 +34,16 @@ from spheredim.signrank import (
     representation_payload,
 )
 from spheredim.spheres import (
+    BarycentricBoundaryKind,
+    CrosspolytopeKind,
+    JoinKind,
     SphereWitness,
+    SubdividedKind,
+    TemplateKind,
     WitnessError,
+    build_template,
     delta_ant,
-    template_from_payload,
+    kind_from_payload,
     verify_witness,
 )
 
@@ -141,15 +147,6 @@ def witness_payload(w: SphereWitness) -> dict:
     }
 
 
-def _template_param(payload: dict, key: str, least: int) -> int:
-    value = payload[key]
-    if not isinstance(value, int):
-        raise StorageError(f"template {key} must be an integer")
-    if value < least:
-        raise StorageError(f"template {key} must be >= {least}")
-    return value
-
-
 def _stirling_rows(m: int) -> list[list[int]]:
     """Stirling numbers of the second kind, ``rows[a][b] == S(a, b)``."""
     rows = [[1]]
@@ -169,14 +166,13 @@ def _subdivision_face_counts(f: list[int]) -> list[int]:
     ]
 
 
-def _template_face_counts(payload: dict, limit: int) -> Optional[list[int]]:
+def _template_face_counts(kind: TemplateKind, limit: int) -> Optional[list[int]]:
     """Face counts by dimension of the template a kind tree names, or None
     once their total exceeds ``limit``; nothing is built.  A complex with
     at most ``limit`` faces has dimension below log2(limit + 1), so every
     list here stays that short."""
-    kind = payload["kind"]
-    if kind == "crosspolytope":
-        n = _template_param(payload, "n", 0)
+    if isinstance(kind, CrosspolytopeKind):
+        n = kind.n
         if 2 * (n + 1) > limit:
             return None
         f: list[int] = []
@@ -185,16 +181,16 @@ def _template_face_counts(payload: dict, limit: int) -> Optional[list[int]]:
             if sum(f) > limit:
                 return None
         return f
-    if kind == "barycentric_boundary":
-        n = _template_param(payload, "n", 0)
+    if isinstance(kind, BarycentricBoundaryKind):
+        n = kind.n
         if n + 2 > limit.bit_length() + 1:  # 2^(n+2) - 2 vertices
             return None
         s = _stirling_rows(n + 2)[n + 2]
         f = [math.factorial(i + 2) * s[i + 2] for i in range(n + 1)]
-    elif kind == "join":
+    elif isinstance(kind, JoinKind):
         # the face polynomial 1 + sum f_i t^(i+1) is multiplicative
         poly = [1]
-        for part in payload["parts"]:
+        for part in kind.parts:
             g = _template_face_counts(part, limit)
             if g is None:
                 return None
@@ -206,9 +202,9 @@ def _template_face_counts(payload: dict, limit: int) -> Optional[list[int]]:
             if sum(poly) - 1 > limit:
                 return None
         f = poly[1:]
-    elif kind == "subdivided":
-        depth = _template_param(payload, "depth", 1)
-        f = _template_face_counts(payload["base"], limit)
+    else:
+        depth = kind.depth
+        f = _template_face_counts(kind.base, limit)
         # below dimension 1 a subdivision only relabels; above it every
         # subdivision adds faces, so the loop ends by the limit
         while depth and f is not None and len(f) > 1:
@@ -216,53 +212,47 @@ def _template_face_counts(payload: dict, limit: int) -> Optional[list[int]]:
             depth -= 1
             if sum(f) > limit:
                 return None
-    else:
-        raise StorageError(f"unknown template kind {kind!r}")
     return None if f is None or sum(f) > limit else f
 
 
-def _template_vertex_count(payload: dict, limit: int) -> Optional[int]:
+def _template_vertex_count(kind: TemplateKind, limit: int) -> Optional[int]:
     """Vertex count of the template a kind tree names, or None once it
     exceeds ``limit``; nothing is built."""
-    kind = payload["kind"]
-    if kind == "crosspolytope":
-        count = 2 * (_template_param(payload, "n", 0) + 1)
-    elif kind == "barycentric_boundary":
-        n = _template_param(payload, "n", 0)
+    if isinstance(kind, CrosspolytopeKind):
+        count = 2 * (kind.n + 1)
+    elif isinstance(kind, BarycentricBoundaryKind):
+        n = kind.n
         count = (1 << (n + 2)) - 2 if n + 2 <= limit.bit_length() + 1 else None
-    elif kind == "join":
+    elif isinstance(kind, JoinKind):
         count = 0
-        for part in payload["parts"]:
+        for part in kind.parts:
             c = _template_vertex_count(part, limit - count)
             if c is None:
                 return None
             count += c
-    elif kind == "subdivided":
+    else:
         # a subdivision's vertices are the faces of the complex it subdivides
-        depth = _template_param(payload, "depth", 1)
-        inner = payload["base"] if depth == 1 else {**payload, "depth": depth - 1}
+        inner = kind.base if kind.depth == 1 else SubdividedKind(kind.base, kind.depth - 1)
         f = _template_face_counts(inner, limit)
         count = None if f is None else sum(f)
-    else:
-        raise StorageError(f"unknown template kind {kind!r}")
     return None if count is None or count > limit else count
 
 
-def _subdivision_depth(payload: dict) -> int:
+def _subdivision_depth(kind: TemplateKind) -> int:
     """The largest total subdivision depth on a path of a kind tree."""
-    kind = payload["kind"]
-    if kind == "join":
-        return max((_subdivision_depth(p) for p in payload["parts"]), default=0)
-    if kind == "subdivided":
-        return _template_param(payload, "depth", 1) + _subdivision_depth(payload["base"])
+    if isinstance(kind, JoinKind):
+        return max(_subdivision_depth(p) for p in kind.parts)
+    if isinstance(kind, SubdividedKind):
+        return kind.depth + _subdivision_depth(kind.base)
     return 0
 
 
 def witness_from_payload(payload: dict) -> SphereWitness:
     # the template is checked against the vertex map before it is built,
     # since a few bytes of kind tree can name an exponentially large sphere
+    kind = kind_from_payload(payload["template"])
     size = len(payload["vertex_map"])
-    count = _template_vertex_count(payload["template"], size)
+    count = _template_vertex_count(kind, size)
     if count != size:
         found = "more" if count is None else str(count)
         raise StorageError(f"template has {found} vertices but the vertex map lists {size}")
@@ -270,10 +260,12 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     # wraps every label in one more pair of brackets, so the labels bound
     # the depth that can match them
     longest = max((len(pair[0]) for pair in payload["vertex_map"]), default=0)
-    if 2 * _subdivision_depth(payload["template"]) > longest:
+    if 2 * _subdivision_depth(kind) > longest:
         raise StorageError(f"template is subdivided deeper than labels of {longest} characters allow")
+    if type(payload["embedded"]) is not bool:
+        raise StorageError("embedded must be true or false")
     cls = ConceptClass.from_strings(payload["class"])
-    template = template_from_payload(payload["template"])
+    template = build_template(kind)
     target = delta_ant(cls)
     if complex_to_payload(target) != payload["target"]:
         raise StorageError("stored target does not match the class's antipodal complex")
@@ -320,7 +312,11 @@ def store(value, path: Union[str, Path], kind: Optional[str] = None, cls: Option
 def load(kind: str, path: Union[str, Path], cls: Optional[ConceptClass] = None):
     """Load a typed artifact; representations need their companion class."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        error = ClassFormatError if kind == "class" else StorageError
+        raise error(f"cannot decode {path}: {exc}") from exc
     if kind == "class":
         return parse_class(text)
     payload = open_envelope(text, kind)

@@ -235,6 +235,21 @@ class TestErrors:
         assert out.stderr == "usage error: --workers must be >= 1, got 0\n"
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("target", ["missing/x", "."])
+    def test_unwritable_output_is_usage_error(self, tmp_path, target):
+        out = run_cli("family", "cube", "2", "-o", str(tmp_path / target))
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"usage error: cannot write {tmp_path / target}: ")
+        assert out.stdout == ""
+
+    def test_undecodable_class_file_is_input_error(self, tmp_path):
+        p = tmp_path / "bad.cls"
+        p.write_bytes(b"\xff\xfe+-\n")
+        out = run_cli("dims", str(p))
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"input error: cannot decode {p}: ")
+        assert out.stdout == ""
+
     def test_diagnostics_on_stderr(self, tmp_path):
         p = tmp_path / "bad.cls"
         p.write_text("xx\n")

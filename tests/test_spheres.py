@@ -24,16 +24,16 @@ from spheredim.spheres import (
     SphereWitness,
     WitnessError,
     barycentric_witness,
+    build_template,
     crosspolytope_witness,
     delta_ant,
     join_witness,
+    kind_from_payload,
     make_barycentric_boundary,
     make_crosspolytope,
     join_templates,
-    rebuild_template,
     sd_bounds,
     subdivide_template,
-    template_from_payload,
     transport_witness,
     verify_witness,
 )
@@ -83,9 +83,9 @@ class TestTemplates:
 
     def test_payload_roundtrip(self):
         t = join_templates(make_crosspolytope(1), make_barycentric_boundary(0))
-        back = template_from_payload(t.kind_payload())
+        back = build_template(kind_from_payload(t.kind_payload()))
         assert back == t
-        assert rebuild_template(t) == t
+        assert build_template(t.kind) == t
 
 
 class TestCrosspolytopeWitness:
@@ -215,7 +215,7 @@ class TestVerifyWitness:
 class TestKeptReport:
     def test_round_trip_checks_each_witness_once(self, monkeypatch, tmp_path):
         w = crosspolytope_witness(cube(3), (0, 1, 2))
-        calls = count_calls(monkeypatch, ("rebuild_template",))
+        calls = count_calls(monkeypatch, ("_run_checks",))
         storage.store(w, tmp_path / "w.json")
         back = storage.load("witness", tmp_path / "w.json")
         assert verify_witness(back)
@@ -223,7 +223,7 @@ class TestKeptReport:
         assert verify_witness(w2)
         storage.store(w2, tmp_path / "sphere.json")
         # once for the loaded witness, once for the extracted sphere
-        assert calls["rebuild_template"] <= 2
+        assert calls["_run_checks"] == 2
 
     def test_modified_copy_gets_its_own_report(self):
         w = crosspolytope_witness(cube(2), (0, 1))
@@ -255,6 +255,13 @@ class TestTransport:
         moved = transport_witness(w, b, phi)
         assert moved.dimension == w.dimension
         assert verify_witness(moved)
+
+    def test_pair_missing_from_the_target_is_a_witness_error(self):
+        # point 1 of the target class is constant, so (1, -) is no vertex
+        w = crosspolytope_witness(threshold(2), (0,))
+        target_cls = ConceptClass.from_strings(["-+", "++"])
+        with pytest.raises(WitnessError, match="vertex 0 has no image in the target"):
+            transport_witness(w, target_cls, (1, 0))
 
 
 class TestSdBounds:
@@ -398,12 +405,12 @@ class TestClassAnalysis:
     def test_witness_is_verified_twice(self, monkeypatch, tmp_path, capsys):
         # once by its constructor, once for the stored transcript; the
         # checks run on the first call, and the second reads the kept report
-        calls = count_calls(monkeypatch, ("verify_witness", "rebuild_template"))
+        calls = count_calls(monkeypatch, ("verify_witness", "build_template"))
         path = tmp_path / "c.cls"
         path.write_text(format_class(ANALYSED["cube3"]))
         assert cli.main(["witness", str(path)]) == 0
         assert '"simplicial: ok"' in capsys.readouterr().out
-        assert calls == {"verify_witness": 2, "rebuild_template": 1}
+        assert calls == {"verify_witness": 2, "build_template": 1}
 
     @pytest.mark.parametrize("command", ["sd", "report", "classify"])
     def test_hexagon_reads_the_analysis_antipodal_subcomplex(

@@ -22,11 +22,12 @@ from spheredim.extremal import CubicalComplex, cubical_complex
 from spheredim.signrank import universal_representation, verify_representation
 from spheredim.spheres import (
     SphereWitness,
+    build_template,
     crosspolytope_witness,
     delta_ant,
+    kind_from_payload,
     make_crosspolytope,
     subdivide_template,
-    template_from_payload,
     verify_witness,
 )
 from spheredim.storage import (
@@ -208,7 +209,8 @@ class TestTemplateSize:
 
     @pytest.mark.parametrize("kind", KIND_TREES, ids=json.dumps)
     def test_counts_agree_with_built_template(self, kind):
-        built = template_from_payload(kind).complex
+        kind = kind_from_payload(kind)
+        built = build_template(kind).complex
         f = list(face_counts(built))
         vertices = len(built.complex.vertices)
         assert _template_face_counts(kind, 10**9) == f
@@ -226,7 +228,7 @@ class TestTemplateSize:
     )
     def test_huge_kinds_stop_at_the_limit(self, kind):
         start = time.monotonic()
-        assert _template_vertex_count(kind, 10**6) is None
+        assert _template_vertex_count(kind_from_payload(kind), 10**6) is None
         assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize(
@@ -305,6 +307,40 @@ class TestTemplateSize:
         with pytest.raises(StorageError):
             load("witness", p)
 
+    @staticmethod
+    def edited_threshold_1_witness(tmp_path, template, edit):
+        cls = family_class("threshold", 1)
+        p = tmp_path / "w.json"
+        store(SphereWitness(template, (0, 1), delta_ant(cls), cls, embedded=True), p)
+        data = json.loads(p.read_text())
+        edit(data["payload"])
+        p.write_text(json.dumps(data))
+        return p
+
+    # a bool where an int belongs (or the reverse) would load as an equal
+    # witness that stores back as other bytes than the canonical ones
+    def test_template_n_must_not_be_a_bool(self, tmp_path):
+        p = self.edited_threshold_1_witness(
+            tmp_path, make_crosspolytope(0), lambda d: d["template"].update(n=False)
+        )
+        with pytest.raises(StorageError, match="template n must be an integer"):
+            load("witness", p)
+
+    def test_template_depth_must_not_be_a_bool(self, tmp_path):
+        p = self.edited_threshold_1_witness(
+            tmp_path, subdivide_template(make_crosspolytope(0)),
+            lambda d: d["template"].update(depth=True),
+        )
+        with pytest.raises(StorageError, match="template depth must be an integer"):
+            load("witness", p)
+
+    def test_embedded_must_be_a_bool(self, tmp_path):
+        p = self.edited_threshold_1_witness(
+            tmp_path, make_crosspolytope(0), lambda d: d.update(embedded=1)
+        )
+        with pytest.raises(StorageError, match="embedded must be true or false"):
+            load("witness", p)
+
 
 class TestCubicalRoundtrip:
     def test_figure_complex(self, tmp_path):
@@ -370,6 +406,13 @@ class TestMalformedPayloads:
         p.write_text(json.dumps(data))
         with pytest.raises(StorageError):
             load("witness", p)
+
+    @pytest.mark.parametrize("kind, error", [("witness", StorageError), ("class", ClassFormatError)])
+    def test_undecodable_file(self, tmp_path, kind, error):
+        p = tmp_path / "bad"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(error, match="cannot decode"):
+            load(kind, p)
 
     def test_out_of_range_simplex(self, tmp_path):
         payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, 5]]}
