@@ -33,6 +33,7 @@ from spheredim.complexes import (
     realizable_complex,
 )
 from spheredim.extremal import (
+    DEFAULT_COLLAPSE_BUDGET,
     Singleton,
     ThresholdLike,
     Vc1NonThreshold,
@@ -345,7 +346,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--max-domain", type=int, default=1 << 20)
     parser.add_argument("--max-hypotheses", type=int, default=1 << 20)
-    parser.add_argument("--collapse-budget", type=int, default=200_000)
+    parser.add_argument("--collapse-budget", type=int, default=DEFAULT_COLLAPSE_BUDGET)
     parser.add_argument(
         "--workers", type=int, default=1,
         help="accepted for compatibility; results never depend on it",

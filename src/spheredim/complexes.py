@@ -128,8 +128,8 @@ class SimplicialComplex:
             mask ^= low
         return common != 0
 
-    def all_simplices(self, cap: int = DEFAULT_FACE_CAP) -> set[int]:
-        """The downward closure, nonempty simplices only."""
+    def all_simplices(self, cap: int) -> set[int]:
+        """The downward closure, nonempty simplices only, at most ``cap`` of them."""
         out: set[int] = set()
         for s in self.maximal:
             idx = list(bits(s))
@@ -146,12 +146,11 @@ class SimplicialComplex:
 
 def face_counts(
     k: "SimplicialComplex | AntipodalComplex | DeltaComplex",
-    cap: int = DEFAULT_FACE_CAP,
 ) -> tuple[int, ...]:
-    """Exact simplex counts by dimension, from the deduplicated closure."""
+    """Exact simplex counts by dimension from the closure, under ``DEFAULT_FACE_CAP`` faces."""
     complex_ = _underlying(k)
     counts: dict[int, int] = {}
-    for s in complex_.all_simplices(cap):
+    for s in complex_.all_simplices(DEFAULT_FACE_CAP):
         d = popcount(s) - 1
         counts[d] = counts.get(d, 0) + 1
     if not counts:
@@ -310,15 +309,15 @@ def antipodal_subcomplex(delta: DeltaComplex) -> AntipodalComplex:
     return AntipodalComplex(SimplicialComplex(labels, maximal), involution, points)
 
 
-def barycentric_subdivision(k, cap: int = DEFAULT_CHAIN_CAP):
+def barycentric_subdivision(k):
     """First barycentric subdivision: vertices are the nonempty simplices,
-    maximal simplices are the maximal chains.
+    maximal simplices are the maximal chains, both under ``DEFAULT_CHAIN_CAP``.
 
     An antipodal input yields an antipodal output, with the involution
     extended elementwise to subdivision vertices.
     """
     base = _underlying(k)
-    sims = sorted(base.all_simplices(cap))
+    sims = sorted(base.all_simplices(DEFAULT_CHAIN_CAP))
     index = {s: i for i, s in enumerate(sims)}
     labels = tuple(
         chain_label(base.vertices[i] for i in bits(s)) for s in sims
@@ -327,7 +326,7 @@ def barycentric_subdivision(k, cap: int = DEFAULT_CHAIN_CAP):
     total_chains = sum(
         math.factorial(popcount(m)) for m in base.maximal
     )
-    if total_chains > cap:
+    if total_chains > DEFAULT_CHAIN_CAP:
         raise CapExceededError("chain enumeration cap exceeded")
 
     maximal: set[int] = set()
@@ -347,13 +346,12 @@ def barycentric_subdivision(k, cap: int = DEFAULT_CHAIN_CAP):
     return out
 
 
-def join_complex(a, b, prefixes: tuple[str, str] = ("A;", "B;")):
-    """Join of two complexes: disjoint vertices, pairwise unions of maximal
-    simplices.  Joining two antipodal complexes yields an antipodal join."""
+def join_complex(a, b):
+    """Join of two complexes: disjoint vertices, labelled ``A;`` and ``B;``
+    by side, and pairwise unions of maximal simplices.  Joining two
+    antipodal complexes yields an antipodal join."""
     ca, cb = _underlying(a), _underlying(b)
-    labels = tuple(prefixes[0] + v for v in ca.vertices) + tuple(
-        prefixes[1] + v for v in cb.vertices
-    )
+    labels = tuple("A;" + v for v in ca.vertices) + tuple("B;" + v for v in cb.vertices)
     shift = len(ca.vertices)
     maximal = tuple(
         sorted(sa | (sb << shift) for sa in ca.maximal for sb in cb.maximal)
@@ -377,13 +375,12 @@ def complexes_isomorphic(
     a,
     b,
     respect_involution: bool = False,
-    vertex_cap: int = DEFAULT_ISO_VERTEX_CAP,
 ) -> Optional[tuple[int, ...]]:
     """Search for a vertex bijection carrying maximal simplices onto maximal
     simplices (and commuting with the involutions when asked).
 
     Exact backtracking with degree and simplex-size pruning; deterministic;
-    returns the image tuple or None.
+    returns the image tuple or None; raises past ``DEFAULT_ISO_VERTEX_CAP`` vertices.
     """
     ca, cb = _underlying(a), _underlying(b)
     if respect_involution and not (
@@ -391,8 +388,8 @@ def complexes_isomorphic(
     ):
         raise ValueError("respect_involution requires antipodal complexes")
     n = len(ca.vertices)
-    if n > vertex_cap or len(cb.vertices) > vertex_cap:
-        raise CapExceededError(f"isomorphism cap is {vertex_cap} vertices")
+    if max(n, len(cb.vertices)) > DEFAULT_ISO_VERTEX_CAP:
+        raise CapExceededError(f"isomorphism cap is {DEFAULT_ISO_VERTEX_CAP} vertices")
     if n != len(cb.vertices) or len(ca.maximal) != len(cb.maximal):
         return None
     if sorted(map(popcount, ca.maximal)) != sorted(map(popcount, cb.maximal)):

@@ -189,16 +189,14 @@ class ConceptClass:
         if self.is_partial:
             raise ClassFormatError(f"{op} requires a total class")
 
-    def restrict(self, points: Sequence[int], dedupe: bool = False) -> "ConceptClass":
-        """Restriction to a point sequence; duplicates dropped when asked."""
+    def restrict(self, points: Sequence[int]) -> "ConceptClass":
+        """Restriction to a point sequence, which must keep hypotheses distinct."""
         out: list[PartialHypothesis] = []
         seen: set[tuple[int, int]] = set()
         for h in self.hypotheses:
             r = h.restrict(points)
             key = (r.plus, r.defined)
             if key in seen:
-                if dedupe:
-                    continue
                 raise ClassFormatError("restriction produced duplicate hypotheses")
             seen.add(key)
             out.append(r)
@@ -437,15 +435,14 @@ def dual_antipodal_witnesses(
     return found
 
 
-def product_class(
-    a: ConceptClass, b: ConceptClass, cap: int = DEFAULT_PRODUCT_CAP
-) -> ConceptClass:
-    """The product class on the disjoint concatenation of the two domains."""
+def product_class(a: ConceptClass, b: ConceptClass) -> ConceptClass:
+    """The product class on the disjoint concatenation of the two domains,
+    of at most ``DEFAULT_PRODUCT_CAP`` hypotheses."""
     a.require_total("product_class")
     b.require_total("product_class")
-    if len(a) * len(b) > cap:
+    if len(a) * len(b) > DEFAULT_PRODUCT_CAP:
         raise CapExceededError(
-            f"product size {len(a) * len(b)} exceeds cap {cap}"
+            f"product size {len(a) * len(b)} exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
     n = a.domain_size + b.domain_size
     shift = a.domain_size
@@ -457,17 +454,17 @@ def product_class(
     return ConceptClass(n, tuple(hyps))
 
 
-def power_class(cls: ConceptClass, m: int, cap: int = DEFAULT_PRODUCT_CAP) -> ConceptClass:
-    """m-fold product power of a class."""
+def power_class(cls: ConceptClass, m: int) -> ConceptClass:
+    """m-fold product power of a class, under the cap of ``product_class``."""
     if m < 1:
         raise ValueError("power must be >= 1")
     out = cls
     for _ in range(m - 1):
-        out = product_class(out, cls, cap=cap)
+        out = product_class(out, cls)
     return out
 
 
-def family_class(name: str, n: int, extra: Optional[int] = None) -> ConceptClass:
+def family_class(name: str, n: int) -> ConceptClass:
     """Canonical generators for the named class families.
 
     cube(n): all 2^n hypotheses on n points.
@@ -550,19 +547,19 @@ def verify_class_leq(
 
 
 def search_class_leq(
-    a: ConceptClass, b: ConceptClass, budget: int = DEFAULT_SEARCH_BUDGET
+    a: ConceptClass, b: ConceptClass
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Brute-force search for maps witnessing a <= b, lexicographically first.
 
     The a-priori search space size |X_b|^|X_a| * |H_b|^|H_a| must stay within
-    ``budget``; larger instances raise CapExceededError, which is distinct
-    from a completed search finding nothing.
+    ``DEFAULT_SEARCH_BUDGET``; larger instances raise CapExceededError, which
+    is distinct from a completed search finding nothing.
     """
     a.require_total("search_class_leq")
     b.require_total("search_class_leq")
     space = (b.domain_size ** a.domain_size) * (len(b) ** len(a))
-    if space > budget:
-        raise CapExceededError(f"search space {space} exceeds budget {budget}")
+    if space > DEFAULT_SEARCH_BUDGET:
+        raise CapExceededError(f"search space {space} exceeds budget {DEFAULT_SEARCH_BUDGET}")
 
     na, nb = a.domain_size, b.domain_size
 

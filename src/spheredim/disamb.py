@@ -64,11 +64,9 @@ class AntipodalDomain:
         return cls(2 * n, pairing, rep)
 
     @classmethod
-    def from_pairing(
-        cls, pairing: tuple[int, ...], representative: Optional[tuple[int, ...]] = None
-    ) -> "AntipodalDomain":
-        if representative is None:
-            representative = tuple(min(x, pairing[x]) for x in range(len(pairing)))
+    def from_pairing(cls, pairing: tuple[int, ...]) -> "AntipodalDomain":
+        """The domain whose representative of each pair is its smaller point."""
+        representative = tuple(min(x, pairing[x]) for x in range(len(pairing)))
         return cls(len(pairing), pairing, representative)
 
     def representatives(self) -> tuple[int, ...]:
@@ -209,21 +207,19 @@ class DisambiguationReport:
         return self.ok
 
 
-def check_disambiguates(
-    d: Disambiguation, cap: int = DEFAULT_SIMPLEX_CAP
-) -> DisambiguationReport:
+def check_disambiguates(d: Disambiguation) -> DisambiguationReport:
     """Check that every template simplex is covered sign-consistently.
 
     For an antipodal class the maximal simplices suffice, since a hypothesis
     positive on a simplex restricts to its faces; otherwise the full closure
-    is enumerated under a cap.
+    is enumerated under ``DEFAULT_SIMPLEX_CAP``.
     """
     tc = d.template.complex
     antipodal = is_antipodal_class(d.cls, d.domain)
     if antipodal:
         simplices = list(tc.complex.maximal)
     else:
-        simplices = sorted(tc.complex.all_simplices(cap))
+        simplices = sorted(tc.complex.all_simplices(DEFAULT_SIMPLEX_CAP))
     checked = 0
     for s in simplices:
         neg = tc.map_simplex(s)
@@ -278,27 +274,22 @@ def pullback_disambiguation(witness: SphereWitness) -> Disambiguation:
     return d
 
 
-def sphere_from_disambiguation(
-    d: Disambiguation, representative: Optional[tuple[int, ...]] = None
-) -> SphereWitness:
+def sphere_from_disambiguation(d: Disambiguation) -> SphereWitness:
     """Turn an antipodal disambiguation into an embedded witness of the same
-    dimension for its restriction to representatives.
+    dimension for its restriction to the representatives of its domain.
 
     The vertex map sends v to (r(v), +) when v is its own representative and
     to (r(v), -) otherwise.
     """
-    domain = d.domain
-    if representative is not None:
-        domain = AntipodalDomain(domain.size, domain.pairing, representative)
-    if not is_antipodal_class(d.cls, domain):
+    if not is_antipodal_class(d.cls, d.domain):
         raise WitnessError("sphere extraction requires an antipodal disambiguation")
     check = check_disambiguates(d)
     if not check:
         raise WitnessError(
             f"class does not disambiguate the template at {check.failing_simplex}"
         )
-    restricted, reps = representatives_restriction(d.cls, domain)
+    restricted, reps = representatives_restriction(d.cls, d.domain)
     rep_pos = {x: j for j, x in enumerate(reps)}
-    pairs = [(rep_pos[r], +1 if r == v else -1) for v, r in enumerate(domain.representative)]
+    pairs = [(rep_pos[r], +1 if r == v else -1) for v, r in enumerate(d.domain.representative)]
     target = delta_ant(restricted)
     return witness_on(d.template, pairs, target, restricted, True, "extracted sphere")

@@ -42,7 +42,8 @@ from spheredim.concepts import (
     strongly_shattered_family,
     _shatters_mask,
 )
-from spheredim.complexes import DEFAULT_FACE_CAP, SimplicialComplex
+from spheredim import complexes
+from spheredim.complexes import SimplicialComplex
 from spheredim.spheres import (
     ClassAnalysis,
     SphereWitness,
@@ -63,11 +64,11 @@ class ExtremalityReport:
     extremal: bool
 
 
-def is_extremal(cls: ConceptClass, cap: int = DEFAULT_EXTREMAL_CAP) -> ExtremalityReport:
-    """Pajor counts and the equality flag."""
+def is_extremal(cls: ConceptClass) -> ExtremalityReport:
+    """Pajor counts and the equality flag, up to ``DEFAULT_EXTREMAL_CAP`` points."""
     cls.require_total("is_extremal")
-    if cls.domain_size > cap:
-        raise CapExceededError(f"extremality cap is {cap} domain points")
+    if cls.domain_size > DEFAULT_EXTREMAL_CAP:
+        raise CapExceededError(f"extremality cap is {DEFAULT_EXTREMAL_CAP} domain points")
     count = sum(len(level) for level in shattered_family(cls))
     return ExtremalityReport(len(cls), count, len(cls) == count)
 
@@ -81,7 +82,6 @@ class CubicalComplex:
     """
 
     cubes: tuple[PartialHypothesis, ...]
-    cls: Optional[ConceptClass] = None
     cofaces: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -113,14 +113,14 @@ class CubicalComplex:
         return tuple(str(c) for c in self.cubes)
 
     @classmethod
-    def from_strings(cls_, rows, source: Optional[ConceptClass] = None) -> "CubicalComplex":
+    def from_strings(cls, rows) -> "CubicalComplex":
         cubes = tuple(
             sorted(
                 (PartialHypothesis.from_string(r) for r in rows),
                 key=lambda c: (c.dimension, str(c)),
             )
         )
-        return cls_(cubes, source)
+        return cls(cubes)
 
 
 def _facets(c: PartialHypothesis) -> list[PartialHypothesis]:
@@ -134,8 +134,9 @@ def _facets(c: PartialHypothesis) -> list[PartialHypothesis]:
     return out
 
 
-def cubical_complex(cls: ConceptClass, cap: int = DEFAULT_CUBE_CAP) -> CubicalComplex:
-    """All partial hypotheses whose completion cube lies inside the class."""
+def cubical_complex(cls: ConceptClass) -> CubicalComplex:
+    """All partial hypotheses whose completion cube lies inside the class,
+    at most ``DEFAULT_CUBE_CAP`` of them."""
     cls.require_total("cubical_complex")
     n = cls.domain_size
     full = (1 << n) - 1
@@ -149,10 +150,10 @@ def cubical_complex(cls: ConceptClass, cap: int = DEFAULT_CUBE_CAP) -> CubicalCo
             for key, count in sorted(groups.items()):
                 if count == target:
                     cubes.append(PartialHypothesis(n, key, full & ~smask))
-                    if len(cubes) > cap:
-                        raise CapExceededError(f"cube cap {cap} exceeded")
+                    if len(cubes) > DEFAULT_CUBE_CAP:
+                        raise CapExceededError(f"cube cap {DEFAULT_CUBE_CAP} exceeded")
     cubes.sort(key=lambda c: (c.dimension, str(c)))
-    return CubicalComplex(tuple(cubes), cls)
+    return CubicalComplex(tuple(cubes))
 
 
 def _cube_order(cc: CubicalComplex) -> tuple[list[int], list[int]]:
@@ -214,7 +215,7 @@ def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
     C(j, i)*2^(j-i) faces of dimension i.  The chains of k+1 cubes topped by
     a j-cube therefore number c(j, 0) = 1 and c(j, k) = sum over i < j of
     C(j, i)*2^(j-i)*c(i, k-1), and f_k is the sum of c(dim, k) over cubes.
-    A total over ``DEFAULT_FACE_CAP`` raises, as ``face_counts`` would.
+    A total over ``complexes.DEFAULT_FACE_CAP`` raises, as in ``face_counts``.
     """
     if not cc.cubes:
         return ()
@@ -230,7 +231,7 @@ def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
         sum(counts[j] * chains[j][k] for j in range(k, len(counts)))
         for k in range(len(counts))
     )
-    if sum(out) > DEFAULT_FACE_CAP:
+    if sum(out) > complexes.DEFAULT_FACE_CAP:
         raise CapExceededError("face enumeration cap exceeded")
     return out
 
@@ -283,7 +284,7 @@ class EmbeddingReport:
 
 
 def _chain_cube_parts(
-    cls: ConceptClass, cube_bit: dict[tuple[int, int], int], cap: int = 10**6
+    cls: ConceptClass, cube_bit: dict[tuple[int, int], int]
 ) -> tuple[set[tuple[int, int]], set[int]]:
     """Walk the maximal simplices of the subdivided realizable complex.
 
@@ -294,16 +295,16 @@ def _chain_cube_parts(
     ``cube_bit`` maps the key of each cube to its bit.  The paths are walked
     once, with the cube parts below each vertex memoized, so the cost
     follows the vertices rather than the |H|*n! paths.  The vertex and path
-    caps are those of the complex itself.
+    caps are those of the complex itself, ``complexes.DEFAULT_CHAIN_CAP``.
     """
     verts: set[tuple[int, int]] = set()
     for h in cls.hypotheses:
         for defined in _submasks(h.defined):
             if defined:
                 verts.add((h.plus & defined, defined))
-                if len(verts) > cap:
+                if len(verts) > complexes.DEFAULT_CHAIN_CAP:
                     raise CapExceededError("partial hypothesis cap exceeded")
-    if len(cls) * math.factorial(cls.domain_size) > cap:
+    if len(cls) * math.factorial(cls.domain_size) > complexes.DEFAULT_CHAIN_CAP:
         raise CapExceededError("chain enumeration cap exceeded")
 
     below: dict[tuple[int, int], set[int]] = {}
@@ -429,18 +430,17 @@ def _submasks(mask: int):
 
 
 def collapse_certificate(
-    cc: CubicalComplex,
-    cube_cap: int = DEFAULT_CUBE_CAP,
-    node_budget: int = DEFAULT_COLLAPSE_BUDGET,
+    cc: CubicalComplex, node_budget: int = DEFAULT_COLLAPSE_BUDGET
 ) -> Optional[list[tuple[str, str]]]:
     """A sequence of elementary collapses down to a single vertex, or None.
 
     A free face has exactly one proper coface; greedy order (free face
     dimension, then label) with backtracking.  Exhausting the node budget
-    raises, which is distinct from a completed search finding no sequence.
+    raises, which is distinct from a completed search finding no sequence;
+    so does a complex of more than ``DEFAULT_CUBE_CAP`` cubes.
     """
-    if len(cc.cubes) > cube_cap:
-        raise CapExceededError(f"collapse cube cap is {cube_cap}")
+    if len(cc.cubes) > DEFAULT_CUBE_CAP:
+        raise CapExceededError(f"collapse cube cap is {DEFAULT_CUBE_CAP}")
     # A state is a bitmask over the cubes ranked by (dimension, label), so a
     # scan of its bits visits candidate free faces in greedy order.
     order, rank = _cube_order(cc)

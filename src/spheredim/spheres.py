@@ -47,6 +47,7 @@ from spheredim.complexes import (
     realizable_complex,
     subset_label,
 )
+from spheredim.signrank import SignRepresentation, verify_representation
 
 if TYPE_CHECKING:
     from spheredim.extremal import ExtremalityReport, LowVcClassification
@@ -526,7 +527,7 @@ class ClassAnalysis:
     @cached_property
     def extremality(self) -> Optional[ExtremalityReport]:
         """The Pajor counts of ``extremal.is_extremal``, or None past its
-        default cap on the number of points."""
+        cap on the number of points."""
         from spheredim import extremal
 
         try:
@@ -545,7 +546,7 @@ class ClassAnalysis:
 
 def sd_bounds(
     analysis: Union[ClassAnalysis, ConceptClass],
-    sign_rank_upper: Optional[int] = None,
+    sign_representation: Optional[SignRepresentation] = None,
 ) -> SdBounds:
     """Certified lower and sound upper bounds on the spherical dimension.
 
@@ -555,12 +556,18 @@ def sd_bounds(
     thresholds, the verified hexagon from the classification.  Upper bounds:
     the dimension of the antipodal subcomplex (the coindex of a free complex
     never exceeds its dimension), 2*VC-1 for extremal classes, 1 when VC<=1,
-    0 for threshold-like classes, and optionally d-1 from a verified
-    d-dimensional sign representation.  Given a bare class, it analyses it.
+    0 for threshold-like classes, and optionally d-1 from a d-dimensional
+    sign representation of the class, which must pass
+    ``signrank.verify_representation`` (else ValueError naming its reason).
+    Given a bare class, it analyses it.
     """
     from spheredim import extremal as _extremal
 
     a = analysis if isinstance(analysis, ClassAnalysis) else ClassAnalysis(analysis)
+    if sign_representation is not None:
+        check = verify_representation(a.cls, sign_representation)
+        if not check:
+            raise ValueError(f"unverified sign representation: {check.reason}")
     ant = a.delta_ant
     if ant.is_empty:
         cert = (BoundCertificate("empty antipodal subcomplex", -1),)
@@ -587,8 +594,10 @@ def sd_bounds(
             )
     if a.extremality is not None and a.extremality.extremal:
         upper_certs.append(BoundCertificate("extremal bound", 2 * vc - 1))
-    if sign_rank_upper is not None:
-        upper_certs.append(BoundCertificate("sign-rank bound", sign_rank_upper - 1))
+    if sign_representation is not None:
+        upper_certs.append(
+            BoundCertificate("sign-rank bound", sign_representation.dimension - 1)
+        )
 
     lower = max(c.value for c in lower_certs)
     upper = min(c.value for c in upper_certs)

@@ -264,16 +264,18 @@ def witness_from_payload(payload: dict) -> SphereWitness:
         raise StorageError(f"template is subdivided deeper than labels of {longest} characters allow")
     if type(payload["embedded"]) is not bool:
         raise StorageError("embedded must be true or false")
+    # the checks that read only the class come before the template, whose
+    # build can take exponential time, so a tampered target builds nothing
     cls = ConceptClass.from_strings(payload["class"])
-    template = build_template(kind)
     target = delta_ant(cls)
     if complex_to_payload(target) != payload["target"]:
         raise StorageError("stored target does not match the class's antipodal complex")
     target_index = target.complex.vertex_index()
+    vmap = tuple(target_index[pair[1]] for pair in payload["vertex_map"])
+    template = build_template(kind)
     tpl_vertices = template.complex.complex.vertices
     if [pair[0] for pair in payload["vertex_map"]] != list(tpl_vertices):
         raise StorageError("vertex map does not cover the template vertices in order")
-    vmap = tuple(target_index[pair[1]] for pair in payload["vertex_map"])
     witness = SphereWitness(template, vmap, target, cls, payload["embedded"])
     report = verify_witness(witness)
     if not report:
@@ -281,9 +283,9 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     return witness
 
 
-def store(value, path: Union[str, Path], kind: Optional[str] = None, cls: Optional[ConceptClass] = None) -> None:
-    """Serialize an artifact; the kind is inferred from the value type unless
-    given (a report dict requires kind="report")."""
+def store(value, path: Union[str, Path], cls: Optional[ConceptClass] = None) -> None:
+    """Serialize an artifact, of the kind its value type names; a sign
+    representation needs its class."""
     path = Path(path)
     if isinstance(value, ConceptClass):
         path.write_text(format_class(value))
@@ -302,8 +304,6 @@ def store(value, path: Union[str, Path], kind: Optional[str] = None, cls: Option
             raise StorageError("storing a representation requires its class")
         payload = representation_payload(cls, value)
         kind = "representation"
-    elif isinstance(value, dict) and kind == "report":
-        payload = value
     else:
         raise StorageError(f"cannot store value of type {type(value).__name__}")
     path.write_text(canonical_json(envelope(kind, payload)))

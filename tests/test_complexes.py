@@ -454,7 +454,7 @@ class TestBarycentricSubdivision:
                 ),
             )
             delta = realizable_complex(cls)
-            sub = barycentric_subdivision(delta.complex, cap=10**6)
+            sub = barycentric_subdivision(delta.complex)
             assert euler_characteristic(delta.complex) == euler_characteristic(sub)
 
 
@@ -538,7 +538,7 @@ class TestIsomorphism:
     def test_cap(self):
         big = SimplicialComplex(tuple(f"v{i}" for i in range(70)), ((1 << 70) - 1,))
         with pytest.raises(CapExceededError):
-            complexes_isomorphic(big, big, vertex_cap=64)
+            complexes_isomorphic(big, big)
 
 
 class TestFaceCounts:
@@ -548,10 +548,11 @@ class TestFaceCounts:
     def test_four_cycle(self):
         assert face_counts(crosspolytope_complex(1)) == (4, 4)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr("spheredim.complexes.DEFAULT_FACE_CAP", 1000)
         k = SimplicialComplex(tuple(f"v{i}" for i in range(30)), ((1 << 30) - 1,))
         with pytest.raises(CapExceededError):
-            face_counts(k, cap=1000)
+            face_counts(k)
 
 
 class TestInducedMap:

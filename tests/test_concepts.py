@@ -444,9 +444,10 @@ class TestProducts:
             vcd = dimension(p, V.DUAL)
             assert n <= vcd <= n + (m.bit_length() - 1)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr("spheredim.concepts.DEFAULT_PRODUCT_CAP", 10)
         with pytest.raises(CapExceededError):
-            product_class(cube(3), cube(3), cap=10)
+            product_class(cube(3), cube(3))
 
 
 # --- families -----------------------------------------------------------
@@ -516,9 +517,11 @@ class TestClassOrder:
         got = search_class_leq(ConceptClass.from_strings(["+-"]), threshold(3))
         assert got is not None
 
-    def test_budget_exceeded_is_distinct(self):
+    def test_budget_exceeded_is_distinct(self, monkeypatch):
+        # a search space of 3^2 * 4^3 = 576, within the default budget
+        monkeypatch.setattr("spheredim.concepts.DEFAULT_SEARCH_BUDGET", 10)
         with pytest.raises(CapExceededError):
-            search_class_leq(cube(3), cube(3), budget=10)
+            search_class_leq(threshold(2), threshold(3))
 
     def test_search_is_deterministic(self):
         a, b = threshold(2), threshold(3)

@@ -19,7 +19,12 @@ from spheredim.concepts import (
     mask_of,
     popcount,
 )
-from spheredim.complexes import SimplicialComplex, euler_characteristic, face_counts
+from spheredim.complexes import (
+    DEFAULT_FACE_CAP,
+    SimplicialComplex,
+    euler_characteristic,
+    face_counts,
+)
 from spheredim.extremal import (
     CubicalComplex,
     EmbeddingReport,
@@ -151,7 +156,7 @@ def oracle_fullness(sub, delta1):
     """Fullness by face enumeration: every simplex of ``delta1`` whose
     vertices are all cube labels is a simplex of ``sub``."""
     sub_index = sub.vertex_index()
-    for s in delta1.all_simplices():
+    for s in delta1.all_simplices(DEFAULT_FACE_CAP):
         members = [delta1.vertices[i] for i in bits(s)]
         if all(v in sub_index for v in members):
             if not sub.has_simplex(mask_of(sub_index[v] for v in members)):
@@ -345,9 +350,10 @@ class TestIsExtremal:
         for d in (1, 2, 3, 4):
             assert is_extremal(family_class("threshold", d)).extremal
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(extremal, "DEFAULT_EXTREMAL_CAP", 2)
         with pytest.raises(CapExceededError):
-            is_extremal(family_class("cube", 3), cap=2)
+            is_extremal(family_class("cube", 3))
 
     def test_strong_equals_plain_iff_extremal(self):
         from spheredim.concepts import shattered_family, strongly_shattered_family
@@ -439,17 +445,19 @@ class TestCubicalBarycentric:
             assert cubical_face_counts(cc) == face_counts(cubical_barycentric(cc))
 
     def test_face_cap_agrees_with_order_complex(self, monkeypatch):
+        # one cap, complexes.DEFAULT_FACE_CAP, bounds both counts
         for cls in [cls_of(FIG_SQUARE_WHISKER), family_class("cube", 3)]:
             cc = cubical_complex(cls)
             total = sum(face_counts(cubical_barycentric(cc)))
-            want = face_counts(cubical_barycentric(cc), cap=total)
-            monkeypatch.setattr(extremal, "DEFAULT_FACE_CAP", total)
-            assert cubical_face_counts(cc) == want
-            monkeypatch.setattr(extremal, "DEFAULT_FACE_CAP", total - 1)
-            with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
-                cubical_face_counts(cc)
-            with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
-                face_counts(cubical_barycentric(cc), cap=total - 1)
+            with monkeypatch.context() as m:
+                m.setattr("spheredim.complexes.DEFAULT_FACE_CAP", total)
+                want = face_counts(cubical_barycentric(cc))
+                assert cubical_face_counts(cc) == want
+                m.setattr("spheredim.complexes.DEFAULT_FACE_CAP", total - 1)
+                with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
+                    cubical_face_counts(cc)
+                with pytest.raises(CapExceededError, match="face enumeration cap exceeded"):
+                    face_counts(cubical_barycentric(cc))
 
     def test_chain_test_agrees_with_order_complex(self):
         rng = random.Random(127)

@@ -92,10 +92,20 @@ class TestSdUpperHook:
     def test_sign_rank_upper_feeds_bounds(self):
         from spheredim.spheres import sd_bounds
 
-        sb = sd_bounds(universal(3), sign_rank_upper=3)
+        sb = sd_bounds(universal(3), universal_representation(3))
         names = sb.certificate_names()[1]
         assert "sign-rank bound" in names
         assert sb.upper <= 2
+
+    def test_unverified_representation_adds_no_bound(self):
+        from spheredim.spheres import sd_bounds
+
+        rep = universal_representation(3)
+        flipped = tuple(-v for v in rep.hyp_vectors[0])
+        broken = SignRepresentation(3, rep.point_vectors, (flipped,) + rep.hyp_vectors[1:])
+        # rejected outright, so no "sign-rank bound" can reach the interval
+        with pytest.raises(ValueError, match="unverified sign representation: wrong sign"):
+            sd_bounds(universal(3), broken)
 
 
 class TestPayload:

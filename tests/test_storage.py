@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spheredim import storage
 from spheredim.concepts import ClassFormatError, ConceptClass, family_class
 from spheredim.complexes import (
     AntipodalComplex,
@@ -156,14 +157,20 @@ class TestWitnessRoundtrip:
         assert back == w
         assert verify_witness(back)
 
-    def test_tampered_target_rejected(self, tmp_path):
+    def test_tampered_target_rejected(self, tmp_path, monkeypatch):
         w = crosspolytope_witness(family_class("cube", 2), (0, 1))
         p = tmp_path / "w.json"
         store(w, p)
         data = json.loads(p.read_text())
         data["payload"]["target"]["maximal_simplices"] = [[0, 2]]
         p.write_text(json.dumps(data))
-        with pytest.raises(StorageError):
+
+        def no_build(kind):
+            raise AssertionError("template built before the target check")
+
+        # the target is checked before the template, which can be exponential
+        monkeypatch.setattr(storage, "build_template", no_build)
+        with pytest.raises(StorageError, match="stored target does not match"):
             load("witness", p)
 
     def test_tampered_vertex_map_rejected(self, tmp_path):
@@ -352,6 +359,7 @@ class TestCubicalRoundtrip:
         back = load("cubical", p)
         assert isinstance(back, CubicalComplex)
         assert set(back.rows()) == set(cc.rows())
+        assert back == cc
 
     def test_closure_violation_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
