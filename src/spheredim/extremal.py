@@ -45,10 +45,11 @@ from spheredim.concepts import (
 from spheredim import complexes
 from spheredim.complexes import SimplicialComplex
 from spheredim.spheres import (
+    BarycentricBoundaryKind,
     ClassAnalysis,
     SphereWitness,
     WitnessError,
-    make_barycentric_boundary,
+    build_template,
     witness_on,
 )
 
@@ -551,9 +552,8 @@ def _hexagon_witness(
     # visits them as {0},{01},{1},{12},{2},{02}
     cycle_position = (0, 2, 4, 1, 5, 3)
     pairs = [unflipped[pos] for pos in cycle_position]
-    return witness_on(
-        make_barycentric_boundary(1), pairs, analysis.delta_ant, analysis.cls, True, "hexagon"
-    )
+    template = build_template(BarycentricBoundaryKind(1))
+    return witness_on(template, pairs, analysis.delta_ant, analysis.cls, True, "hexagon")
 
 
 def classify_low_vc(analysis: Union[ConceptClass, ClassAnalysis]) -> LowVcClassification:

@@ -156,10 +156,19 @@ def representation_payload(cls: ConceptClass, rep: SignRepresentation) -> dict:
 
 
 def representation_from_payload(cls: ConceptClass, payload: dict) -> SignRepresentation:
+    """The representation a stored payload names.  Raises ValueError unless
+    ``d`` is an int and every entry is an int, a float or a ``[num, den]``
+    pair of ints, a bool counting as none of these, so that an edited file
+    cannot load as an equal value that stores other bytes."""
     def decode(v) -> Number:
-        if isinstance(v, list):
+        if type(v) is list and len(v) == 2 and all(type(e) is int for e in v):
             return Fraction(v[0], v[1])
-        return v
+        if type(v) in (int, float):
+            return v
+        raise ValueError(f"vector entry {v!r} is not an int, a float or an [int, int] pair")
+
+    if type(payload["d"]) is not int:
+        raise ValueError("representation dimension d must be an integer")
 
     points = tuple(
         tuple(decode(v) for v in payload["phi"][str(x)])

@@ -21,6 +21,7 @@ classification.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -143,15 +144,37 @@ def kind_from_payload(payload: dict) -> TemplateKind:
     raise ValueError(f"unknown template kind {kind!r}")
 
 
+# Every template ``build_template`` built, under its kind, for as long as
+# something else holds it.  The values are weak references, so a template
+# lives no longer than its last holder and nothing is kept between calls.
+_TEMPLATES: weakref.WeakValueDictionary[TemplateKind, SphereTemplate] = (
+    weakref.WeakValueDictionary()
+)
+
+
 def build_template(kind: TemplateKind) -> SphereTemplate:
-    """The certified template a kind tree names, built from its leaves; the
-    parts of a join are joined from the left."""
+    """The certified template a kind tree names.  While some object holds a
+    template built for an equal kind, that template is returned; otherwise
+    it is built from its leaves and recorded."""
+    template = _TEMPLATES.get(kind)
+    if template is None:
+        template = _build_template(kind)
+        _TEMPLATES[kind] = template
+    return template
+
+
+def _build_template(kind: TemplateKind) -> SphereTemplate:
+    """The template a kind tree names, its parts obtained through
+    ``build_template``; the parts of a join are joined from the left."""
     if isinstance(kind, CrosspolytopeKind):
         return make_crosspolytope(kind.n)
     if isinstance(kind, BarycentricBoundaryKind):
         return make_barycentric_boundary(kind.n)
     if isinstance(kind, JoinKind):
-        return reduce(join_templates, [build_template(p) for p in kind.parts])
+        joined = reduce(join_templates, [build_template(p) for p in kind.parts])
+        # a join of other than two parts comes out nested (or bare), so it
+        # is given the kind asked for
+        return joined if joined.kind == kind else SphereTemplate(kind, joined.complex)
     return subdivide_template(build_template(kind.base), kind.depth)
 
 
@@ -266,7 +289,8 @@ def verify_witness(w: SphereWitness) -> WitnessReport:
 def _run_checks(w: SphereWitness) -> WitnessReport:
     lines: list[str] = []
 
-    # (a) template invariants
+    # (a) template invariants: a witness whose template came from
+    # ``build_template`` gets that very object back
     try:
         reference = build_template(w.template.kind)
     except Exception as exc:  # malformed kind tree
@@ -368,7 +392,8 @@ def crosspolytope_witness(
     if target is None:
         target = delta_ant(cls)
     pairs = [(x, s) for x in points for s in (-1, +1)]
-    return witness_on(make_crosspolytope(len(points) - 1), pairs, target, cls, True, "construction")
+    template = build_template(CrosspolytopeKind(len(points) - 1))
+    return witness_on(template, pairs, target, cls, True, "construction")
 
 
 def barycentric_witness(
@@ -397,7 +422,8 @@ def barycentric_witness(
         target = delta_ant(cls)
     realized = (found[pattern] for pattern in _proper_subsets(k))
     pairs = [(x, +1 if positively else -1) for x, positively in realized]
-    return witness_on(make_barycentric_boundary(k - 2), pairs, target, cls, True, "construction")
+    template = build_template(BarycentricBoundaryKind(k - 2))
+    return witness_on(template, pairs, target, cls, True, "construction")
 
 
 def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, ConceptClass]:
@@ -412,7 +438,7 @@ def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, Con
     shift = a.cls.domain_size
     pairs = [a.target.points[v] for v in a.vertex_map]
     pairs += [(x + shift, s) for x, s in (b.target.points[v] for v in b.vertex_map)]
-    template = join_templates(a.template, b.template)
+    template = build_template(JoinKind((a.template.kind, b.template.kind)))
     embedded = a.embedded and b.embedded
     return witness_on(template, pairs, delta_ant(product), product, embedded, "construction"), product
 

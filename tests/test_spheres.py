@@ -1,6 +1,7 @@
 """Tests for sphere templates, witnesses, and spherical-dimension bounds."""
 
 import dataclasses
+import gc
 import itertools
 import random
 
@@ -21,7 +22,10 @@ from spheredim.spheres import (
     BarycentricBoundaryKind,
     ClassAnalysis,
     CrosspolytopeKind,
+    JoinKind,
+    SphereTemplate,
     SphereWitness,
+    SubdividedKind,
     WitnessError,
     barycentric_witness,
     build_template,
@@ -86,6 +90,106 @@ class TestTemplates:
         back = build_template(kind_from_payload(t.kind_payload()))
         assert back == t
         assert build_template(t.kind) == t
+
+
+def uncached_template(kind):
+    """The oracle: the template a kind tree names, built from its leaves
+    with no cache on any level."""
+    if isinstance(kind, CrosspolytopeKind):
+        return make_crosspolytope(kind.n)
+    if isinstance(kind, BarycentricBoundaryKind):
+        return make_barycentric_boundary(kind.n)
+    if isinstance(kind, JoinKind):
+        return join_templates(*(uncached_template(p) for p in kind.parts))
+    return subdivide_template(uncached_template(kind.base), kind.depth)
+
+
+SMALL_LEAVES = [CrosspolytopeKind(n) for n in range(3)] + [
+    BarycentricBoundaryKind(n) for n in range(3)
+]
+CACHED_KINDS = (
+    [CrosspolytopeKind(n) for n in range(5)]
+    + [BarycentricBoundaryKind(n) for n in range(4)]
+    + [JoinKind((a, b)) for a in SMALL_LEAVES for b in SMALL_LEAVES]
+    + [JoinKind((CrosspolytopeKind(4), BarycentricBoundaryKind(0)))]
+    + [JoinKind((BarycentricBoundaryKind(3), CrosspolytopeKind(0)))]
+    + [SubdividedKind(k, depth) for k in SMALL_LEAVES for depth in (1, 2)]
+    + [SubdividedKind(JoinKind((CrosspolytopeKind(0), CrosspolytopeKind(1))), 1)]
+)
+
+
+class TestTemplateCache:
+    @pytest.mark.parametrize("kind", CACHED_KINDS, ids=repr)
+    def test_cached_build_equals_an_uncached_one(self, kind):
+        built = build_template(kind)
+        assert built == uncached_template(kind)
+        assert built.kind == kind
+        assert build_template(kind) is built
+
+    def test_join_of_other_than_two_parts_keeps_its_kind(self):
+        c0 = CrosspolytopeKind(0)
+        for kind in (JoinKind((c0,)), JoinKind((c0, c0, c0))):
+            built = build_template(kind)
+            assert built.kind == kind
+            reference = make_crosspolytope(0)
+            for _ in kind.parts[1:]:
+                reference = join_templates(reference, make_crosspolytope(0))
+            assert built.complex == reference.complex
+
+    def test_constructors_share_the_held_template(self):
+        a = crosspolytope_witness(cube(3), (0, 1, 2))
+        b = crosspolytope_witness(cube(4), (1, 2, 3))
+        assert b.template is a.template
+        w, _ = join_witness(a, b)
+        assert w.template is build_template(JoinKind((a.template.kind, b.template.kind)))
+
+    @pytest.mark.parametrize("change", ["relabelled", "dropped pair"])
+    def test_changed_complex_of_a_held_kind_fails_the_template_check(self, change):
+        w = crosspolytope_witness(cube(2), (0, 1))
+        complex_ = w.template.complex
+        if change == "relabelled":
+            # the join of two 0-spheres: the same masks under other labels
+            other = build_template(JoinKind((CrosspolytopeKind(0), CrosspolytopeKind(0)))).complex
+            assert other.complex.maximal == complex_.complex.maximal
+            detail = "vertex set or involution differs"
+        else:
+            drop = complex_.complex.maximal[0]
+            pair = (drop, complex_.map_simplex(drop))
+            kept = tuple(s for s in complex_.complex.maximal if s not in pair)
+            base = complexes.SimplicialComplex(complex_.complex.vertices, kept)
+            other = dataclasses.replace(complex_, complex=base)
+            detail = "missing maximal simplex"
+        template = SphereTemplate(w.template.kind, other)
+        changed = SphereWitness(template, w.vertex_map, w.target, w.cls, True)
+        report = verify_witness(changed)
+        assert not report
+        assert report.check == "template"
+        assert report.detail.startswith(detail)
+        assert build_template(w.template.kind) is w.template
+
+    def test_a_template_lives_no_longer_than_its_holders(self):
+        w = barycentric_witness(universal(4), (0, 1, 2, 3))
+        kind = w.template.kind
+        assert spheres._TEMPLATES[kind] is w.template
+        del w
+        gc.collect()
+        assert kind not in spheres._TEMPLATES
+
+    def test_load_builds_the_template_once(self, monkeypatch, tmp_path):
+        storage.store(crosspolytope_witness(cube(3), (0, 1, 2)), tmp_path / "w.json")
+        gc.collect()
+        assert CrosspolytopeKind(2) not in spheres._TEMPLATES
+        calls = count_calls(monkeypatch, ("make_crosspolytope", "_run_checks"))
+        back = storage.load("witness", tmp_path / "w.json")
+        assert verify_witness(back)
+        assert calls == {"make_crosspolytope": 1, "_run_checks": 1}
+
+    def test_a_template_built_elsewhere_is_checked_and_not_recorded(self):
+        template = make_crosspolytope(1)
+        w = crosspolytope_witness(cube(2), (0, 1))
+        outside = SphereWitness(template, w.vertex_map, w.target, w.cls, True)
+        assert verify_witness(outside)
+        assert build_template(template.kind) is w.template
 
 
 class TestCrosspolytopeWitness:
@@ -404,13 +508,17 @@ class TestClassAnalysis:
 
     def test_witness_is_verified_twice(self, monkeypatch, tmp_path, capsys):
         # once by its constructor, once for the stored transcript; the
-        # checks run on the first call, and the second reads the kept report
-        calls = count_calls(monkeypatch, ("verify_witness", "build_template"))
+        # checks run on the first call, and the second reads the kept report.
+        # The constructor and check (a) each ask for the template, which is
+        # built once: check (a) gets the witness's own template back
+        gc.collect()
+        assert CrosspolytopeKind(2) not in spheres._TEMPLATES
+        calls = count_calls(monkeypatch, ("verify_witness", "build_template", "make_crosspolytope"))
         path = tmp_path / "c.cls"
         path.write_text(format_class(ANALYSED["cube3"]))
         assert cli.main(["witness", str(path)]) == 0
         assert '"simplicial: ok"' in capsys.readouterr().out
-        assert calls == {"verify_witness": 2, "build_template": 1}
+        assert calls == {"verify_witness": 2, "build_template": 2, "make_crosspolytope": 1}
 
     @pytest.mark.parametrize("command", ["sd", "report", "classify"])
     def test_hexagon_reads_the_analysis_antipodal_subcomplex(

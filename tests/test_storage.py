@@ -3,6 +3,7 @@
 import json
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,11 @@ from spheredim.complexes import (
     realizable_complex,
 )
 from spheredim.extremal import CubicalComplex, cubical_complex
-from spheredim.signrank import universal_representation, verify_representation
+from spheredim.signrank import (
+    representation_from_payload,
+    universal_representation,
+    verify_representation,
+)
 from spheredim.spheres import (
     SphereWitness,
     build_template,
@@ -385,6 +390,56 @@ class TestRepresentationRoundtrip:
         back = load("representation", p, cls=cls)
         assert back == rep
         assert verify_representation(cls, back)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("d", True),
+            ("d", 1.0),
+            ("d", "1"),
+            ("entry", True),
+            ("entry", "1"),
+            ("entry", None),
+            ("entry", [1, True]),
+            ("entry", [1.5, 2]),
+            ("entry", [1, 2, 3]),
+            ("entry", [1]),
+            ("vector", "1"),
+        ],
+        ids=repr,
+    )
+    def test_edited_file_rejected(self, tmp_path, edit):
+        # a bool is no number here: "d": true used to load as an equal
+        # representation that stored back as true
+        cls = family_class("threshold", 1)
+        payload = {"d": 1, "phi": {"0": [1]}, "w": {"-": [-1], "+": [1]}}
+        rep = representation_from_payload(cls, payload)
+        assert verify_representation(cls, rep)
+        p = tmp_path / "rep.json"
+        store(rep, p, cls=cls)
+        data = json.loads(p.read_text())
+        where, value = edit
+        if where == "d":
+            data["payload"]["d"] = value
+        elif where == "entry":
+            data["payload"]["phi"]["0"] = [value]
+        else:
+            data["payload"]["phi"]["0"] = value
+        p.write_text(json.dumps(data))
+        with pytest.raises(StorageError):
+            load("representation", p, cls=cls)
+
+    def test_exact_and_float_entries_load(self, tmp_path):
+        cls = family_class("threshold", 1)
+        payload = {"d": 2, "phi": {"0": [[1, 2], 0.5]}, "w": {"-": [-1, -1], "+": [1, 1]}}
+        p = tmp_path / "rep.json"
+        envelope = {"schema_version": "1", "kind": "representation", "payload": payload}
+        p.write_text(json.dumps(envelope))
+        back = load("representation", p, cls=cls)
+        assert back.point_vectors == ((Fraction(1, 2), 0.5),)
+        assert verify_representation(cls, back)
+        store(back, tmp_path / "again.json", cls=cls)
+        assert json.loads((tmp_path / "again.json").read_text())["payload"] == payload
 
     def test_class_required(self, tmp_path):
         rep = universal_representation(2)
