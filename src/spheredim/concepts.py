@@ -233,18 +233,6 @@ def _subset_mask(cls: ConceptClass, S: Iterable[int]) -> int:
     return mask
 
 
-def _patterns_on(cls: ConceptClass, mask: int) -> set[int]:
-    """Masked '+' patterns realized on the points of ``mask``.
-
-    Only hypotheses defined on all of ``mask`` contribute a pattern.
-    """
-    out = set()
-    for h in cls.hypotheses:
-        if (mask & ~h.defined) == 0:
-            out.add(h.plus & mask)
-    return out
-
-
 def shatters(cls: ConceptClass, S: Iterable[int]) -> bool:
     """True iff every sign pattern on S is realized; the empty set qualifies."""
     mask = _subset_mask(cls, S)
@@ -252,9 +240,16 @@ def shatters(cls: ConceptClass, S: Iterable[int]) -> bool:
 
 
 def _shatters_mask(cls: ConceptClass, mask: int) -> bool:
-    k = popcount(mask)
-    pats = _patterns_on(cls, mask)
-    return len(pats) == 1 << k
+    """Count the distinct '+' patterns on ``mask`` of the hypotheses defined
+    there, and stop as soon as all 2^k are seen."""
+    target = 1 << popcount(mask)
+    seen: set[int] = set()
+    for h in cls.hypotheses:
+        if not mask & ~h.defined:
+            seen.add(h.plus & mask)
+            if len(seen) == target:
+                return True
+    return False
 
 
 def antipodally_shatters(cls: ConceptClass, S: Iterable[int]) -> bool:
@@ -264,11 +259,22 @@ def antipodally_shatters(cls: ConceptClass, S: Iterable[int]) -> bool:
 
 
 def _antipodally_shatters_mask(cls: ConceptClass, mask: int) -> bool:
-    k = popcount(mask)
-    pats = _patterns_on(cls, mask)
-    covered = set(pats)
-    covered.update(mask & ~p for p in pats)
-    return len(covered) == 1 << k
+    """Count the patterns on ``mask`` up to flip, each named by the one of
+    the pair that is '-' at the mask's lowest point, and stop at 2^(k-1)."""
+    if not mask:
+        return True
+    low = mask & -mask
+    target = 1 << (popcount(mask) - 1)
+    seen: set[int] = set()
+    for h in cls.hypotheses:
+        if not mask & ~h.defined:
+            p = h.plus & mask
+            if p & low:
+                p ^= mask
+            seen.add(p)
+            if len(seen) == target:
+                return True
+    return False
 
 
 def strongly_shatters(cls: ConceptClass, S: Iterable[int]) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from spheredim.concepts import ConceptClass, product_class
@@ -158,11 +159,16 @@ def representation_payload(cls: ConceptClass, rep: SignRepresentation) -> dict:
 def representation_from_payload(cls: ConceptClass, payload: dict) -> SignRepresentation:
     """The representation a stored payload names.  Raises ValueError unless
     ``d`` is an int and every entry is an int, a float or a ``[num, den]``
-    pair of ints, a bool counting as none of these, so that an edited file
-    cannot load as an equal value that stores other bytes."""
+    pair of ints in lowest terms with ``den > 1`` (the form
+    ``representation_payload`` writes), a bool counting as none of these, so
+    that an edited file cannot load as an equal value that stores other
+    bytes."""
     def decode(v) -> Number:
         if type(v) is list and len(v) == 2 and all(type(e) is int for e in v):
-            return Fraction(v[0], v[1])
+            num, den = v
+            if den <= 1 or gcd(num, den) != 1:
+                raise ValueError(f"vector entry {v!r} is not a fraction in lowest terms")
+            return Fraction(num, den)
         if type(v) in (int, float):
             return v
         raise ValueError(f"vector entry {v!r} is not an int, a float or an [int, int] pair")

@@ -25,6 +25,7 @@ from spheredim.concepts import (
     format_class,
     max_shattered_set,
     parse_class,
+    popcount,
     power_class,
     product_class,
     search_class_leq,
@@ -66,7 +67,8 @@ def random_class(rng, n=None, size=None, max_n=6, max_size=20):
 
 
 def oracle_shatters(cls, S):
-    """Check shattering by explicit pattern enumeration."""
+    """Check shattering by explicit pattern enumeration; a row with a '*' on
+    S realizes no pattern there."""
     S = list(S)
     realized = set()
     for h in cls.hypotheses:
@@ -81,11 +83,55 @@ def oracle_antipodally_shatters(cls, S):
     realized = set()
     for h in cls.hypotheses:
         row = tuple(h.value(x) for x in S)
+        if "*" in row:
+            continue
         realized.add(row)
         realized.add(tuple("-" if c == "+" else "+" for c in row))
     return all(
         tuple(p) in realized for p in itertools.product("-+", repeat=len(S))
     )
+
+
+def oracle_patterns_on(cls, mask):
+    """Masked '+' patterns realized on the points of ``mask``, each from a
+    hypothesis defined on all of it: the full pattern set that the early-exit
+    counters of ``concepts`` replaced."""
+    out = set()
+    for h in cls.hypotheses:
+        if (mask & ~h.defined) == 0:
+            out.add(h.plus & mask)
+    return out
+
+
+def oracle_shatters_mask(cls, mask):
+    return len(oracle_patterns_on(cls, mask)) == 1 << popcount(mask)
+
+
+def oracle_antipodally_shatters_mask(cls, mask):
+    pats = oracle_patterns_on(cls, mask)
+    covered = set(pats)
+    covered.update(mask & ~p for p in pats)
+    return len(covered) == 1 << popcount(mask)
+
+
+def oracle_closed_levels(n, predicate, max_size=None):
+    """By definition: a k-set is in the family iff the predicate holds on it
+    and every (k-1)-subset is in the family; the levels stop at the first
+    empty one, or after ``max_size``."""
+    family = {0}
+    levels = [[0]]
+    limit = n if max_size is None else min(n, max_size)
+    for k in range(1, limit + 1):
+        level = sorted(
+            m for m in range(1 << n)
+            if popcount(m) == k and predicate(m)
+            and all(m & ~(1 << y) in family for y in bits(m))
+        )
+        if not level:
+            break
+        family.update(level)
+        levels.append(level)
+    return levels
 
 
 def oracle_columns(cls, hyp_indices):
@@ -102,8 +148,9 @@ def oracle_columns(cls, hyp_indices):
 
 def oracle_max_shattered_set(cls, antipodal=False):
     """The uncapped breadth-first search that ``max_shattered_set`` stops at
-    the Sauer-Shelah cap: every shattered set, then the least largest one."""
-    pred = _antipodally_shatters_mask if antipodal else _shatters_mask
+    the Sauer-Shelah cap: every shattered set, then the least largest one,
+    found with the oracle predicates."""
+    pred = oracle_antipodally_shatters_mask if antipodal else oracle_shatters_mask
     levels = _monotone_family(cls, lambda m: pred(cls, m))
     return min(levels[-1], key=lambda m: tuple(bits(m)))
 
@@ -215,16 +262,91 @@ class TestShattering:
     def test_shattered_implies_antipodally_shattered(self):
         assert antipodally_shatters(cube(2), [0, 1])
 
-    def test_against_oracle_on_random_classes(self):
+    @pytest.mark.parametrize("partial", [False, True], ids=["total", "partial"])
+    def test_against_oracle_on_random_classes(self, partial):
         rng = random.Random(7)
         for _ in range(60):
-            cls = random_class(rng, max_n=5, max_size=12)
+            if partial:
+                cls = random_partial_class(rng, max_n=5, max_size=12)
+            else:
+                cls = random_class(rng, max_n=5, max_size=12)
             for k in range(cls.domain_size + 1):
                 for S in itertools.combinations(range(cls.domain_size), k):
                     assert shatters(cls, S) == oracle_shatters(cls, S)
                     assert antipodally_shatters(cls, S) == oracle_antipodally_shatters(
                         cls, S
                     )
+
+
+class TestShatteringKernel:
+    """The early-exit pattern counters against the full pattern sets."""
+
+    @staticmethod
+    def assert_same_on_every_mask(cls):
+        for mask in range(1 << cls.domain_size):
+            assert _shatters_mask(cls, mask) == oracle_shatters_mask(cls, mask)
+            assert _antipodally_shatters_mask(cls, mask) == (
+                oracle_antipodally_shatters_mask(cls, mask)
+            )
+
+    def test_random_total_classes(self):
+        rng = random.Random(89)
+        for _ in range(2000):
+            self.assert_same_on_every_mask(random_class(rng, max_n=6, max_size=20))
+
+    def test_random_partial_classes(self):
+        rng = random.Random(97)
+        partial = 0
+        for _ in range(2000):
+            cls = random_partial_class(rng)
+            partial += cls.is_partial
+            self.assert_same_on_every_mask(cls)
+        assert partial > 1800
+
+    @pytest.mark.parametrize(
+        "rows", [["-"], ["+-*"], ["***"], ["*+", "-*"], ["++", "--"]], ids=repr
+    )
+    def test_empty_mask(self, rows):
+        # the empty set is shattered both ways by any class, even one whose
+        # hypotheses are defined nowhere
+        cls = ConceptClass.from_strings(rows)
+        assert _shatters_mask(cls, 0) and oracle_shatters_mask(cls, 0)
+        assert _antipodally_shatters_mask(cls, 0) and oracle_antipodally_shatters_mask(cls, 0)
+
+    @pytest.mark.parametrize(
+        "rows,mask,plain,antipodal",
+        [
+            # four hypotheses, three patterns on {0, 1}: '++' twice
+            (["++-", "+++", "--+", "-+-"], 0b011, False, True),
+            # a pattern and its flip fill one pair, twice over
+            (["++-", "--+", "+++", "---"], 0b011, False, False),
+            # 2^(k-1) = 2 hypotheses, but one flip pair: not antipodal
+            (["+-", "-+"], 0b11, False, False),
+            # the same pattern from a total and a partial hypothesis
+            (["+-+", "+-*", "-+*", "--+", "+++"], 0b011, True, True),
+            # a partial row undefined on the mask adds nothing
+            (["+-", "-+", "*+", "+*"], 0b11, False, False),
+            (["++", "-+", "+*", "--"], 0b11, False, True),
+        ],
+    )
+    def test_repeated_patterns(self, rows, mask, plain, antipodal):
+        cls = ConceptClass.from_strings(rows)
+        assert _shatters_mask(cls, mask) is plain is oracle_shatters_mask(cls, mask)
+        assert _antipodally_shatters_mask(cls, mask) is antipodal
+        assert oracle_antipodally_shatters_mask(cls, mask) is antipodal
+
+    def test_level_search_on_arbitrary_predicates(self):
+        # a predicate that is not downward closed: the levels hold exactly
+        # the sets whose every facet is in the family, so a facet skipped in
+        # the closure test shows as an extra set
+        rng = random.Random(101)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            true = {m for m in range(1 << n) if rng.random() < 0.8}
+            cls = random_class(rng, n=n, max_n=n)
+            for max_size in (None, rng.randint(0, n)):
+                want = oracle_closed_levels(n, true.__contains__, max_size)
+                assert _monotone_family(cls, true.__contains__, max_size) == want
 
 
 class TestStrongShattering:

@@ -22,6 +22,8 @@ from spheredim.complexes import (
 )
 from spheredim.extremal import CubicalComplex, cubical_complex
 from spheredim.signrank import (
+    SignRepresentation,
+    product_representation,
     representation_from_payload,
     universal_representation,
     verify_representation,
@@ -404,6 +406,10 @@ class TestRepresentationRoundtrip:
             ("entry", [1.5, 2]),
             ("entry", [1, 2, 3]),
             ("entry", [1]),
+            ("entry", [2, 4]),
+            ("entry", [3, 1]),
+            ("entry", [1, -2]),
+            ("entry", [0, 2]),
             ("vector", "1"),
         ],
         ids=repr,
@@ -428,6 +434,47 @@ class TestRepresentationRoundtrip:
         p.write_text(json.dumps(data))
         with pytest.raises(StorageError):
             load("representation", p, cls=cls)
+
+    @staticmethod
+    def written_by_the_library():
+        """(class, representation) pairs as the library builds them: the
+        certificate of universal n, the |H|-dimensional standard one
+        (w(h_j) = e_j, phi(x)_j = h_j(x)), a product of two, and a product
+        with exact fractions and a float, so every entry form
+        ``representation_payload`` writes is covered."""
+        out = [(family_class("universal", n), universal_representation(n)) for n in (1, 2, 3)]
+        cls = ConceptClass.from_strings(["-+-", "++-", "--+", "+++"])
+        m = len(cls)
+        standard = SignRepresentation(
+            m,
+            tuple(tuple(1 if h.plus >> x & 1 else -1 for h in cls.hypotheses)
+                  for x in range(cls.domain_size)),
+            tuple(tuple(int(i == j) for i in range(m)) for j in range(m)),
+        )
+        assert verify_representation(cls, standard)
+        out.append((cls, standard))
+        u2 = family_class("universal", 2)
+        rep, product = product_representation(
+            u2, universal_representation(2), u2, universal_representation(2)
+        )
+        out.append((product, rep))
+        t1 = family_class("threshold", 1)
+        rational = SignRepresentation(
+            2, ((Fraction(1, 2), 0.25),), ((Fraction(-3, 2), Fraction(-7, 3)), (Fraction(4, 2), 1.5))
+        )
+        assert verify_representation(t1, rational)
+        rep, product = product_representation(t1, rational, u2, universal_representation(2))
+        out.append((product, rep))
+        return out
+
+    def test_library_representations_store_back_to_the_same_bytes(self, tmp_path):
+        for i, (cls, rep) in enumerate(self.written_by_the_library()):
+            first, again = tmp_path / f"rep{i}.json", tmp_path / f"again{i}.json"
+            store(rep, first, cls=cls)
+            back = load("representation", first, cls=cls)
+            assert back == rep
+            store(back, again, cls=cls)
+            assert again.read_bytes() == first.read_bytes()
 
     def test_exact_and_float_entries_load(self, tmp_path):
         cls = family_class("threshold", 1)
