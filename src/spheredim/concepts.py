@@ -305,6 +305,11 @@ def _monotone_family(
     ``predicate(mask)`` must be monotone (true on subsets of true sets).
     Level k lists the masks of the qualifying k-subsets in lexicographic
     order; the search stops at the first empty level.
+
+    Each candidate extends a member ``smask`` of the previous level by a
+    point above its top bit.  Its facet without that point is ``smask``
+    itself, so only the other k-1 facets, ``cand ^ low`` for each set bit
+    ``low`` of ``smask``, are looked up before the predicate runs.
     """
     n = cls.domain_size
     limit = n if max_size is None else min(n, max_size)
@@ -315,13 +320,17 @@ def _monotone_family(
         nxt = []
         prev = set(current)
         for smask in current:
-            top = smask.bit_length()
-            for x in range(top, n):
+            for x in range(smask.bit_length(), n):
                 cand = smask | (1 << x)
-                if any((cand & ~(1 << y)) not in prev for y in bits(cand)):
-                    continue
-                if predicate(cand):
-                    nxt.append(cand)
+                rest = smask
+                while rest:  # bits(smask), inlined: every candidate comes through here
+                    low = rest & -rest
+                    if cand ^ low not in prev:
+                        break
+                    rest ^= low
+                else:
+                    if predicate(cand):
+                        nxt.append(cand)
         nxt.sort()
         if not nxt:
             break

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Union
 
 from spheredim.concepts import ConceptClass, product_class
@@ -65,22 +66,16 @@ def verify_representation(
     cls.require_total("verify_representation")
     if len(rep.point_vectors) != cls.domain_size or len(rep.hyp_vectors) != len(cls):
         raise ValueError("representation does not match the class shape")
-    exact = rep.is_exact
     for j, h in enumerate(cls.hypotheses):
         wv = rep.hyp_vectors[j]
-        for x in range(cls.domain_size):
-            pv = rep.point_vectors[x]
-            dot = sum(a * b for a, b in zip(wv, pv))
-            if exact:
-                ambiguous = dot == 0
-            else:
-                ambiguous = abs(dot) < AMBIGUITY_THRESHOLD
-            if ambiguous:
+        for x, pv in enumerate(rep.point_vectors):
+            dot = sum(map(mul, wv, pv))
+            # only a nonzero sum below the threshold depends on exactness
+            if dot == 0 or (abs(dot) < AMBIGUITY_THRESHOLD and not rep.is_exact):
                 return RepresentationReport(
                     False, j, x, f"ambiguous sign at hypothesis {j}, point {x}"
                 )
-            want_positive = bool(h.plus & (1 << x))
-            if (dot > 0) != want_positive:
+            if (dot > 0) != bool(h.plus >> x & 1):
                 return RepresentationReport(
                     False, j, x, f"wrong sign at hypothesis {j}, point {x}"
                 )

@@ -10,6 +10,8 @@ its antipodal subcomplex and loads as that equal ``AntipodalComplex``.
 Witnesses are reloaded against a recomputed target, so a tampered file cannot
 smuggle in an inconsistent complex, and a loaded witness must pass
 ``verify_witness``, so a tampered vertex map or embedded flag is rejected too.
+A loaded sign representation must pass ``verify_representation`` against its
+class, so an edited vector that flips a sign is rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from spheredim.signrank import (
     SignRepresentation,
     representation_from_payload,
     representation_payload,
+    verify_representation,
 )
 from spheredim.spheres import (
     BarycentricBoundaryKind,
@@ -310,7 +313,8 @@ def store(value, path: Union[str, Path], cls: Optional[ConceptClass] = None) -> 
 
 
 def load(kind: str, path: Union[str, Path], cls: Optional[ConceptClass] = None):
-    """Load a typed artifact; representations need their companion class."""
+    """Load a typed artifact; representations need their companion class,
+    against which they are verified."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -341,7 +345,11 @@ def _decode(kind: str, payload, cls: Optional[ConceptClass]):
     if kind == "representation":
         if cls is None:
             raise StorageError("loading a representation requires its class")
-        return representation_from_payload(cls, payload)
+        rep = representation_from_payload(cls, payload)
+        report = verify_representation(cls, rep)
+        if not report:
+            raise StorageError(f"representation fails its class: {report.reason}")
+        return rep
     if kind == "report":
         return payload
     raise StorageError(f"unknown artifact kind {kind!r}")

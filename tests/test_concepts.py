@@ -146,12 +146,41 @@ def oracle_columns(cls, hyp_indices):
     return out
 
 
+def oracle_monotone_family(cls, predicate, max_size=None):
+    """The level search that ``_monotone_family`` inlined: each candidate
+    extends a member of the previous level by a point above its top bit, and
+    all k of its facets are looked up, the parent among them."""
+    n = cls.domain_size
+    limit = n if max_size is None else min(n, max_size)
+    levels = [[0]]
+    current = [0]
+    size = 0
+    while size < limit and current:
+        nxt = []
+        prev = set(current)
+        for smask in current:
+            top = smask.bit_length()
+            for x in range(top, n):
+                cand = smask | (1 << x)
+                if any((cand & ~(1 << y)) not in prev for y in bits(cand)):
+                    continue
+                if predicate(cand):
+                    nxt.append(cand)
+        nxt.sort()
+        if not nxt:
+            break
+        levels.append(nxt)
+        current = nxt
+        size += 1
+    return levels
+
+
 def oracle_max_shattered_set(cls, antipodal=False):
     """The uncapped breadth-first search that ``max_shattered_set`` stops at
     the Sauer-Shelah cap: every shattered set, then the least largest one,
-    found with the oracle predicates."""
+    found with the oracle predicates and the oracle level search."""
     pred = oracle_antipodally_shatters_mask if antipodal else oracle_shatters_mask
-    levels = _monotone_family(cls, lambda m: pred(cls, m))
+    levels = oracle_monotone_family(cls, lambda m: pred(cls, m))
     return min(levels[-1], key=lambda m: tuple(bits(m)))
 
 
@@ -341,12 +370,30 @@ class TestShatteringKernel:
         # the closure test shows as an extra set
         rng = random.Random(101)
         for _ in range(300):
-            n = rng.randint(1, 7)
+            n = rng.randint(1, 8)
             true = {m for m in range(1 << n) if rng.random() < 0.8}
-            cls = random_class(rng, n=n, max_n=n)
-            for max_size in (None, rng.randint(0, n)):
-                want = oracle_closed_levels(n, true.__contains__, max_size)
-                assert _monotone_family(cls, true.__contains__, max_size) == want
+            self.assert_levels_match_oracles(rng, n, true.__contains__)
+
+    def test_level_search_on_monotone_predicates(self):
+        # membership in the down-closure of a few random sets
+        rng = random.Random(107)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            tops = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+            self.assert_levels_match_oracles(
+                rng, n, lambda m: any(not m & ~t for t in tops)
+            )
+
+    @staticmethod
+    def assert_levels_match_oracles(rng, n, predicate):
+        """The facet walk, which skips the parent, against the search that
+        looks up every facet and against the family by definition, with and
+        without a size cap."""
+        cls = random_class(rng, n=n, max_n=n)
+        for max_size in (None, rng.randint(0, n)):
+            got = _monotone_family(cls, predicate, max_size)
+            assert got == oracle_monotone_family(cls, predicate, max_size)
+            assert got == oracle_closed_levels(n, predicate, max_size)
 
 
 class TestStrongShattering:
@@ -476,6 +523,15 @@ class TestSauerShelahCap:
             partial += cls.is_partial
             self.assert_same(cls)
         assert partial > 1800
+
+    @pytest.mark.parametrize("n,m", [(7, 24), (8, 28), (12, 14)], ids=str)
+    def test_bench_shapes_and_their_duals(self, n, m):
+        # the random-classes benchmark's shapes: n points, m hypotheses
+        rng = random.Random(f"bench-shape:{n}x{m}")
+        for _ in range(4):
+            cls = random_class(rng, n=n, size=m)
+            self.assert_same(cls)
+            self.assert_same(dual_class(cls)[0])
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_classes_at_the_cap(self, n):

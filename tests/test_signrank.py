@@ -1,11 +1,13 @@
 """Tests for sign-rank certificate verification and products."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from spheredim.concepts import ConceptClass, family_class
 from spheredim.signrank import (
+    AMBIGUITY_THRESHOLD,
     SignRepresentation,
     product_representation,
     representation_from_payload,
@@ -19,7 +21,56 @@ def universal(n):
     return family_class("universal", n)
 
 
+def oracle_first_violation(cls, rep):
+    """The per-pair check with the generator dot product that
+    ``verify_representation`` replaced: (hypothesis, point, reason word) of
+    the first violation, or None."""
+    exact = rep.is_exact
+    for j, h in enumerate(cls.hypotheses):
+        for x in range(cls.domain_size):
+            dot = sum(a * b for a, b in zip(rep.hyp_vectors[j], rep.point_vectors[x]))
+            if (dot == 0) if exact else (abs(dot) < AMBIGUITY_THRESHOLD):
+                return j, x, "ambiguous"
+            if (dot > 0) != bool(h.plus >> x & 1):
+                return j, x, "wrong"
+    return None
+
+
 class TestVerify:
+    @pytest.mark.parametrize("entries", ["int", "fraction", "float", "mixed"])
+    def test_against_the_generator_dot_product(self, entries):
+        # small random entries: the sums land on both sides of zero, on it
+        # and, exact or not, strictly inside the ambiguity threshold, so
+        # verified, ambiguous and wrong-sign reports all occur
+        rng = random.Random(f"dot:{entries}")
+        fraction = lambda: Fraction(rng.randint(-3, 3), rng.choice([1, 4, 10**6]))
+        real = lambda: rng.choice([0.0, 1e-10, -1e-10, 0.1, -0.3, 1.7])
+        draw = {
+            "int": lambda: rng.randint(-2, 2),
+            "fraction": fraction,
+            "float": real,
+            "mixed": lambda: rng.choice([fraction, real])(),
+        }[entries]
+        for _ in range(200):
+            n, m, d = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+            masks = rng.sample(range(1 << n), min(m, 1 << n))
+            cls = ConceptClass.from_strings(
+                ["".join("+" if p >> x & 1 else "-" for x in range(n)) for p in masks]
+            )
+            rep = SignRepresentation(
+                d,
+                tuple(tuple(draw() for _ in range(d)) for _ in range(n)),
+                tuple(tuple(draw() for _ in range(d)) for _ in masks),
+            )
+            report = verify_representation(cls, rep)
+            want = oracle_first_violation(cls, rep)
+            if want is None:
+                assert report.ok and report.reason == "verified"
+            else:
+                j, x, word = want
+                assert (report.ok, report.hypothesis, report.point) == (False, j, x)
+                assert report.reason.startswith(word)
+
     def test_universal_certificates(self):
         for n in range(1, 7):
             rep = universal_representation(n)

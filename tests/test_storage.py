@@ -435,6 +435,18 @@ class TestRepresentationRoundtrip:
         with pytest.raises(StorageError):
             load("representation", p, cls=cls)
 
+    def test_representation_failing_its_class_rejected(self, tmp_path):
+        # well formed, but w(-) = [1] gives the '-' hypothesis a '+' at point 0
+        cls = family_class("threshold", 1)
+        payload = {"d": 1, "phi": {"0": [1]}, "w": {"-": [-1], "+": [1]}}
+        p = tmp_path / "rep.json"
+        store(representation_from_payload(cls, payload), p, cls=cls)
+        data = json.loads(p.read_text())
+        data["payload"]["w"]["-"] = [1]
+        p.write_text(json.dumps(data))
+        with pytest.raises(StorageError, match="wrong sign at hypothesis 0, point 0"):
+            load("representation", p, cls=cls)
+
     @staticmethod
     def written_by_the_library():
         """(class, representation) pairs as the library builds them: the
