@@ -30,6 +30,7 @@ from spheredim.complexes import (
     antipodal_subcomplex,
     barycentric_subdivision,
     complex_to_payload,
+    point_label,
     realizable_complex,
 )
 from spheredim.extremal import (
@@ -116,12 +117,9 @@ def _classification_payload(analysis: ClassAnalysis) -> dict:
             "order": list(got.order),
         }
     if isinstance(got, Vc1NonThreshold):
-        w = got.witness
         return {
             "bucket": "vc1_non_threshold",
-            "hexagon": [
-                w.target.complex.vertices[v] for v in w.vertex_map
-            ],
+            "hexagon": [point_label(x, s) for x, s in got.witness.pairs],
         }
     assert isinstance(got, Vc2Plus)
     return {"bucket": "vc2_plus", "shattered_pair": list(got.shattered_pair)}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 ALPHABET = {"-", "+", "*"}
@@ -171,8 +172,10 @@ class ConceptClass:
             raise ClassFormatError("a concept class must be nonempty")
         return cls(hyps[0].n, hyps)
 
-    @property
+    @cached_property
     def is_partial(self) -> bool:
+        """Whether some hypothesis is partial; kept with the instance, since
+        every analysis step asks ``require_total`` again."""
         return any(not h.is_total for h in self.hypotheses)
 
     @property
@@ -188,6 +191,21 @@ class ConceptClass:
     def require_total(self, op: str) -> None:
         if self.is_partial:
             raise ClassFormatError(f"{op} requires a total class")
+
+    @cached_property
+    def label_columns(self) -> "LabelColumns":
+        """The columns at the points that carry both labels, built on first
+        read and kept with the instance (not a field, so not in eq, hash or
+        repr); a total class only."""
+        self.require_total("label_columns")
+        full = (1 << len(self.hypotheses)) - 1
+        points: list[tuple[int, int]] = []
+        masks: list[int] = []
+        for x, col in enumerate(columns(self.domain_size, self.hypotheses)):
+            if col and col != full:
+                points += [(x, -1), (x, +1)]
+                masks += [full & ~col, col]
+        return LabelColumns(tuple(points), tuple(masks))
 
     def restrict(self, points: Sequence[int]) -> "ConceptClass":
         """Restriction to a point sequence, which must keep hypotheses distinct."""
@@ -367,6 +385,50 @@ def columns(n: int, hyps: Sequence[PartialHypothesis]) -> list[int]:
     """For each of the ``n`` points, the mask of the positions in ``hyps``
     of the hypotheses positive there.  ``hyps`` may repeat a hypothesis."""
     return transpose(n, (h.plus for h in hyps))
+
+
+@dataclass(frozen=True)
+class LabelColumns:
+    """The vertices of a total class's antipodal subcomplex and their
+    incidence, read from the class's columns.
+
+    Vertex 2k is (x, -1) and vertex 2k+1 is (x, +1) for the k-th point x
+    that carries both labels, so vertex i and vertex i ^ 1 are antipodal;
+    ``masks[i]`` is the mask of the positions of the hypotheses that give
+    vertex i's point its label.  A set of vertices is a simplex of the
+    antipodal subcomplex iff some hypothesis carries all of its labels and
+    some hypothesis all of the flipped ones: iff the AND of ``masks`` over
+    the set and the AND over its flip are both nonzero.
+    """
+
+    points: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...]
+
+    def has_simplex(self, mask: int) -> bool:
+        """Whether ``mask`` spans a simplex: the empty mask iff there is a
+        vertex, never a mask past the last vertex."""
+        masks = self.masks
+        if not masks or mask >> len(masks):
+            return False
+        here = flipped = -1
+        while mask:  # bits(mask), inlined on the hot path of verification
+            low = mask & -mask
+            i = low.bit_length() - 1
+            here &= masks[i]
+            flipped &= masks[i ^ 1]
+            mask ^= low
+        return here != 0 and flipped != 0
+
+
+def max_hamming_distance(cls: ConceptClass) -> int:
+    """The most points on which two hypotheses of a total class differ; 0
+    for a single hypothesis."""
+    cls.require_total("max_hamming_distance")
+    pluses = [h.plus for h in cls.hypotheses]
+    return max(
+        max(map(int.bit_count, map(p.__xor__, pluses[i:])))
+        for i, p in enumerate(pluses)
+    )
 
 
 def dual_class(cls: ConceptClass) -> tuple[ConceptClass, tuple[int, ...]]:

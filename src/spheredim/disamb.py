@@ -26,7 +26,6 @@ from spheredim.spheres import (
     SphereTemplate,
     SphereWitness,
     WitnessError,
-    delta_ant,
     verify_witness,
     witness_on,
 )
@@ -239,18 +238,13 @@ def pullback_disambiguation(witness: SphereWitness) -> Disambiguation:
     report = verify_witness(witness)
     if not report:
         raise WitnessError(f"pullback requires a verified witness: {report.detail}")
-    if witness.target.points is None:
-        raise WitnessError("pullback requires a class-backed witness target")
     source = witness.cls
     n = source.domain_size
     ext, _ext_domain = antipodal_extension(source)
     tc = witness.template.complex
     num_vertices = len(tc.complex.vertices)
 
-    ext_index = []
-    for i in range(num_vertices):
-        x, s = witness.target.points[witness.vertex_map[i]]
-        ext_index.append(x if s > 0 else n + x)
+    ext_index = [x if s > 0 else n + x for x, s in witness.pairs]
 
     pulled: list[PartialHypothesis] = []
     seen: set[int] = set()
@@ -291,5 +285,4 @@ def sphere_from_disambiguation(d: Disambiguation) -> SphereWitness:
     restricted, reps = representatives_restriction(d.cls, d.domain)
     rep_pos = {x: j for j, x in enumerate(reps)}
     pairs = [(rep_pos[r], +1 if r == v else -1) for v, r in enumerate(d.domain.representative)]
-    target = delta_ant(restricted)
-    return witness_on(d.template, pairs, target, restricted, True, "extracted sphere")
+    return witness_on(d.template, pairs, restricted, True, "extracted sphere")

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from spheredim.concepts import (
     CapExceededError,
@@ -46,7 +46,6 @@ from spheredim import complexes
 from spheredim.complexes import SimplicialComplex
 from spheredim.spheres import (
     BarycentricBoundaryKind,
-    ClassAnalysis,
     SphereWitness,
     WitnessError,
     build_template,
@@ -295,8 +294,10 @@ def _chain_cube_parts(
     keys ``(plus, defined)`` and the distinct cube parts of the paths, where
     ``cube_bit`` maps the key of each cube to its bit.  The paths are walked
     once, with the cube parts below each vertex memoized, so the cost
-    follows the vertices rather than the |H|*n! paths.  The vertex and path
-    caps are those of the complex itself, ``complexes.DEFAULT_CHAIN_CAP``.
+    follows the vertices and their stored parts rather than the |H|*n!
+    paths, which are never enumerated.  The vertices, and the vertices
+    plus the cube parts the memo holds, are each capped at
+    ``complexes.DEFAULT_CHAIN_CAP``.
     """
     verts: set[tuple[int, int]] = set()
     for h in cls.hypotheses:
@@ -305,13 +306,13 @@ def _chain_cube_parts(
                 verts.add((h.plus & defined, defined))
                 if len(verts) > complexes.DEFAULT_CHAIN_CAP:
                     raise CapExceededError("partial hypothesis cap exceeded")
-    if len(cls) * math.factorial(cls.domain_size) > complexes.DEFAULT_CHAIN_CAP:
-        raise CapExceededError("chain enumeration cap exceeded")
 
     below: dict[tuple[int, int], set[int]] = {}
+    held = 0  # memoized vertices plus the cube parts stored under them
 
     def parts_below(plus: int, defined: int) -> set[int]:
         # the cube parts of the paths from (plus, defined) down
+        nonlocal held
         key = (plus, defined)
         out = below.get(key)
         if out is None:
@@ -323,6 +324,9 @@ def _chain_cube_parts(
                 for x in bits(defined):
                     d2 = defined & ~(1 << x)
                     out.update(p | bit for p in parts_below(plus & d2, d2))
+            held += 1 + len(out)
+            if held > complexes.DEFAULT_CHAIN_CAP:
+                raise CapExceededError("chain enumeration cap exceeded")
             below[key] = out
         return out
 
@@ -469,7 +473,14 @@ def collapse_certificate(
                 out.append((c, up.bit_length() - 1))
         return out
 
-    def dfs(st: int) -> bool:
+    # the search is depth-first, with an explicit stack of the states
+    # entered and the free pairs each has left to try, so that its depth
+    # (one state per collapse step) is not bounded by Python's recursion
+    # limit
+    stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
+
+    def enter(st: int) -> Optional[bool]:
+        # the outcome of a state decided on entry, or None once it is pushed
         nonlocal nodes
         if st and not st & (st - 1):
             return dims[st.bit_length() - 1] == 0
@@ -478,17 +489,24 @@ def collapse_certificate(
         nodes += 1
         if nodes > node_budget:
             raise CapExceededError(f"collapse node budget {node_budget} exceeded")
-        for c, d in free_pairs(st):
-            moves.append((labels[c], labels[d]))
-            if dfs(st & ~(1 << c | 1 << d)):
-                return True
-            moves.pop()
-        dead.add(st)
-        return False
+        stack.append((st, iter(free_pairs(st))))
+        return None
 
-    if dfs(state):
-        return moves
-    return None
+    outcome = enter(state)
+    while stack and not outcome:
+        st, pending = stack[-1]
+        if outcome is False:  # the state the last move led to failed
+            moves.pop()
+        pair = next(pending, None)
+        if pair is None:
+            dead.add(st)
+            stack.pop()
+            outcome = False
+        else:
+            c, d = pair
+            moves.append((labels[c], labels[d]))
+            outcome = enter(st & ~(1 << c | 1 << d))
+    return moves if outcome else None
 
 
 # --- low-VC classification ----------------------------------------------
@@ -540,11 +558,10 @@ def verify_threshold_certificate(
 
 
 def _hexagon_witness(
-    analysis: ClassAnalysis, flip_mask: int, cycle: list[tuple[int, int]]
+    cls: ConceptClass, flip_mask: int, cycle: list[tuple[int, int]]
 ) -> SphereWitness:
     """Build the 1-sphere witness from six (point, sign) pairs in flipped
-    coordinates, listed cyclically with opposite vertices antipodal, on the
-    analysis's antipodal subcomplex."""
+    coordinates, listed cyclically with opposite vertices antipodal."""
     unflipped = [
         (x, -s if flip_mask & (1 << x) else s) for x, s in cycle
     ]
@@ -553,21 +570,17 @@ def _hexagon_witness(
     cycle_position = (0, 2, 4, 1, 5, 3)
     pairs = [unflipped[pos] for pos in cycle_position]
     template = build_template(BarycentricBoundaryKind(1))
-    return witness_on(template, pairs, analysis.delta_ant, analysis.cls, True, "hexagon")
+    return witness_on(template, pairs, cls, True, "hexagon")
 
 
-def classify_low_vc(analysis: Union[ConceptClass, ClassAnalysis]) -> LowVcClassification:
+def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
     """Classify a total class per its spherical dimension regime.
 
     Mutually exclusive outcomes: Singleton; ThresholdLike with a verified
     (flip, order) certificate; Vc1NonThreshold with a verified hexagon
-    witness; Vc2Plus with a shattered pair.  Only the hexagon needs the
-    antipodal subcomplex; given an analysis, it reads the analysis's one.
+    witness; Vc2Plus with a shattered pair.
     """
-    if not isinstance(analysis, ClassAnalysis):
-        analysis.require_total("classify_low_vc")
-        analysis = ClassAnalysis(analysis)
-    cls = analysis.cls
+    cls.require_total("classify_low_vc")
     n = cls.domain_size
     m = len(cls)
     if m == 1:
@@ -618,7 +631,7 @@ def classify_low_vc(analysis: Union[ConceptClass, ClassAnalysis]) -> LowVcClassi
     if len(minimal) >= 3:
         x, z, w = (rep_point(c) for c in minimal[:3])
         cycle = [(x, +1), (z, -1), (w, +1), (x, -1), (z, +1), (w, -1)]
-        return Vc1NonThreshold(_hexagon_witness(analysis, flip0, cycle))
+        return Vc1NonThreshold(_hexagon_witness(cls, flip0, cycle))
 
     if len(minimal) != 2:
         raise AssertionError("incomparable pair with a single minimal element")
@@ -631,11 +644,11 @@ def classify_low_vc(analysis: Union[ConceptClass, ClassAnalysis]) -> LowVcClassi
             # two incomparable minimals with a common upper bound
             z1, z2, x = rep_point(c1), rep_point(c2), rep_point(c)
             cycle = [(x, +1), (z2, +1), (z1, -1), (x, -1), (z2, -1), (z1, +1)]
-            return Vc1NonThreshold(_hexagon_witness(analysis, flip0, cycle))
+            return Vc1NonThreshold(_hexagon_witness(cls, flip0, cycle))
         if not with1 and not with2:
             u, z1, z2 = rep_point(c), rep_point(c1), rep_point(c2)
             cycle = [(u, +1), (z1, -1), (z2, +1), (u, -1), (z1, +1), (z2, -1)]
-            return Vc1NonThreshold(_hexagon_witness(analysis, flip0, cycle))
+            return Vc1NonThreshold(_hexagon_witness(cls, flip0, cycle))
         (chain1 if with1 else chain2).append(c)
 
     for part in (chain1, chain2):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Optional, Union
@@ -46,6 +47,15 @@ class SignRepresentation:
             for entry in vec
         )
 
+    @cached_property
+    def reports(self) -> dict[ConceptClass, "RepresentationReport"]:
+        """The report of ``verify_representation`` for each class it has
+        checked this representation against, kept with the instance: every
+        field is frozen, so a report cannot change.  Not a field, so it
+        stays out of eq, hash and repr; a modified copy is a new object and
+        is checked afresh."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RepresentationReport:
@@ -62,7 +72,18 @@ def verify_representation(
     cls: ConceptClass, rep: SignRepresentation
 ) -> RepresentationReport:
     """Check sign<w(h), phi(x)> = h(x) for every pair, reporting the first
-    violation.  Ambiguous signs (zero, or tiny for float input) violate."""
+    violation.  Ambiguous signs (zero, or tiny for float input) violate.
+    The checks run once per representation object and class; later calls
+    return the report ``rep.reports`` kept."""
+    report = rep.reports.get(cls)
+    if report is None:
+        report = rep.reports[cls] = _check_representation(cls, rep)
+    return report
+
+
+def _check_representation(
+    cls: ConceptClass, rep: SignRepresentation
+) -> RepresentationReport:
     cls.require_total("verify_representation")
     if len(rep.point_vectors) != cls.domain_size or len(rep.hyp_vectors) != len(cls):
         raise ValueError("representation does not match the class shape")

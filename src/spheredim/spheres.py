@@ -6,15 +6,19 @@ barycentric subdivisions of these, each certified by construction) and a
 vertex map into the antipodal subcomplex of a class's realizable complex.
 Verification checks, in order: the template invariants, simpliciality of the
 map on maximal simplices, equivariance on every vertex, and agreement of the
-embedded flag with injectivity.  General sphere recognition is deliberately
-not attempted.
+embedded flag with injectivity.  The map is checked against the class's own
+label columns (``ConceptClass.label_columns``), which index the antipodal
+subcomplex's vertices and answer its simplex queries, so no complex is built
+to verify a witness.  General sphere recognition is deliberately not
+attempted.
 
 Lower bounds on the spherical dimension come from three constructions: a
 shattered m-set yields a crosspolytope witness of dimension m-1; a dually
 antipodally shattered k-set of hypotheses yields a barycentric witness of
 dimension k-2; and witnesses for two factors join to a witness for their
 product of dimension d1+d2+1.  Sound upper bounds come from the dimension of
-the antipodal subcomplex, extremality, the VC<=1 theorem, and the threshold
+the antipodal subcomplex (the largest Hamming distance between two
+hypotheses, minus one), extremality, the VC<=1 theorem, and the threshold
 classification.
 """
 
@@ -33,6 +37,7 @@ from spheredim.concepts import (
     dual_antipodal_witnesses,
     dual_class,
     mask_of,
+    max_hamming_distance,
     max_shattered_set,
     popcount,
     product_class,
@@ -244,17 +249,31 @@ def subdivide_template(t: SphereTemplate, depth: int = 1) -> SphereTemplate:
 
 @dataclass(frozen=True)
 class SphereWitness:
-    """A template plus a vertex map into the antipodal subcomplex of ``cls``."""
+    """A template plus a vertex map into the antipodal subcomplex of ``cls``.
+
+    The map indexes the vertices of that subcomplex, which are the class's
+    two-label points in the order of ``cls.label_columns``."""
 
     template: SphereTemplate
     vertex_map: tuple[int, ...]
-    target: AntipodalComplex
     cls: ConceptClass
     embedded: bool
 
     @property
     def dimension(self) -> int:
         return self.template.dimension
+
+    @cached_property
+    def target(self) -> AntipodalComplex:
+        """The antipodal subcomplex of ``cls``, built on first read and kept
+        (not a field); only printing or comparing it needs it."""
+        return delta_ant(self.cls)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (point, sign) pair each template vertex maps to."""
+        points = self.cls.label_columns.points
+        return tuple(points[v] for v in self.vertex_map)
 
     @cached_property
     def report(self) -> WitnessReport:
@@ -310,22 +329,23 @@ def _run_checks(w: SphereWitness) -> WitnessReport:
 
     tc = w.template.complex
     n = len(tc.complex.vertices)
+    target = w.cls.label_columns
     if len(w.vertex_map) != n or any(
-        not 0 <= v < len(w.target.complex.vertices) for v in w.vertex_map
+        not 0 <= v < len(target.points) for v in w.vertex_map
     ):
         return WitnessReport(False, "simplicial", "vertex map is not total into the target", tuple(lines))
 
     # (b) simpliciality on maximal simplices (faces follow by downward closure)
     for s in tc.complex.maximal:
         image = mask_of(w.vertex_map[i] for i in bits(s))
-        if not w.target.complex.has_simplex(image):
+        if not target.has_simplex(image):
             detail = f"simplex {_simplex_labels(tc.complex, s)} maps outside the target"
             return WitnessReport(False, "simplicial", detail, tuple(lines))
     lines.append("simplicial: ok")
 
-    # (c) equivariance on every vertex
+    # (c) equivariance on every vertex: the target's antipode of i is i ^ 1
     for i in range(n):
-        if w.vertex_map[tc.involution[i]] != w.target.involution[w.vertex_map[i]]:
+        if w.vertex_map[tc.involution[i]] != w.vertex_map[i] ^ 1:
             detail = f"vertex {tc.complex.vertices[i]} breaks equivariance"
             return WitnessReport(False, "equivariance", detail, tuple(lines))
     lines.append("equivariance: ok")
@@ -352,32 +372,25 @@ def delta_ant(cls: ConceptClass) -> AntipodalComplex:
 def witness_on(
     template: SphereTemplate,
     pairs: Iterable[tuple[int, int]],
-    target: AntipodalComplex,
     cls: ConceptClass,
     embedded: bool,
     what: str,
 ) -> SphereWitness:
-    """The witness that sends template vertex v to the target vertex of the
-    v-th (point, sign) pair of ``pairs``; a WitnessError naming ``what``
-    unless ``verify_witness`` passes it."""
-    if target.points is None:
-        raise WitnessError("target carries no point labels")
-    index = {p: i for i, p in enumerate(target.points)}
+    """The witness that sends template vertex v to the vertex of the class's
+    antipodal subcomplex at the v-th (point, sign) pair of ``pairs``; a
+    WitnessError naming ``what`` unless ``verify_witness`` passes it."""
+    index = {p: i for i, p in enumerate(cls.label_columns.points)}
     vmap = [index.get(pair) for pair in pairs]
     if None in vmap:
         raise WitnessError(f"vertex {vmap.index(None)} has no image in the target")
-    witness = SphereWitness(template, tuple(vmap), target, cls, embedded)
+    witness = SphereWitness(template, tuple(vmap), cls, embedded)
     report = verify_witness(witness)
     if not report:
         raise WitnessError(f"{what} failed verification: {report.detail}")
     return witness
 
 
-def crosspolytope_witness(
-    cls: ConceptClass,
-    S: Sequence[int],
-    target: Optional[AntipodalComplex] = None,
-) -> SphereWitness:
+def crosspolytope_witness(cls: ConceptClass, S: Sequence[int]) -> SphereWitness:
     """Witness of dimension |S|-1 from a shattered set S.
 
     The restriction of the class to S realizes every pattern, so the vertex
@@ -389,18 +402,12 @@ def crosspolytope_witness(
         raise WitnessError("the shattered set must be nonempty")
     if not shatters(cls, points):
         raise WitnessError(f"set {points} is not shattered")
-    if target is None:
-        target = delta_ant(cls)
     pairs = [(x, s) for x in points for s in (-1, +1)]
     template = build_template(CrosspolytopeKind(len(points) - 1))
-    return witness_on(template, pairs, target, cls, True, "construction")
+    return witness_on(template, pairs, cls, True, "construction")
 
 
-def barycentric_witness(
-    cls: ConceptClass,
-    hyp_indices: Sequence[int],
-    target: Optional[AntipodalComplex] = None,
-) -> SphereWitness:
+def barycentric_witness(cls: ConceptClass, hyp_indices: Sequence[int]) -> SphereWitness:
     """Witness of dimension k-2 from a dually antipodally shattered k-set.
 
     Each nontrivial dual pattern on the chosen hypotheses is realized at a
@@ -418,12 +425,10 @@ def barycentric_witness(
         raise WitnessError(
             f"hypotheses {hyp_indices} are not dually antipodally shattered"
         )
-    if target is None:
-        target = delta_ant(cls)
     realized = (found[pattern] for pattern in _proper_subsets(k))
     pairs = [(x, +1 if positively else -1) for x, positively in realized]
     template = build_template(BarycentricBoundaryKind(k - 2))
-    return witness_on(template, pairs, target, cls, True, "construction")
+    return witness_on(template, pairs, cls, True, "construction")
 
 
 def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, ConceptClass]:
@@ -432,27 +437,21 @@ def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, Con
     for w in (a, b):
         if not verify_witness(w):
             raise WitnessError("join requires verified witnesses")
-        if w.target.points is None:
-            raise WitnessError("join requires class-backed witness targets")
     product = product_class(a.cls, b.cls)
     shift = a.cls.domain_size
-    pairs = [a.target.points[v] for v in a.vertex_map]
-    pairs += [(x + shift, s) for x, s in (b.target.points[v] for v in b.vertex_map)]
+    pairs = list(a.pairs) + [(x + shift, s) for x, s in b.pairs]
     template = build_template(JoinKind((a.template.kind, b.template.kind)))
     embedded = a.embedded and b.embedded
-    return witness_on(template, pairs, delta_ant(product), product, embedded, "construction"), product
+    return witness_on(template, pairs, product, embedded, "construction"), product
 
 
 def transport_witness(
     w: SphereWitness, target_cls: ConceptClass, phi: Sequence[int]
 ) -> SphereWitness:
     """Carry a witness along a class-order map via (x, y) -> (phi(x), y)."""
-    if w.target.points is None:
-        raise WitnessError("transport requires a class-backed witness target")
-    pairs = [(phi[x], s) for x, s in (w.target.points[v] for v in w.vertex_map)]
+    pairs = [(phi[x], s) for x, s in w.pairs]
     embedded = len(set(pairs)) == len(pairs)
-    target = delta_ant(target_cls)
-    return witness_on(w.template, pairs, target, target_cls, embedded, "transported witness")
+    return witness_on(w.template, pairs, target_cls, embedded, "transported witness")
 
 
 # --- bounds -------------------------------------------------------------
@@ -484,9 +483,10 @@ class ClassAnalysis:
 
     Each part is computed when first read and kept, so one analysis computes
     nothing twice: the dual, the four maximum (antipodally) shattered sets
-    as masks, the antipodal subcomplex, the two witnesses built on it, the
-    extremality report and the low-VC classification.  An analysis belongs
-    to one call and is not shared between calls.
+    as masks, the two witnesses built on them, the extremality report and
+    the low-VC classification.  None of them builds the antipodal
+    subcomplex.  An analysis belongs to one call and is not shared between
+    calls.
     """
 
     def __init__(self, cls: ConceptClass):
@@ -516,16 +516,12 @@ class ClassAnalysis:
         return max_shattered_set(self.dual, antipodal=True)
 
     @cached_property
-    def delta_ant(self) -> AntipodalComplex:
-        return delta_ant(self.cls)
-
-    @cached_property
     def crosspolytope(self) -> Optional[SphereWitness]:
         """The witness on ``shattered``; None when that set is empty."""
         points = tuple(bits(self.shattered))
         if not points:
             return None
-        return crosspolytope_witness(self.cls, points, target=self.delta_ant)
+        return crosspolytope_witness(self.cls, points)
 
     @cached_property
     def barycentric(self) -> Optional[SphereWitness]:
@@ -534,7 +530,7 @@ class ClassAnalysis:
         hyps = tuple(bits(self.dual_antipodally_shattered))
         if len(hyps) < 2:
             return None
-        return barycentric_witness(self.cls, hyps, target=self.delta_ant)
+        return barycentric_witness(self.cls, hyps)
 
     def witness(self, method: str = "auto") -> Optional[SphereWitness]:
         """The witness of largest dimension, the crosspolytope on a tie, among
@@ -563,11 +559,10 @@ class ClassAnalysis:
 
     @cached_property
     def classification(self) -> LowVcClassification:
-        """The bucket of ``extremal.classify_low_vc``; a hexagon is built on
-        ``delta_ant``."""
+        """The bucket of ``extremal.classify_low_vc``."""
         from spheredim import extremal
 
-        return extremal.classify_low_vc(self)
+        return extremal.classify_low_vc(self.cls)
 
 
 def sd_bounds(
@@ -594,8 +589,9 @@ def sd_bounds(
         check = verify_representation(a.cls, sign_representation)
         if not check:
             raise ValueError(f"unverified sign representation: {check.reason}")
-    ant = a.delta_ant
-    if ant.is_empty:
+    # two distinct hypotheses disagree somewhere, so the antipodal subcomplex
+    # is empty iff there is one hypothesis
+    if len(a.cls) == 1:
         cert = (BoundCertificate("empty antipodal subcomplex", -1),)
         return SdBounds(-1, -1, cert, cert)
 
@@ -607,7 +603,9 @@ def sd_bounds(
         bw = a.barycentric
         lower_certs.append(BoundCertificate("barycentric", bw.dimension, bw))
 
-    upper_certs = [BoundCertificate("dimension bound", ant.dim())]
+    # the maximal simplices of the antipodal subcomplex are the sets on
+    # which two hypotheses disagree, labelled by the first
+    upper_certs = [BoundCertificate("dimension bound", max_hamming_distance(a.cls) - 1)]
     vc = popcount(a.shattered)
     if vc <= 1:
         upper_certs.append(BoundCertificate("low VC bound", 1))

@@ -279,7 +279,7 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     tpl_vertices = template.complex.complex.vertices
     if [pair[0] for pair in payload["vertex_map"]] != list(tpl_vertices):
         raise StorageError("vertex map does not cover the template vertices in order")
-    witness = SphereWitness(template, vmap, target, cls, payload["embedded"])
+    witness = SphereWitness(template, vmap, cls, payload["embedded"])
     report = verify_witness(witness)
     if not report:
         raise StorageError(f"witness fails the {report.check} check: {report.detail}")

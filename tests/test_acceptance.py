@@ -189,7 +189,7 @@ def _family_witnesses():
 def _flip_mutation(w, vertex):
     vmap = list(w.vertex_map)
     vmap[vertex] = w.target.involution[vmap[vertex]]
-    return SphereWitness(w.template, tuple(vmap), w.target, w.cls, w.embedded)
+    return SphereWitness(w.template, tuple(vmap), w.cls, w.embedded)
 
 
 def _drop_mutation(w, which):
@@ -206,7 +206,7 @@ def _drop_mutation(w, which):
         for s in (drop, partner)
     ]
     template = SphereTemplate(w.template.kind, mutated)
-    return SphereWitness(template, w.vertex_map, w.target, w.cls, w.embedded), labels
+    return SphereWitness(template, w.vertex_map, w.cls, w.embedded), labels
 
 
 def test_criterion_05_witness_validity_and_mutations():

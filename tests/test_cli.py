@@ -37,6 +37,27 @@ def threshold3(tmp_path_factory):
     return str(path)
 
 
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "spheredim", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+
+    def test_runs_the_cli(self):
+        out = self.run_module("family", "threshold", "2")
+        assert out.returncode == 0
+        assert out.stdout == "--\n+-\n++\n"
+
+    def test_exit_code_passes_through(self):
+        out = self.run_module("family", "cube", "0")
+        assert out.returncode == 1
+        assert out.stderr.startswith("usage error: ")
+
+
 class TestFamily:
     def test_threshold_file_contents(self, threshold3):
         rows = Path(threshold3).read_text().splitlines()

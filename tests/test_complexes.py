@@ -10,11 +10,13 @@ import pytest
 
 from spheredim.concepts import (
     CapExceededError,
+    ClassFormatError,
     ConceptClass,
     PartialHypothesis,
     bits,
     family_class,
     mask_of,
+    max_hamming_distance as library_max_hamming_distance,
     parse_class,
     popcount,
     product_class,
@@ -421,7 +423,60 @@ class TestAntipodalOracle:
         cls = parse_class(bench_corpus().scale(1).corpus["r12x200"])
         assert (cls.domain_size, len(cls)) == (12, 200)
         assert max_hamming_distance(cls) == 12
+        assert library_max_hamming_distance(cls) == 12
         assert antipodal_subcomplex(realizable_complex(cls)).dim() == 11
+
+
+def all_total_classes(n):
+    """Every total class on n points: each nonempty set of sign vectors."""
+    for chosen in range(1, 1 << (1 << n)):
+        yield ConceptClass(n, tuple(PartialHypothesis.total(n, m) for m in bits(chosen)))
+
+
+def small_and_random_total_classes():
+    """All total classes on at most 3 points, then seeded random ones on 4
+    to 8 points."""
+    for n in (1, 2, 3):
+        yield from all_total_classes(n)
+    rng = random.Random(17)
+    for n in (4, 5, 6, 7, 8, 8):
+        for _ in range(2):
+            size = rng.randint(2, min(24, 2**n))
+            masks = rng.sample(range(2**n), size)
+            yield ConceptClass(n, tuple(PartialHypothesis.total(n, m) for m in masks))
+
+
+class TestLabelColumnsOracle:
+    """The class's label columns against the antipodal subcomplex built
+    from its realizable complex."""
+
+    def test_membership_on_every_mask(self):
+        classes = 0
+        for cls in small_and_random_total_classes():
+            ant = antipodal_subcomplex(realizable_complex(cls))
+            cols = cls.label_columns
+            assert cols.points == ant.points
+            assert ant.involution == tuple(i ^ 1 for i in range(len(cols.points)))
+            for mask in range(1 << len(cols.points)):
+                assert cols.has_simplex(mask) == ant.complex.has_simplex(mask), (cls.rows(), mask)
+            # a mask past the last vertex is never a simplex
+            assert not cols.has_simplex(1 << len(cols.points))
+            classes += 1
+        assert classes == 3 + 15 + 255 + 12
+
+    def test_dimension_and_emptiness_from_hamming_distance(self, corpus_classes):
+        for cls in itertools.chain(small_and_random_total_classes(), corpus_classes):
+            ant = antipodal_subcomplex(realizable_complex(cls))
+            assert library_max_hamming_distance(cls) == max_hamming_distance(cls)
+            assert library_max_hamming_distance(cls) - 1 == ant.dim()
+            assert (len(cls) == 1) == ant.is_empty
+
+    def test_partial_class_rejected(self):
+        cls = ConceptClass.from_strings(["+*", "--"])
+        with pytest.raises(ClassFormatError, match="label_columns requires a total class"):
+            cls.label_columns
+        with pytest.raises(ClassFormatError):
+            library_max_hamming_distance(cls)
 
 
 class TestBarycentricSubdivision:

@@ -214,7 +214,7 @@ class TestPullback:
         from spheredim.spheres import SphereWitness
 
         w = crosspolytope_witness(cube(2), (0, 1))
-        broken = SphereWitness(w.template, w.vertex_map, w.target, w.cls, False)
+        broken = SphereWitness(w.template, w.vertex_map, w.cls, False)
         with pytest.raises(WitnessError):
             pullback_disambiguation(broken)
 

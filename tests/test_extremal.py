@@ -3,10 +3,11 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from spheredim import extremal
+from spheredim import cli, complexes, extremal
 from spheredim.concepts import (
     CapExceededError,
     ConceptClass,
@@ -600,11 +601,28 @@ class TestEmbedding:
         want = oracle_embedding_check(cls)
         assert same_embedding_report(report, want) and report.detail == want.detail
 
-    def test_chain_cap(self):
-        # a single concept on 10 points has 10! > 10**6 support-dropping paths
+    def test_chain_cap(self, monkeypatch):
+        # a single concept on 10 points has 10! > 10**6 support-dropping
+        # paths, which the memoized walk never enumerates: its memo holds
+        # the 1023 nonempty-support restrictions, one cube part under each
         cls = ConceptClass(10, (PartialHypothesis.total(10, 0),))
+        assert full_subcomplex_embedding_check(cls).ok
+        monkeypatch.setattr(complexes, "DEFAULT_CHAIN_CAP", 2 * 1023 - 1)
         with pytest.raises(CapExceededError, match="chain enumeration cap exceeded"):
             full_subcomplex_embedding_check(cls)
+        monkeypatch.setattr(complexes, "DEFAULT_CHAIN_CAP", 2 * 1023)
+        assert full_subcomplex_embedding_check(cls).ok
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_long_thresholds_answer(self, n, tmp_path, capsys):
+        # |H| * n! exceeds the chain cap from threshold 9 on
+        assert (n + 1) * math.factorial(n) > complexes.DEFAULT_CHAIN_CAP
+        path = tmp_path / "t.cls"
+        path.write_text(format_class(family_class("threshold", n)))
+        assert cli.main(["extremal", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("embedding full subcomplex embedding verified\n")
+        assert f"collapsible yes in {n} steps" in out
 
     def test_subdivided_realizable_complex_counts(self):
         # square class: vertices are the 8 nonempty-support realizable
@@ -705,6 +723,22 @@ class TestCollapse:
                         collapse_certificate(cc, node_budget=budget)
                 else:
                     assert collapse_certificate(cc, node_budget=budget) == want
+
+    def test_deep_collapse_needs_no_recursion(self):
+        # cube 5 collapses in 121 steps, far more frames than are left
+        # under the lowered limit
+        cc = cubical_complex(family_class("cube", 5))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            moves = collapse_certificate(cc)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert moves is not None and len(moves) == (len(cc.cubes) - 1) // 2 == 121
+        validate_collapse(cc, moves)
 
     def test_unsorted_cubes_match_pair_scan(self):
         cc = cubical_complex(cls_of(FIG_SQUARE_WHISKER))

@@ -1,10 +1,12 @@
 """Tests for sign-rank certificate verification and products."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from spheredim import signrank, storage
 from spheredim.concepts import ConceptClass, family_class
 from spheredim.signrank import (
     AMBIGUITY_THRESHOLD,
@@ -114,6 +116,57 @@ class TestVerify:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             verify_representation(universal(2), universal_representation(3))
+
+
+class TestKeptReports:
+    def count_checks(self, monkeypatch):
+        calls = []
+        original = signrank._check_representation
+
+        def counted(cls, rep):
+            calls.append(cls)
+            return original(cls, rep)
+
+        monkeypatch.setattr(signrank, "_check_representation", counted)
+        return calls
+
+    def test_each_class_checked_once(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        rep = universal_representation(3)
+        first = verify_representation(universal(3), rep)
+        # an equal class built anew reads the same kept report
+        assert verify_representation(universal(3), rep) is first
+        assert first.ok and len(calls) == 1
+        # another class of the same shape gets its own report
+        other = ConceptClass.from_strings(["+" * 8, "-" * 8, "+-" * 4])
+        assert not verify_representation(other, rep)
+        assert len(calls) == 2
+        assert set(rep.reports) == {universal(3), other}
+
+    def test_modified_copy_is_checked_afresh(self, monkeypatch):
+        rep = universal_representation(3)
+        assert verify_representation(universal(3), rep)
+        flipped = tuple(-v for v in rep.hyp_vectors[0])
+        broken = dataclasses.replace(rep, hyp_vectors=(flipped,) + rep.hyp_vectors[1:])
+        calls = self.count_checks(monkeypatch)
+        assert not verify_representation(universal(3), broken)
+        assert len(calls) == 1
+        assert verify_representation(universal(3), rep)
+
+    def test_reports_are_not_part_of_eq_hash_or_repr(self):
+        read = universal_representation(2)
+        fresh = universal_representation(2)
+        verify_representation(universal(2), read)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+
+    def test_loaded_representation_is_not_checked_again(self, monkeypatch, tmp_path):
+        cls = universal(3)
+        path = tmp_path / "rep.json"
+        storage.store(universal_representation(3), path, cls=cls)
+        calls = self.count_checks(monkeypatch)
+        rep = storage.load("representation", path, cls=cls)
+        assert verify_representation(cls, rep)
+        assert len(calls) == 1
 
 
 class TestProduct:

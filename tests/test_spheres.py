@@ -160,7 +160,7 @@ class TestTemplateCache:
             other = dataclasses.replace(complex_, complex=base)
             detail = "missing maximal simplex"
         template = SphereTemplate(w.template.kind, other)
-        changed = SphereWitness(template, w.vertex_map, w.target, w.cls, True)
+        changed = SphereWitness(template, w.vertex_map, w.cls, True)
         report = verify_witness(changed)
         assert not report
         assert report.check == "template"
@@ -187,7 +187,7 @@ class TestTemplateCache:
     def test_a_template_built_elsewhere_is_checked_and_not_recorded(self):
         template = make_crosspolytope(1)
         w = crosspolytope_witness(cube(2), (0, 1))
-        outside = SphereWitness(template, w.vertex_map, w.target, w.cls, True)
+        outside = SphereWitness(template, w.vertex_map, w.cls, True)
         assert verify_witness(outside)
         assert build_template(template.kind) is w.template
 
@@ -257,11 +257,11 @@ class TestJoinWitness:
     def test_invalid_input_rejected(self):
         a = crosspolytope_witness(cube(1), (0,))
         broken = SphereWitness(
-            a.template, tuple(reversed(a.vertex_map)), a.target, a.cls, a.embedded
+            a.template, tuple(reversed(a.vertex_map)), a.cls, a.embedded
         )
         # reversing the map of a 0-sphere breaks equivariance pairing with itself
         if verify_witness(broken):
-            broken = SphereWitness(a.template, a.vertex_map, a.target, a.cls, False)
+            broken = SphereWitness(a.template, a.vertex_map, a.cls, False)
         with pytest.raises(WitnessError):
             join_witness(broken, a)
 
@@ -271,7 +271,7 @@ class TestVerifyWitness:
         w = crosspolytope_witness(cube(2), (0, 1))
         vmap = list(w.vertex_map)
         vmap[0] = w.target.involution[vmap[0]]
-        mutated = SphereWitness(w.template, tuple(vmap), w.target, w.cls, w.embedded)
+        mutated = SphereWitness(w.template, tuple(vmap), w.cls, w.embedded)
         report = verify_witness(mutated)
         assert not report
         assert report.check in ("simplicial", "equivariance")
@@ -293,7 +293,6 @@ class TestVerifyWitness:
         mutated = SphereWitness(
             SphereTemplate(w.template.kind, mutated_complex),
             w.vertex_map,
-            w.target,
             w.cls,
             w.embedded,
         )
@@ -304,7 +303,7 @@ class TestVerifyWitness:
 
     def test_wrong_embedded_flag_reported(self):
         w = crosspolytope_witness(cube(2), (0, 1))
-        mutated = SphereWitness(w.template, w.vertex_map, w.target, w.cls, False)
+        mutated = SphereWitness(w.template, w.vertex_map, w.cls, False)
         report = verify_witness(mutated)
         assert not report
         assert report.check == "embedding"
@@ -478,6 +477,17 @@ ANALYSED = {
 }
 
 
+COMPLEX_BUILDERS = ("realizable_complex", "antipodal_subcomplex", "delta_ant")
+
+BUILDS_NO_COMPLEX = {
+    **ANALYSED,
+    "hexagon": ConceptClass.from_strings(["+--", "-+-", "--+"]),
+    "single": ConceptClass.from_strings(["+-+"]),
+    "threshold3": family_class("threshold", 3),
+    "universal3": family_class("universal", 3),
+}
+
+
 class TestClassAnalysis:
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_report_computes_each_part_once(self, name, monkeypatch, tmp_path, capsys):
@@ -521,27 +531,29 @@ class TestClassAnalysis:
         assert calls == {"verify_witness": 2, "build_template": 2, "make_crosspolytope": 1}
 
     @pytest.mark.parametrize("command", ["sd", "report", "classify"])
-    def test_hexagon_reads_the_analysis_antipodal_subcomplex(
-        self, command, monkeypatch, tmp_path, capsys
+    @pytest.mark.parametrize("name", sorted(BUILDS_NO_COMPLEX))
+    def test_sd_report_and_classify_build_no_complex(
+        self, command, name, monkeypatch, tmp_path, capsys
     ):
-        calls = count_calls(monkeypatch, ("delta_ant",))
+        calls = count_calls(monkeypatch, COMPLEX_BUILDERS)
         path = tmp_path / "c.cls"
-        path.write_text(format_class(ConceptClass.from_strings(["+--", "-+-", "--+"])))
+        path.write_text(format_class(BUILDS_NO_COMPLEX[name]))
         assert cli.main([command, str(path)]) == 0
-        assert "hexagon" in capsys.readouterr().out
-        assert calls["delta_ant"] == 1
+        out = capsys.readouterr().out
+        if name == "hexagon" and command != "classify":
+            assert "hexagon" in out  # a lower certificate verified with no complex
+        assert calls == dict.fromkeys(COMPLEX_BUILDERS, 0)
 
-    @pytest.mark.parametrize("name", ["cube", "threshold"])
-    def test_classify_builds_no_antipodal_subcomplex_it_does_not_need(
-        self, name, monkeypatch, tmp_path, capsys
+    @pytest.mark.parametrize("args", [["complex", "--antipodal"], ["witness"]])
+    def test_complex_and_witness_still_build_the_antipodal_subcomplex(
+        self, args, monkeypatch, tmp_path, capsys
     ):
-        cls = family_class(name, 3)
-        calls = count_calls(monkeypatch, ("delta_ant",))
+        calls = count_calls(monkeypatch, COMPLEX_BUILDERS)
         path = tmp_path / "c.cls"
-        path.write_text(format_class(cls))
-        assert cli.main(["classify", str(path)]) == 0
-        assert capsys.readouterr().out.startswith("bucket ")
-        assert calls["delta_ant"] == 0
+        path.write_text(format_class(ANALYSED["cube3"]))
+        assert cli.main(args + [str(path)]) == 0
+        assert capsys.readouterr().out.startswith("{")
+        assert calls["realizable_complex"] == calls["antipodal_subcomplex"] == 1
 
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_sd_bounds_of_a_class_and_of_its_analysis_agree(self, name):

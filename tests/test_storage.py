@@ -18,9 +18,11 @@ from spheredim.complexes import (
     SimplicialComplex,
     complex_to_payload,
     face_counts,
+    point_label,
     realizable_complex,
 )
-from spheredim.extremal import CubicalComplex, cubical_complex
+from spheredim.disamb import pullback_disambiguation, sphere_from_disambiguation
+from spheredim.extremal import CubicalComplex, classify_low_vc, cubical_complex
 from spheredim.signrank import (
     SignRepresentation,
     product_representation,
@@ -30,9 +32,11 @@ from spheredim.signrank import (
 )
 from spheredim.spheres import (
     SphereWitness,
+    barycentric_witness,
     build_template,
     crosspolytope_witness,
     delta_ant,
+    join_witness,
     kind_from_payload,
     make_crosspolytope,
     subdivide_template,
@@ -299,10 +303,9 @@ class TestTemplateSize:
 
     def test_depth_2_subdivided_witness_loads(self, tmp_path):
         cls = family_class("threshold", 1)
-        target = delta_ant(cls)
         template = subdivide_template(make_crosspolytope(0), 2)
         assert template.complex.complex.vertices == ("[[e0-]]", "[[e0+]]")
-        w = SphereWitness(template, (0, 1), target, cls, embedded=True)
+        w = SphereWitness(template, (0, 1), cls, embedded=True)
         assert verify_witness(w)
         p = tmp_path / "w.json"
         store(w, p)
@@ -325,7 +328,7 @@ class TestTemplateSize:
     def edited_threshold_1_witness(tmp_path, template, edit):
         cls = family_class("threshold", 1)
         p = tmp_path / "w.json"
-        store(SphereWitness(template, (0, 1), delta_ant(cls), cls, embedded=True), p)
+        store(SphereWitness(template, (0, 1), cls, embedded=True), p)
         data = json.loads(p.read_text())
         edit(data["payload"])
         p.write_text(json.dumps(data))
@@ -700,3 +703,28 @@ class TestCanonicalBytes:
         store(w, p1)
         store(load("witness", p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_every_construction_reloads_byte_identically(self, tmp_path):
+        hexagon = classify_low_vc(ConceptClass.from_strings(["+--", "-+-", "--+"]))
+        w_u3 = barycentric_witness(family_class("universal", 3), (0, 1, 2))
+        witnesses = [
+            crosspolytope_witness(family_class("cube", 3), (0, 1, 2)),
+            w_u3,
+            join_witness(w_u3, crosspolytope_witness(family_class("cube", 1), (0,)))[0],
+            hexagon.witness,
+            sphere_from_disambiguation(pullback_disambiguation(w_u3)),
+        ]
+        p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        for w in witnesses:
+            store(w, p1)
+            back = load("witness", p1)
+            assert back == w
+            store(back, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            # the stored vertex map names the antipodal subcomplex's vertices,
+            # which are the class's label columns in the same order
+            payload = json.loads(p1.read_text())["payload"]
+            assert payload["target"] == complex_to_payload(delta_ant(w.cls))
+            assert [v for _, v in payload["vertex_map"]] == [
+                point_label(x, s) for x, s in w.pairs
+            ]
