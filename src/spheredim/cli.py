@@ -169,9 +169,7 @@ def cmd_dims(args) -> int:
 def cmd_complex(args) -> int:
     _require_count("--barycentric", args.barycentric)
     cls = _load_class(args.file, args)
-    value = realizable_complex(cls)
-    if args.antipodal:
-        value = antipodal_subcomplex(value)
+    value = antipodal_subcomplex(cls) if args.antipodal else realizable_complex(cls)
     for _ in range(args.barycentric):
         value = barycentric_subdivision(value)
     _emit(canonical_json(envelope("complex", complex_to_payload(value))), args.output)

@@ -6,14 +6,16 @@ A simplex query is answered by incidence: the transpose of the maximal list
 gives, per vertex, the bitmask of the maximal simplices containing it, and a
 set is a simplex iff the AND of those masks over its vertices is nonzero.
 The realizable complex of a total class has a vertex for every point-label
-pair occurring in some concept graph and one maximal simplex per concept;
-label flipping is kept as a partial vertex involution and becomes total on
-the antipodal subcomplex, which keeps exactly the simplices realizable
-together with their flips.  That subcomplex is built from the same
-incidence: the masks of concepts per vertex answer whether a labelled set
-and its flip are both realizable, and its maximal simplices are the
-disagreement sets of concept pairs that no vertex extends, with no pairwise
-comparison of candidates.
+pair occurring in some concept graph and one maximal simplex per concept,
+the transpose of its vertex columns (per vertex, the mask of the concepts
+carrying that label); label flipping is kept as a partial vertex involution.
+The antipodal subcomplex keeps exactly the simplices realizable together
+with their flips.  It is built from the class's label columns alone, not
+from the realizable complex: its vertices are the two-label points, on
+which the flip is the total involution i ^ 1, the masks of concepts per
+vertex answer whether a labelled set and its flip are both realizable, and
+its maximal simplices are the disagreement sets of concept pairs that no
+vertex extends, with no pairwise comparison of candidates.
 
 Barycentric subdivision, joins, small-instance isomorphism testing, and exact
 face counting round out the toolbox.  Face enumeration is explicitly capped:
@@ -227,62 +229,50 @@ def _underlying(k) -> SimplicialComplex:
 
 def realizable_complex(cls: ConceptClass) -> DeltaComplex:
     """The complex with one vertex per realized (point, label) pair and one
-    maximal simplex per concept graph."""
+    maximal simplex per concept graph: the transpose of the vertex columns,
+    each the mask of the concepts that carry its label."""
     cls.require_total("realizable_complex")
     full_h = (1 << len(cls)) - 1
     present: list[tuple[int, int]] = []
+    vertex_columns: list[int] = []
     for x, col in enumerate(columns(cls.domain_size, cls.hypotheses)):
         if col != full_h:
             present.append((x, -1))
+            vertex_columns.append(full_h & ~col)
         if col:
             present.append((x, +1))
+            vertex_columns.append(col)
     index = {p: i for i, p in enumerate(present)}
     labels = tuple(point_label(x, s) for x, s in present)
-    maximal = []
-    for h in cls.hypotheses:
-        m = 0
-        for x in range(cls.domain_size):
-            s = +1 if h.plus & (1 << x) else -1
-            m |= 1 << index[(x, s)]
-        maximal.append(m)
+    maximal = tuple(sorted(transpose(len(cls), vertex_columns)))
     involution = tuple(index.get((x, -s)) for x, s in present)
-    return DeltaComplex(
-        SimplicialComplex(labels, tuple(sorted(set(maximal)))),
-        involution,
-        tuple(present),
-    )
+    return DeltaComplex(SimplicialComplex(labels, maximal), involution, tuple(present))
 
 
-def antipodal_subcomplex(delta: DeltaComplex) -> AntipodalComplex:
-    """The subcomplex of simplices realizable together with their label flips.
+def antipodal_subcomplex(cls: ConceptClass) -> AntipodalComplex:
+    """The antipodal subcomplex of a total class: the labelled sets
+    realizable together with their label flips, built from the class's
+    label columns alone.  Empty iff the class has one concept.
 
-    May be empty; the result carries a total involution and is reindexed to
-    its own vertex set.
-
-    Membership is answered by incidence.  ``col[v]``, the complex's
-    ``incidence``, is the bitmask of the maximal simplices (the concepts)
-    containing vertex v, so a set s of flippable vertices is a simplex here
-    iff the AND of ``col`` over s and the AND of ``col`` over flip(s) are
-    both nonzero.  Every such s lies in a candidate m1 & flip(m2), the set
-    where two concepts disagree labelled by the first, and a candidate is
-    maximal iff no flippable v outside it extends it, which costs two ANDs
-    per v instead of a comparison with every other candidate.  The
-    involution must pair flippable vertices, as ``realizable_complex``
-    gives it.
+    Its vertices are the two-label points in the order of
+    ``cls.label_columns``, so vertex i ^ 1 is the antipode of vertex i, and
+    ``masks[v]`` is the mask of the concepts that carry vertex v: a set s of
+    vertices is a simplex iff the AND of ``masks`` over s and the AND over
+    its flip are both nonzero.  Every such s lies in a candidate g & ~h, the
+    vertices of concept g that concept h does not carry (where the two
+    disagree, labelled by g), and a candidate is maximal iff no vertex
+    outside it extends it under the same rule, which costs two ANDs per
+    vertex instead of a comparison with every other candidate.  Every
+    vertex lies in some candidate (g and h labelling its point each way),
+    so the vertex set needs no reindexing.
     """
-    inv = delta.involution
-    flippable = mask_of(i for i, j in enumerate(inv) if j is not None)
-    col = delta.complex.incidence
-    flipped = []
-    for m in delta.complex.maximal:
-        out = 0
-        for v in bits(m & flippable):
-            out |= 1 << inv[v]  # type: ignore[operator]
-        flipped.append(out)
-    candidates = {m1 & f for m1 in delta.complex.maximal for f in flipped}
+    cols = cls.label_columns
+    masks = cols.masks
+    concepts = transpose(len(cls), masks)
+    candidates = {g & ~h for g in concepts for h in concepts}
     candidates.discard(0)
-    # (bit, col[v], col[inv[v]]) for every flippable v
-    pairs = [(1 << v, col[v], col[inv[v]]) for v in bits(flippable)]  # type: ignore[index]
+    # (bit, masks[v], masks[v ^ 1]) for every vertex v
+    pairs = [(1 << v, m, masks[v ^ 1]) for v, m in enumerate(masks)]
     keep = []
     for s in candidates:
         a = b = -1
@@ -295,18 +285,11 @@ def antipodal_subcomplex(delta: DeltaComplex) -> AntipodalComplex:
                 break  # s plus this vertex is still a simplex
         else:
             keep.append(s)
-    used = 0
-    for s in keep:
-        used |= s
-    old_indices = list(bits(used))
-    new_index = {o: i for i, o in enumerate(old_indices)}
-    labels = tuple(delta.complex.vertices[o] for o in old_indices)
-    points = tuple(delta.points[o] for o in old_indices)
-    maximal = tuple(
-        sorted(mask_of(new_index[i] for i in bits(s)) for s in keep)
+    labels = tuple(point_label(x, s) for x, s in cols.points)
+    involution = tuple(i ^ 1 for i in range(len(masks)))
+    return AntipodalComplex(
+        SimplicialComplex(labels, tuple(sorted(keep))), involution, cols.points
     )
-    involution = tuple(new_index[delta.involution[o]] for o in old_indices)
-    return AntipodalComplex(SimplicialComplex(labels, maximal), involution, points)
 
 
 def barycentric_subdivision(k):
@@ -361,14 +344,6 @@ def join_complex(a, b):
         inv = tuple(a.involution) + tuple(j + shift for j in b.involution)
         return AntipodalComplex(out, inv)
     return out
-
-
-def induced_vertex_map(
-    delta_a: DeltaComplex, delta_b: DeltaComplex, phi: Sequence[int]
-) -> tuple[Optional[int], ...]:
-    """The map (x, y) -> (phi(x), y) between realizable-complex vertex sets."""
-    index_b = {p: i for i, p in enumerate(delta_b.points)}
-    return tuple(index_b.get((phi[x], s)) for x, s in delta_a.points)
 
 
 def complexes_isomorphic(

@@ -130,9 +130,6 @@ class PartialHypothesis:
             (self.plus ^ other.plus) & other.defined
         ) == 0
 
-    def negate(self) -> "PartialHypothesis":
-        return PartialHypothesis(self.n, self.defined & ~self.plus, self.defined)
-
     def restrict(self, points: Sequence[int]) -> "PartialHypothesis":
         """Project onto the given points, reindexed in the given order."""
         plus = 0
@@ -270,12 +267,6 @@ def _shatters_mask(cls: ConceptClass, mask: int) -> bool:
     return False
 
 
-def antipodally_shatters(cls: ConceptClass, S: Iterable[int]) -> bool:
-    """True iff every pattern on S is realized up to a global sign flip."""
-    mask = _subset_mask(cls, S)
-    return _antipodally_shatters_mask(cls, mask)
-
-
 def _antipodally_shatters_mask(cls: ConceptClass, mask: int) -> bool:
     """Count the patterns on ``mask`` up to flip, each named by the one of
     the pair that is '-' at the mask's lowest point, and stop at 2^(k-1)."""
@@ -293,13 +284,6 @@ def _antipodally_shatters_mask(cls: ConceptClass, mask: int) -> bool:
             if len(seen) == target:
                 return True
     return False
-
-
-def strongly_shatters(cls: ConceptClass, S: Iterable[int]) -> bool:
-    """True iff a full discrete cube with free coordinates exactly S lies in the class."""
-    cls.require_total("strongly_shatters")
-    mask = _subset_mask(cls, S)
-    return _strongly_shatters_mask(cls, mask)
 
 
 def _strongly_shatters_mask(cls: ConceptClass, mask: int) -> bool:

@@ -148,34 +148,6 @@ def representatives_restriction(
     return cls.restrict(reps), reps
 
 
-def extension_restriction_roundtrip(cls: ConceptClass) -> ConceptClass:
-    """(H^a)^r under the standard representation; equals H exactly."""
-    ext, domain = antipodal_extension(cls)
-    restricted, _ = representatives_restriction(ext, domain)
-    return restricted
-
-
-def restriction_extension_roundtrip_ok(
-    cls: ConceptClass, domain: AntipodalDomain
-) -> bool:
-    """Check (H^r)^a = H for an antipodal class, under the canonical
-    identification of the doubled representative domain with the original."""
-    restricted, reps = representatives_restriction(cls, domain)
-    ext, _ = antipodal_extension(restricted)
-    k = len(reps)
-    # identification: new point j is reps[j], new point k + j is its partner
-    back = []
-    for h in ext.hypotheses:
-        plus = 0
-        for j, x in enumerate(reps):
-            if h.plus & (1 << j):
-                plus |= 1 << x
-            if h.plus & (1 << (k + j)):
-                plus |= 1 << domain.pairing[x]
-        back.append(plus)
-    return back == [h.plus for h in cls.hypotheses]
-
-
 # --- disambiguations ------------------------------------------------------
 
 

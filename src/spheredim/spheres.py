@@ -50,7 +50,6 @@ from spheredim.complexes import (
     barycentric_subdivision,
     cross_label,
     join_complex,
-    realizable_complex,
     subset_label,
 )
 from spheredim.signrank import SignRepresentation, verify_representation
@@ -267,7 +266,7 @@ class SphereWitness:
     def target(self) -> AntipodalComplex:
         """The antipodal subcomplex of ``cls``, built on first read and kept
         (not a field); only printing or comparing it needs it."""
-        return delta_ant(self.cls)
+        return antipodal_subcomplex(self.cls)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -364,11 +363,6 @@ def _run_checks(w: SphereWitness) -> WitnessReport:
     return WitnessReport(True, None, "", tuple(lines))
 
 
-def delta_ant(cls: ConceptClass) -> AntipodalComplex:
-    """The antipodal subcomplex of the class's realizable complex."""
-    return antipodal_subcomplex(realizable_complex(cls))
-
-
 def witness_on(
     template: SphereTemplate,
     pairs: Iterable[tuple[int, int]],
@@ -445,15 +439,6 @@ def join_witness(a: SphereWitness, b: SphereWitness) -> tuple[SphereWitness, Con
     return witness_on(template, pairs, product, embedded, "construction"), product
 
 
-def transport_witness(
-    w: SphereWitness, target_cls: ConceptClass, phi: Sequence[int]
-) -> SphereWitness:
-    """Carry a witness along a class-order map via (x, y) -> (phi(x), y)."""
-    pairs = [(phi[x], s) for x, s in w.pairs]
-    embedded = len(set(pairs)) == len(pairs)
-    return witness_on(w.template, pairs, target_cls, embedded, "transported witness")
-
-
 # --- bounds -------------------------------------------------------------
 
 
@@ -470,12 +455,6 @@ class SdBounds:
     upper: int
     lower_certificates: tuple[BoundCertificate, ...]
     upper_certificates: tuple[BoundCertificate, ...]
-
-    def certificate_names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        return (
-            tuple(c.name for c in self.lower_certificates),
-            tuple(c.name for c in self.upper_certificates),
-        )
 
 
 class ClassAnalysis:

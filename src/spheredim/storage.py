@@ -7,9 +7,11 @@ one trailing newline.  Store-then-load returns an equal value, with one
 exception: a realizable complex whose label flip is already simplicial and
 free of antipodal pairs, such as that of {--, ++}, stores the same bytes as
 its antipodal subcomplex and loads as that equal ``AntipodalComplex``.
-Witnesses are reloaded against a recomputed target, so a tampered file cannot
-smuggle in an inconsistent complex, and a loaded witness must pass
-``verify_witness``, so a tampered vertex map or embedded flag is rejected too.
+Witnesses are reloaded against a target recomputed from the class alone
+(``antipodal_subcomplex``), so a tampered file cannot smuggle in an
+inconsistent complex; the loaded witness keeps that target, so storing it
+again builds none.  A loaded witness must pass ``verify_witness``, so a
+tampered vertex map or embedded flag is rejected too.
 A loaded sign representation must pass ``verify_representation`` against its
 class, so an edited vector that flips a sign is rejected.
 """
@@ -26,6 +28,7 @@ from spheredim.complexes import (
     AntipodalComplex,
     DeltaComplex,
     SimplicialComplex,
+    antipodal_subcomplex,
     complex_to_payload,
 )
 from spheredim.concepts import mask_of
@@ -45,7 +48,6 @@ from spheredim.spheres import (
     TemplateKind,
     WitnessError,
     build_template,
-    delta_ant,
     kind_from_payload,
     verify_witness,
 )
@@ -270,7 +272,7 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     # the checks that read only the class come before the template, whose
     # build can take exponential time, so a tampered target builds nothing
     cls = ConceptClass.from_strings(payload["class"])
-    target = delta_ant(cls)
+    target = antipodal_subcomplex(cls)
     if complex_to_payload(target) != payload["target"]:
         raise StorageError("stored target does not match the class's antipodal complex")
     target_index = target.complex.vertex_index()
@@ -280,6 +282,7 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     if [pair[0] for pair in payload["vertex_map"]] != list(tpl_vertices):
         raise StorageError("vertex map does not cover the template vertices in order")
     witness = SphereWitness(template, vmap, cls, payload["embedded"])
+    vars(witness)["target"] = target  # the checked target fills the cached property
     report = verify_witness(witness)
     if not report:
         raise StorageError(f"witness fails the {report.check} check: {report.detail}")

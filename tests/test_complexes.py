@@ -20,7 +20,6 @@ from spheredim.concepts import (
     parse_class,
     popcount,
     product_class,
-    search_class_leq,
 )
 from spheredim.complexes import (
     AntipodalComplex,
@@ -32,7 +31,6 @@ from spheredim.complexes import (
     complexes_isomorphic,
     euler_characteristic,
     face_counts,
-    induced_vertex_map,
     join_complex,
     realizable_complex,
 )
@@ -122,6 +120,22 @@ class TestRealizableComplex:
             for s in delta.complex.maximal:
                 assert bin(s).count("1") == n
 
+    def test_maximal_simplices_are_the_concept_graphs(self):
+        # each concept's (point, label) vertices, looked up one by one
+        rng = random.Random(3)
+        for _ in range(300):
+            cls = random_total_class(rng)
+            delta = realizable_complex(cls)
+            index = {p: i for i, p in enumerate(delta.points)}
+            want = sorted(
+                mask_of(
+                    index[(x, +1 if h.plus >> x & 1 else -1)]
+                    for x in range(cls.domain_size)
+                )
+                for h in cls.hypotheses
+            )
+            assert list(delta.complex.maximal) == want
+
     def test_involution_partial(self):
         delta = realizable_complex(fig_class())
         # (2,-) has no antipode present()
@@ -132,14 +146,14 @@ class TestRealizableComplex:
 
 class TestAntipodalSubcomplex:
     def test_figure_class_gives_four_cycle(self):
-        ant = antipodal_subcomplex(realizable_complex(fig_class()))
+        ant = antipodal_subcomplex(fig_class())
         assert len(ant.complex.vertices) == 4
         assert face_counts(ant) == (4, 4)
         iso = complexes_isomorphic(ant, crosspolytope_complex(1), respect_involution=True)
         assert iso is not None
 
     def test_threshold_two_components(self):
-        ant = antipodal_subcomplex(realizable_complex(family_class("threshold", 3)))
+        ant = antipodal_subcomplex(family_class("threshold", 3))
         # exactly the all-minus and all-plus simplices
         assert len(ant.complex.maximal) == 2
         m1, m2 = ant.complex.maximal
@@ -147,12 +161,12 @@ class TestAntipodalSubcomplex:
         assert ant.map_simplex(m1) == m2
 
     def test_singleton_empty(self):
-        ant = antipodal_subcomplex(realizable_complex(ConceptClass.from_strings(["+-"])))
+        ant = antipodal_subcomplex(ConceptClass.from_strings(["+-"]))
         assert ant.is_empty
 
     def test_cube_equals_own_antipodal(self):
         delta = realizable_complex(family_class("cube", 3))
-        ant = antipodal_subcomplex(delta)
+        ant = antipodal_subcomplex(family_class("cube", 3))
         assert sorted(ant.complex.maximal) == sorted(delta.complex.maximal)
 
     def test_axioms_checked(self):
@@ -312,10 +326,11 @@ def oracle_antipodal_subcomplex(delta):
     return AntipodalComplex(SimplicialComplex(labels, maximal), involution, points)
 
 
-def assert_same_antipodal(delta):
-    """Compare with the oracle field by field; return the oracle's complex."""
-    got = antipodal_subcomplex(delta)
-    want = oracle_antipodal_subcomplex(delta)
+def assert_same_antipodal(cls):
+    """Compare the class-level builder with the oracle on the class's
+    realizable complex, field by field; return the oracle's complex."""
+    got = antipodal_subcomplex(cls)
+    want = oracle_antipodal_subcomplex(realizable_complex(cls))
     assert got.complex.vertices == want.complex.vertices
     assert got.complex.maximal == want.complex.maximal
     assert got.involution == want.involution
@@ -357,24 +372,34 @@ def max_hamming_distance(cls):
 
 
 class TestAntipodalOracle:
-    """The incidence construction against the pairwise filter it replaced."""
+    """The class-level construction against the pairwise filter on the
+    realizable complex, which shares no code with it."""
+
+    def test_every_class_on_at_most_three_points(self):
+        classes = 0
+        for n in (1, 2, 3):
+            for cls in all_total_classes(n):
+                assert_same_antipodal(cls)
+                classes += 1
+        assert classes == 3 + 15 + 255
 
     def test_bench_corpora(self, corpus_classes):
         assert len(corpus_classes) > 40
         for cls in corpus_classes:
-            assert_same_antipodal(realizable_complex(cls))
+            assert_same_antipodal(cls)
 
     def test_random_total_classes(self):
         rng = random.Random(6)
         for _ in range(2000):
-            assert_same_antipodal(realizable_complex(random_total_class(rng)))
+            assert_same_antipodal(random_total_class(rng))
 
     def test_storage_round_trip(self, tmp_path):
         rng = random.Random(7)
         path = tmp_path / "delta.json"
         partial = 0
         for _ in range(500):
-            delta = realizable_complex(random_total_class(rng, max_size=8))
+            cls = random_total_class(rng, max_size=8)
+            delta = realizable_complex(cls)
             store(delta, path)
             if all(j is not None for j in delta.involution):
                 # a total involution loads as an AntipodalComplex, or not at
@@ -384,7 +409,7 @@ class TestAntipodalOracle:
             if isinstance(back, DeltaComplex):
                 partial += 1
                 assert back == delta
-                assert_same_antipodal(back)
+                assert oracle_antipodal_subcomplex(back) == antipodal_subcomplex(cls)
         assert partial > 120
 
     def test_membership_of_random_labelled_sets(self):
@@ -400,7 +425,7 @@ class TestAntipodalOracle:
         checked = 0
         for _ in range(200):
             cls = random_total_class(rng, max_n=6, max_size=20)
-            oracle = assert_same_antipodal(realizable_complex(cls))
+            oracle = assert_same_antipodal(cls)
             index = {p: i for i, p in enumerate(oracle.points)}
             n = cls.domain_size
             for _ in range(20):
@@ -416,7 +441,7 @@ class TestAntipodalOracle:
 
     def test_dimension_is_max_hamming_distance_minus_one(self, corpus_classes):
         for cls in corpus_classes:
-            ant = antipodal_subcomplex(realizable_complex(cls))
+            ant = antipodal_subcomplex(cls)
             assert ant.dim() == max_hamming_distance(cls) - 1
 
     def test_twelve_by_two_hundred(self):
@@ -424,7 +449,7 @@ class TestAntipodalOracle:
         assert (cls.domain_size, len(cls)) == (12, 200)
         assert max_hamming_distance(cls) == 12
         assert library_max_hamming_distance(cls) == 12
-        assert antipodal_subcomplex(realizable_complex(cls)).dim() == 11
+        assert antipodal_subcomplex(cls).dim() == 11
 
 
 def all_total_classes(n):
@@ -447,13 +472,13 @@ def small_and_random_total_classes():
 
 
 class TestLabelColumnsOracle:
-    """The class's label columns against the antipodal subcomplex built
-    from its realizable complex."""
+    """The class's label columns against the pairwise filter on its
+    realizable complex."""
 
     def test_membership_on_every_mask(self):
         classes = 0
         for cls in small_and_random_total_classes():
-            ant = antipodal_subcomplex(realizable_complex(cls))
+            ant = oracle_antipodal_subcomplex(realizable_complex(cls))
             cols = cls.label_columns
             assert cols.points == ant.points
             assert ant.involution == tuple(i ^ 1 for i in range(len(cols.points)))
@@ -466,7 +491,7 @@ class TestLabelColumnsOracle:
 
     def test_dimension_and_emptiness_from_hamming_distance(self, corpus_classes):
         for cls in itertools.chain(small_and_random_total_classes(), corpus_classes):
-            ant = antipodal_subcomplex(realizable_complex(cls))
+            ant = oracle_antipodal_subcomplex(realizable_complex(cls))
             assert library_max_hamming_distance(cls) == max_hamming_distance(cls)
             assert library_max_hamming_distance(cls) - 1 == ant.dim()
             assert (len(cls) == 1) == ant.is_empty
@@ -475,6 +500,8 @@ class TestLabelColumnsOracle:
         cls = ConceptClass.from_strings(["+*", "--"])
         with pytest.raises(ClassFormatError, match="label_columns requires a total class"):
             cls.label_columns
+        with pytest.raises(ClassFormatError, match="label_columns requires a total class"):
+            antipodal_subcomplex(cls)
         with pytest.raises(ClassFormatError):
             library_max_hamming_distance(cls)
 
@@ -608,22 +635,6 @@ class TestFaceCounts:
         k = SimplicialComplex(tuple(f"v{i}" for i in range(30)), ((1 << 30) - 1,))
         with pytest.raises(CapExceededError):
             face_counts(k)
-
-
-class TestInducedMap:
-    def test_class_order_shadow(self):
-        a = family_class("threshold", 2)
-        b = family_class("threshold", 3)
-        phi, sigma = search_class_leq(a, b)
-        da, db = realizable_complex(a), realizable_complex(b)
-        vmap = induced_vertex_map(da, db, phi)
-        assert all(v is not None for v in vmap)
-        for s in da.complex.maximal:
-            img = 0
-            for i in range(len(da.complex.vertices)):
-                if s & (1 << i):
-                    img |= 1 << vmap[i]
-            assert db.complex.has_simplex(img)
 
 
 class TestPayload:

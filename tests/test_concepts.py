@@ -13,7 +13,6 @@ from spheredim.concepts import (
     ConceptClass,
     DimensionVariant,
     PartialHypothesis,
-    antipodally_shatters,
     bits,
     class_canonical_form,
     classes_equivalent,
@@ -23,6 +22,7 @@ from spheredim.concepts import (
     dual_class,
     family_class,
     format_class,
+    mask_of,
     max_shattered_set,
     parse_class,
     popcount,
@@ -32,11 +32,11 @@ from spheredim.concepts import (
     shattered_family,
     shatters,
     strongly_shattered_family,
-    strongly_shatters,
     verify_class_leq,
     _antipodally_shatters_mask,
     _monotone_family,
     _shatters_mask,
+    _strongly_shatters_mask,
 )
 
 V = DimensionVariant
@@ -258,9 +258,6 @@ class TestPartialHypothesis:
         assert not lo.extends(hi)
         assert hi.extends(hi)
 
-    def test_negate(self):
-        h = PartialHypothesis.from_string("+-*")
-        assert str(h.negate()) == "-+*"
 
 
 # --- shattering ---------------------------------------------------------
@@ -285,11 +282,11 @@ class TestShattering:
 
     def test_antipodal_on_punctured_cube(self):
         cls = ConceptClass.from_strings(["--", "-+", "+-"])
-        assert antipodally_shatters(cls, [0, 1])
+        assert _antipodally_shatters_mask(cls, 0b11)
         assert not shatters(cls, [0, 1])
 
     def test_shattered_implies_antipodally_shattered(self):
-        assert antipodally_shatters(cube(2), [0, 1])
+        assert _antipodally_shatters_mask(cube(2), 0b11)
 
     @pytest.mark.parametrize("partial", [False, True], ids=["total", "partial"])
     def test_against_oracle_on_random_classes(self, partial):
@@ -302,9 +299,9 @@ class TestShattering:
             for k in range(cls.domain_size + 1):
                 for S in itertools.combinations(range(cls.domain_size), k):
                     assert shatters(cls, S) == oracle_shatters(cls, S)
-                    assert antipodally_shatters(cls, S) == oracle_antipodally_shatters(
-                        cls, S
-                    )
+                    assert _antipodally_shatters_mask(
+                        cls, mask_of(S)
+                    ) == oracle_antipodally_shatters(cls, S)
 
 
 class TestShatteringKernel:
@@ -399,9 +396,9 @@ class TestShatteringKernel:
 class TestStrongShattering:
     def test_figure_square(self):
         cls = ConceptClass.from_strings(["---", "-+-", "++-", "+--", "--+"])
-        assert strongly_shatters(cls, [0, 1])
-        assert strongly_shatters(cls, [2])
-        assert not strongly_shatters(cls, [0, 2])
+        assert _strongly_shatters_mask(cls, 0b011)
+        assert _strongly_shatters_mask(cls, 0b100)
+        assert not _strongly_shatters_mask(cls, 0b101)
 
     def test_strong_implies_plain(self):
         rng = random.Random(11)

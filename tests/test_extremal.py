@@ -466,12 +466,18 @@ class TestCubicalBarycentric:
             cc = cubical_complex(cls)
             sub = cubical_barycentric(cc)
             order = sorted(cc.cubes, key=lambda c: (c.dimension, str(c)))
+            plus = [c.plus for c in order]
+            defined = [c.defined for c in order]
+            assert extremal._is_chain(plus, defined, 0)
             for _ in range(50):
                 size = rng.randint(1, min(4, len(order)))
                 part = mask_of(rng.sample(range(len(order)), size))
-                assert extremal._is_chain(order, part) == sub.has_simplex(part)
+                members = [order[i] for i in bits(part)]
+                want = all(a.extends(b) for a, b in zip(members, members[1:]))
+                assert extremal._is_chain(plus, defined, part) == want
+                assert want == sub.has_simplex(part)
             for s in sub.maximal:
-                assert extremal._is_chain(order, s)
+                assert extremal._is_chain(plus, defined, s)
 
     def test_euler_characteristic_matches_cube_counts(self):
         for cls in random_extremal_classes(53, 15):
@@ -648,9 +654,10 @@ class TestRestriction:
                 if plus != plus_bits:
                     continue
                 h = PartialHypothesis(3, plus, defined)
-                if realizable_partial(e, h) and realizable_partial(e, h.negate()):
+                flipped = PartialHypothesis(3, defined & ~plus, defined)
+                if realizable_partial(e, h) and realizable_partial(e, flipped):
                     a = set(restriction(e, h).rows())
-                    b = set(restriction(e, h.negate()).rows())
+                    b = set(restriction(e, flipped).rows())
                     assert not (a & b)
 
     def test_unrealizable_rejected(self):

@@ -197,8 +197,7 @@ class TestSdUpperHook:
         from spheredim.spheres import sd_bounds
 
         sb = sd_bounds(universal(3), universal_representation(3))
-        names = sb.certificate_names()[1]
-        assert "sign-rank bound" in names
+        assert "sign-rank bound" in [c.name for c in sb.upper_certificates]
         assert sb.upper <= 2
 
     def test_unverified_representation_adds_no_bound(self):

@@ -15,7 +15,6 @@ from spheredim.concepts import (
     dimension,
     family_class,
     format_class,
-    search_class_leq,
 )
 from spheredim.complexes import complexes_isomorphic, face_counts
 from spheredim.spheres import (
@@ -30,7 +29,6 @@ from spheredim.spheres import (
     barycentric_witness,
     build_template,
     crosspolytope_witness,
-    delta_ant,
     join_witness,
     kind_from_payload,
     make_barycentric_boundary,
@@ -38,7 +36,6 @@ from spheredim.spheres import (
     join_templates,
     sd_bounds,
     subdivide_template,
-    transport_witness,
     verify_witness,
 )
 
@@ -350,21 +347,13 @@ class TestKeptReport:
         assert "report" not in {f.name for f in dataclasses.fields(read)}
 
 
-class TestTransport:
-    def test_witness_carries_along_class_order(self):
-        a, b = threshold(2), threshold(3)
-        phi, _sigma = search_class_leq(a, b)
-        w = crosspolytope_witness(a, (0,))
-        moved = transport_witness(w, b, phi)
-        assert moved.dimension == w.dimension
-        assert verify_witness(moved)
-
+class TestWitnessOn:
     def test_pair_missing_from_the_target_is_a_witness_error(self):
-        # point 1 of the target class is constant, so (1, -) is no vertex
-        w = crosspolytope_witness(threshold(2), (0,))
-        target_cls = ConceptClass.from_strings(["-+", "++"])
+        # point 1 of the class is constant, so (1, -) is no vertex
+        template = build_template(CrosspolytopeKind(0))
+        cls = ConceptClass.from_strings(["-+", "++"])
         with pytest.raises(WitnessError, match="vertex 0 has no image in the target"):
-            transport_witness(w, target_cls, (1, 0))
+            spheres.witness_on(template, [(1, -1), (1, +1)], cls, True, "witness")
 
 
 class TestSdBounds:
@@ -435,12 +424,12 @@ class TestSdBounds:
         sb = sd_bounds(cls)
         assert sb.lower == 1
         assert sb.upper == 1
-        names = sb.certificate_names()[0]
-        assert "hexagon" in names
+        assert "hexagon" in [c.name for c in sb.lower_certificates]
 
     def test_certificate_names_present(self):
         sb = sd_bounds(cube(2))
-        lower_names, upper_names = sb.certificate_names()
+        lower_names = [c.name for c in sb.lower_certificates]
+        upper_names = [c.name for c in sb.upper_certificates]
         assert "crosspolytope" in lower_names
         assert "dimension bound" in upper_names
 
@@ -477,7 +466,7 @@ ANALYSED = {
 }
 
 
-COMPLEX_BUILDERS = ("realizable_complex", "antipodal_subcomplex", "delta_ant")
+COMPLEX_BUILDERS = ("realizable_complex", "antipodal_subcomplex")
 
 BUILDS_NO_COMPLEX = {
     **ANALYSED,
@@ -506,13 +495,14 @@ class TestClassAnalysis:
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_witness_builds_one_antipodal_subcomplex(self, name, monkeypatch, tmp_path, capsys):
         calls = count_calls(
-            monkeypatch, ("delta_ant", "crosspolytope_witness", "barycentric_witness")
+            monkeypatch, COMPLEX_BUILDERS + ("crosspolytope_witness", "barycentric_witness")
         )
         path = tmp_path / "c.cls"
         path.write_text(format_class(ANALYSED[name]))
         assert cli.main(["witness", str(path)]) == 0
         assert '"kind": "witness"' in capsys.readouterr().out
-        assert calls["delta_ant"] == 1
+        assert calls["antipodal_subcomplex"] == 1
+        assert calls["realizable_complex"] == 0
         # only the chosen witness is built
         assert calls["crosspolytope_witness"] + calls["barycentric_witness"] == 1
 
@@ -548,12 +538,13 @@ class TestClassAnalysis:
     def test_complex_and_witness_still_build_the_antipodal_subcomplex(
         self, args, monkeypatch, tmp_path, capsys
     ):
+        # from the class alone: neither builds the realizable complex
         calls = count_calls(monkeypatch, COMPLEX_BUILDERS)
         path = tmp_path / "c.cls"
         path.write_text(format_class(ANALYSED["cube3"]))
         assert cli.main(args + [str(path)]) == 0
         assert capsys.readouterr().out.startswith("{")
-        assert calls["realizable_complex"] == calls["antipodal_subcomplex"] == 1
+        assert calls == {"realizable_complex": 0, "antipodal_subcomplex": 1}
 
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_sd_bounds_of_a_class_and_of_its_analysis_agree(self, name):

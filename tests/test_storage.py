@@ -1,5 +1,6 @@
 """Round-trip and validation tests for artifact storage."""
 
+import dataclasses
 import json
 import tempfile
 import time
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spheredim import storage
+from spheredim import spheres, storage
 from spheredim.concepts import ClassFormatError, ConceptClass, family_class
 from spheredim.complexes import (
     AntipodalComplex,
     DeltaComplex,
     SimplicialComplex,
+    antipodal_subcomplex,
     complex_to_payload,
     face_counts,
     point_label,
@@ -35,7 +37,6 @@ from spheredim.spheres import (
     barycentric_witness,
     build_template,
     crosspolytope_witness,
-    delta_ant,
     join_witness,
     kind_from_payload,
     make_crosspolytope,
@@ -68,9 +69,7 @@ class TestClassRoundtrip:
 
 class TestComplexRoundtrip:
     def test_antipodal(self, tmp_path):
-        from spheredim.complexes import antipodal_subcomplex
-
-        ant = antipodal_subcomplex(realizable_complex(family_class("cube", 2)))
+        ant = antipodal_subcomplex(family_class("cube", 2))
         p = tmp_path / "ant.json"
         store(ant, p)
         back = load("complex", p)
@@ -97,10 +96,9 @@ class TestComplexRoundtrip:
         assert back == delta
 
     def test_delta_whose_flip_is_antipodal_loads_as_its_antipodal_form(self, tmp_path):
-        from spheredim.complexes import antipodal_subcomplex
-
-        delta = realizable_complex(ConceptClass.from_strings(["--", "++"]))
-        ant = antipodal_subcomplex(delta)
+        cls = ConceptClass.from_strings(["--", "++"])
+        delta = realizable_complex(cls)
+        ant = antipodal_subcomplex(cls)
         p, q = tmp_path / "delta.json", tmp_path / "ant.json"
         store(delta, p)
         store(ant, q)
@@ -183,6 +181,28 @@ class TestWitnessRoundtrip:
         monkeypatch.setattr(storage, "build_template", no_build)
         with pytest.raises(StorageError, match="stored target does not match"):
             load("witness", p)
+
+    def test_loaded_witness_keeps_the_target_it_checked(self, tmp_path, monkeypatch):
+        # the first store builds the witness's target and the load builds
+        # one to check the file against; the loaded witness keeps that one,
+        # so storing it again builds none
+        calls = []
+
+        def counted(cls):
+            calls.append(cls)
+            return antipodal_subcomplex(cls)
+
+        for module in (spheres, storage):
+            monkeypatch.setattr(module, "antipodal_subcomplex", counted)
+        w = crosspolytope_witness(family_class("cube", 3), (0, 1, 2))
+        p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        store(w, p1)
+        back = load("witness", p1)
+        store(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert len(calls) == 2
+        assert back.target == antipodal_subcomplex(back.cls)
+        assert "target" not in {f.name for f in dataclasses.fields(back)}
 
     def test_tampered_vertex_map_rejected(self, tmp_path):
         # e0- and e1- trade targets: every label still names a target
@@ -291,7 +311,7 @@ class TestTemplateSize:
             "template": sd(cross(0), 10**12),
             "vertex_map": [["[e0-]", "0-"], ["[e0+]", "0+"]],
             "embedded": True,
-            "target": complex_to_payload(delta_ant(cls)),
+            "target": complex_to_payload(antipodal_subcomplex(cls)),
         }
         p = tmp_path / "w.json"
         p.write_text(json.dumps({"schema_version": "1", "kind": "witness", "payload": payload}))
@@ -724,7 +744,7 @@ class TestCanonicalBytes:
             # the stored vertex map names the antipodal subcomplex's vertices,
             # which are the class's label columns in the same order
             payload = json.loads(p1.read_text())["payload"]
-            assert payload["target"] == complex_to_payload(delta_ant(w.cls))
+            assert payload["target"] == complex_to_payload(antipodal_subcomplex(w.cls))
             assert [v for _, v in payload["vertex_map"]] == [
                 point_label(x, s) for x, s in w.pairs
             ]
