@@ -5,10 +5,13 @@ an ordered list of opaque string labels); the downward closure is implicit.
 A simplex query is answered by incidence: the transpose of the maximal list
 gives, per vertex, the bitmask of the maximal simplices containing it, and a
 set is a simplex iff the AND of those masks over its vertices is nonzero.
-The realizable complex of a total class has a vertex for every point-label
-pair occurring in some concept graph and one maximal simplex per concept,
-the transpose of its vertex columns (per vertex, the mask of the concepts
-carrying that label); label flipping is kept as a partial vertex involution.
+The realizable complex of a total class is a plain ``SimplicialComplex``
+with a vertex for every point-label pair occurring in some concept graph,
+labelled by ``point_label``, and one maximal simplex per concept, the
+transpose of its vertex columns (per vertex, the mask of the concepts
+carrying that label).  Its label flip is read from the labels:
+``label_flip`` pairs the vertices that label one point both ways, through
+``parse_point_label``, the one reader of point labels.
 The antipodal subcomplex keeps exactly the simplices realizable together
 with their flips.  It is built from the class's label columns alone, not
 from the realizable complex: its vertices are the two-label points, on
@@ -49,6 +52,21 @@ DEFAULT_CHAIN_CAP = 10**6
 def point_label(x: int, sign: int) -> str:
     """Label for a domain-point vertex (x, y) of a realizable complex."""
     return f"{x}{'+' if sign > 0 else '-'}"
+
+
+def parse_point_label(label: str) -> Optional[tuple[int, int]]:
+    """The (x, sign) pair that ``point_label`` writes as ``label``, or None
+    when ``point_label`` writes no such label."""
+    head = label[:-1]
+    if label[-1:] in ("+", "-") and head.isascii() and head.isdigit():
+        try:
+            x = int(head)
+        except ValueError:  # more digits than ``str`` writes for an int
+            return None
+        sign = +1 if label[-1] == "+" else -1
+        if point_label(x, sign) == label:
+            return x, sign
+    return None
 
 
 def cross_label(i: int, sign: int) -> str:
@@ -146,9 +164,7 @@ class SimplicialComplex:
         return {v: i for i, v in enumerate(self.vertices)}
 
 
-def face_counts(
-    k: "SimplicialComplex | AntipodalComplex | DeltaComplex",
-) -> tuple[int, ...]:
+def face_counts(k: "SimplicialComplex | AntipodalComplex") -> tuple[int, ...]:
     """Exact simplex counts by dimension from the closure, under ``DEFAULT_FACE_CAP`` faces."""
     complex_ = _underlying(k)
     counts: dict[int, int] = {}
@@ -165,35 +181,15 @@ def euler_characteristic(k) -> int:
 
 
 @dataclass(frozen=True)
-class DeltaComplex:
-    """Realizable complex of a class, with the label involution as a partial map.
-
-    ``involution[i]`` is the index of the opposite-label vertex when that
-    vertex occurs in some concept graph, else None.  ``points[i]`` is the
-    (x, sign) pair behind vertex i.
-    """
-
-    complex: SimplicialComplex
-    involution: tuple[Optional[int], ...]
-    points: tuple[tuple[int, int], ...]
-
-    def dim(self) -> int:
-        return self.complex.dim()
-
-
-@dataclass(frozen=True)
 class AntipodalComplex:
     """A complex with a total, simplicial, fixed-point-free vertex involution.
 
     The involution must map simplices to simplices and no simplex may contain
     a vertex together with its image; both axioms are machine-checked here.
-    ``points`` carries the (x, sign) pairs when the complex arose from a
-    class's realizable distributions.
     """
 
     complex: SimplicialComplex
     involution: tuple[int, ...]
-    points: Optional[tuple[tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
         n = len(self.complex.vertices)
@@ -227,26 +223,36 @@ def _underlying(k) -> SimplicialComplex:
     return k if isinstance(k, SimplicialComplex) else k.complex
 
 
-def realizable_complex(cls: ConceptClass) -> DeltaComplex:
-    """The complex with one vertex per realized (point, label) pair and one
-    maximal simplex per concept graph: the transpose of the vertex columns,
-    each the mask of the concepts that carry its label."""
+def realizable_complex(cls: ConceptClass) -> SimplicialComplex:
+    """The complex with one vertex per realized (point, label) pair, labelled
+    by ``point_label``, and one maximal simplex per concept graph: the
+    transpose of the vertex columns, each the mask of the concepts that
+    carry its label.  ``label_flip`` reads its label flip."""
     cls.require_total("realizable_complex")
     full_h = (1 << len(cls)) - 1
-    present: list[tuple[int, int]] = []
+    labels: list[str] = []
     vertex_columns: list[int] = []
     for x, col in enumerate(columns(cls.domain_size, cls.hypotheses)):
         if col != full_h:
-            present.append((x, -1))
+            labels.append(point_label(x, -1))
             vertex_columns.append(full_h & ~col)
         if col:
-            present.append((x, +1))
+            labels.append(point_label(x, +1))
             vertex_columns.append(col)
-    index = {p: i for i, p in enumerate(present)}
-    labels = tuple(point_label(x, s) for x, s in present)
     maximal = tuple(sorted(transpose(len(cls), vertex_columns)))
-    involution = tuple(index.get((x, -s)) for x, s in present)
-    return DeltaComplex(SimplicialComplex(labels, maximal), involution, tuple(present))
+    return SimplicialComplex(tuple(labels), maximal)
+
+
+def label_flip(c: SimplicialComplex) -> tuple[Optional[int], ...]:
+    """For each vertex, the index of the vertex labelling the same point
+    with the other sign, or None: the label flip of a realizable complex,
+    read from its ``point_label`` labels alone.  A vertex whose label is
+    no point label, such as a chain or crosspolytope label, has None."""
+    index = c.vertex_index()
+    return tuple(
+        None if p is None else index.get(point_label(p[0], -p[1]))
+        for p in map(parse_point_label, c.vertices)
+    )
 
 
 def antipodal_subcomplex(cls: ConceptClass) -> AntipodalComplex:
@@ -287,9 +293,7 @@ def antipodal_subcomplex(cls: ConceptClass) -> AntipodalComplex:
             keep.append(s)
     labels = tuple(point_label(x, s) for x, s in cols.points)
     involution = tuple(i ^ 1 for i in range(len(masks)))
-    return AntipodalComplex(
-        SimplicialComplex(labels, tuple(sorted(keep))), involution, cols.points
-    )
+    return AntipodalComplex(SimplicialComplex(labels, tuple(sorted(keep))), involution)
 
 
 def barycentric_subdivision(k):
@@ -434,16 +438,12 @@ def complexes_isomorphic(
 
 
 def complex_to_payload(k) -> dict:
-    """Canonical JSON payload shared by all complex kinds."""
+    """Canonical JSON payload shared by all complex kinds: an antipodal
+    complex writes its own involution, any other complex its ``label_flip``."""
     c = _underlying(k)
-    if isinstance(k, AntipodalComplex):
-        inv: list[Optional[int]] = list(k.involution)
-    elif isinstance(k, DeltaComplex):
-        inv = list(k.involution)
-    else:
-        inv = [None] * len(c.vertices)
+    inv = k.involution if isinstance(k, AntipodalComplex) else label_flip(c)
     return {
         "vertices": list(c.vertices),
         "maximal_simplices": sorted(sorted(bits(s)) for s in c.maximal),
-        "involution": inv,
+        "involution": list(inv),
     }

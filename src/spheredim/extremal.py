@@ -85,9 +85,12 @@ class CubicalComplex:
     cofaces: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Check closure under facets and build the coface index:
-        ``cofaces[i]`` is the bitmask of the positions in ``cubes`` of the
-        codimension-one cubes that have ``cubes[i]`` as a facet."""
+        """Check that the cubes share one length and are closed under
+        facets, and build the coface index: ``cofaces[i]`` is the bitmask
+        of the positions in ``cubes`` of the codimension-one cubes that have
+        ``cubes[i]`` as a facet."""
+        if len({c.n for c in self.cubes}) > 1:
+            raise ValueError("cubes must all have the same length")
         index = {(c.plus, c.defined): i for i, c in enumerate(self.cubes)}
         if len(index) != len(self.cubes):
             raise ValueError("duplicate cubes")

@@ -7,7 +7,8 @@ construction are provided; searching for representations is out of scope.
 
 Integer and rational certificates are checked with exact arithmetic and any
 zero inner product is a violation; floating-point certificates use an
-ambiguity threshold below which a sign is considered indeterminate.
+ambiguity threshold below which a sign is considered indeterminate, and a
+NaN inner product (an infinite entry times zero, say) is a violation too.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def verify_representation(
     cls: ConceptClass, rep: SignRepresentation
 ) -> RepresentationReport:
     """Check sign<w(h), phi(x)> = h(x) for every pair, reporting the first
-    violation.  Ambiguous signs (zero, or tiny for float input) violate.
+    violation.  Ambiguous signs (zero, NaN, or tiny for float input) violate.
     The checks run once per representation object and class; later calls
     return the report ``rep.reports`` kept."""
     report = rep.reports.get(cls)
@@ -91,12 +92,14 @@ def _check_representation(
         wv = rep.hyp_vectors[j]
         for x, pv in enumerate(rep.point_vectors):
             dot = sum(map(mul, wv, pv))
-            # only a nonzero sum below the threshold depends on exactness
-            if dot == 0 or (abs(dot) < AMBIGUITY_THRESHOLD and not rep.is_exact):
+            positive = dot > 0
+            # zero and NaN (inf * 0, say) are neither > 0 nor < 0; only a
+            # nonzero sum below the threshold depends on exactness
+            if not (positive or dot < 0) or (abs(dot) < AMBIGUITY_THRESHOLD and not rep.is_exact):
                 return RepresentationReport(
                     False, j, x, f"ambiguous sign at hypothesis {j}, point {x}"
                 )
-            if (dot > 0) != bool(h.plus >> x & 1):
+            if positive != bool(h.plus >> x & 1):
                 return RepresentationReport(
                     False, j, x, f"wrong sign at hypothesis {j}, point {x}"
                 )

@@ -3,10 +3,14 @@
 Class files are plain text (one row per line, '#' comments).  Every other
 artifact is JSON wrapped in {"schema_version", "kind", "payload"} with
 canonical formatting: sorted keys, two-space indent, sorted simplex indices,
-one trailing newline.  Store-then-load returns an equal value, with one
-exception: a realizable complex whose label flip is already simplicial and
-free of antipodal pairs, such as that of {--, ++}, stores the same bytes as
-its antipodal subcomplex and loads as that equal ``AntipodalComplex``.
+one trailing newline.  A complex other than an ``AntipodalComplex`` stores
+its label flip as its involution (``complexes.label_flip``, read from its
+point labels; all null when no two labels name one point), and a stored
+involution loads only as an antipodal one or as that label flip.
+Store-then-load returns an equal value, with one exception: a complex whose
+label flip is total, simplicial and free of antipodal pairs, such as the
+realizable complex of {--, ++}, stores the same bytes as the
+``AntipodalComplex`` with that involution and loads as it.
 Witnesses are reloaded against a target recomputed from the class alone
 (``antipodal_subcomplex``), so a tampered file cannot smuggle in an
 inconsistent complex; the loaded witness keeps that target, so storing it
@@ -26,10 +30,10 @@ from typing import Optional, Union
 from spheredim.concepts import ClassFormatError, ConceptClass, format_class, parse_class
 from spheredim.complexes import (
     AntipodalComplex,
-    DeltaComplex,
     SimplicialComplex,
     antipodal_subcomplex,
     complex_to_payload,
+    label_flip,
 )
 from spheredim.concepts import mask_of
 from spheredim.extremal import CubicalComplex
@@ -87,12 +91,6 @@ def open_envelope(text: str, kind: str) -> dict:
     return data["payload"]
 
 
-def _parse_point_label(label: str) -> Optional[tuple[int, int]]:
-    if len(label) >= 2 and label[-1] in "+-" and label[:-1].isdigit():
-        return int(label[:-1]), +1 if label[-1] == "+" else -1
-    return None
-
-
 def _simplex_mask(indices, size: int) -> int:
     """Bitmask of a stored simplex, each index checked to be a vertex index
     first, so that a huge index cannot reach the shift."""
@@ -104,36 +102,31 @@ def _simplex_mask(indices, size: int) -> int:
 
 
 def complex_from_payload(payload: dict):
-    """Rebuild a complex, preserving total or partial involutions."""
-    vertices = tuple(payload["vertices"])
-    maximal = tuple(
-        sorted(_simplex_mask(s, len(vertices)) for s in payload["maximal_simplices"])
-    )
-    base = SimplicialComplex(vertices, maximal)
-    inv = payload.get("involution") or [None] * len(vertices)
-    if len(inv) != len(vertices):
-        raise StorageError("involution length does not match the vertex list")
+    """Rebuild a complex: an ``AntipodalComplex`` when the stored involution
+    is total and passes its axioms, else a ``SimplicialComplex``, whose
+    stored involution must be the ``label_flip`` of its vertex labels."""
+    vertices, inv = payload["vertices"], payload["involution"]
+    if type(vertices) is not list or not all(type(v) is str for v in vertices):
+        raise StorageError("vertices must be a list of string labels")
+    if type(inv) is not list or len(inv) != len(vertices):
+        raise StorageError("involution must be a list with one entry per vertex")
     for i, j in enumerate(inv):
         valid = type(j) is int and 0 <= j < len(inv) and j != i and inv[j] == i
         if j is not None and not valid:
             raise StorageError("involution entries must pair distinct vertices")
-    points = tuple(_parse_point_label(v) for v in vertices)
-    have_points = all(p is not None for p in points)
-    if all(j is None for j in inv):
-        return base
-    if all(j is not None for j in inv):
+    maximal = tuple(
+        sorted(_simplex_mask(s, len(vertices)) for s in payload["maximal_simplices"])
+    )
+    base = SimplicialComplex(tuple(vertices), maximal)
+    reason = "it is partial"
+    if None not in inv:
         try:
-            return AntipodalComplex(base, tuple(inv), points if have_points else None)
-        except ValueError:
-            # a realizable complex in which every point takes both labels
-            if not have_points:
-                raise
-    if not have_points:
-        raise StorageError("a partial involution requires point-pair vertex labels")
-    return DeltaComplex(base, tuple(inv), points)
-
-
-ComplexLike = Union[SimplicialComplex, AntipodalComplex, DeltaComplex]
+            return AntipodalComplex(base, tuple(inv))
+        except ValueError as exc:
+            reason = str(exc)  # such as a realizable complex whose flip is not simplicial
+    if tuple(inv) != label_flip(base):
+        raise StorageError(f"involution is not the label flip of the vertex labels, and {reason}")
+    return base
 
 
 def witness_payload(w: SphereWitness) -> dict:
@@ -296,7 +289,7 @@ def store(value, path: Union[str, Path], cls: Optional[ConceptClass] = None) -> 
     if isinstance(value, ConceptClass):
         path.write_text(format_class(value))
         return
-    if isinstance(value, (SimplicialComplex, AntipodalComplex, DeltaComplex)):
+    if isinstance(value, (SimplicialComplex, AntipodalComplex)):
         payload = complex_to_payload(value)
         kind = "complex"
     elif isinstance(value, SphereWitness):

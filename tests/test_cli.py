@@ -124,7 +124,55 @@ class TestReport:
         assert payload["sd"] == payload["sd"] and payload["lr_floor"] is None
 
 
+# `complex` stdout without --antipodal, as literal payloads so that any
+# change to the export shows: the realizable complex, whose involution is its
+# label flip, and its subdivision, whose chain labels have no flip
+FIGURE_CLASS = "---\n-+-\n++-\n+--\n--+\n"
+FIGURE_COMPLEX = {
+    "involution": [1, 0, 3, 2, 5, 4],
+    "maximal_simplices": [[0, 2, 4], [0, 2, 5], [0, 3, 4], [1, 2, 4], [1, 3, 4]],
+    "vertices": ["0-", "0+", "1-", "1+", "2-", "2+"],
+}
+FIGURE_COMPLEX_SUBDIVIDED = {
+    "involution": [None] * 21,
+    "maximal_simplices": [
+        [0, 3, 12], [0, 3, 20], [0, 6, 15], [0, 9, 12], [0, 9, 15], [0, 18, 20],
+        [1, 4, 13], [1, 7, 16], [1, 10, 13], [1, 10, 16], [2, 3, 12], [2, 3, 20],
+        [2, 4, 13], [2, 11, 12], [2, 11, 13], [2, 19, 20], [5, 6, 15], [5, 7, 16],
+        [5, 14, 15], [5, 14, 16], [8, 9, 12], [8, 9, 15], [8, 10, 13], [8, 10, 16],
+        [8, 11, 12], [8, 11, 13], [8, 14, 15], [8, 14, 16], [17, 18, 20], [17, 19, 20],
+    ],
+    "vertices": [
+        "[0-]", "[0+]", "[1-]", "[0-|1-]", "[0+|1-]", "[1+]", "[0-|1+]", "[0+|1+]",
+        "[2-]", "[0-|2-]", "[0+|2-]", "[1-|2-]", "[0-|1-|2-]", "[0+|1-|2-]", "[1+|2-]",
+        "[0-|1+|2-]", "[0+|1+|2-]", "[2+]", "[0-|2+]", "[1-|2+]", "[0-|1-|2+]",
+    ],
+}
+ONE_HYPOTHESIS_COMPLEX = {
+    "involution": [None, None, None],
+    "maximal_simplices": [[0, 1, 2]],
+    "vertices": ["0-", "1+", "2-"],
+}
+
+
 class TestComplex:
+    @pytest.mark.parametrize(
+        "rows, flags, payload",
+        [
+            (FIGURE_CLASS, (), FIGURE_COMPLEX),
+            (FIGURE_CLASS, ("--barycentric", "1"), FIGURE_COMPLEX_SUBDIVIDED),
+            ("-+-\n", (), ONE_HYPOTHESIS_COMPLEX),
+        ],
+        ids=["figure", "figure-barycentric", "one-hypothesis"],
+    )
+    def test_realizable_export_bytes(self, tmp_path, rows, flags, payload):
+        path = tmp_path / "k.cls"
+        path.write_text(rows)
+        out = run_cli("complex", str(path), *flags)
+        assert out.returncode == 0
+        envelope = {"kind": "complex", "payload": payload, "schema_version": "1"}
+        assert out.stdout == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
     def test_antipodal_export(self, cube3):
         out = run_cli("complex", cube3, "--antipodal")
         data = json.loads(out.stdout)

@@ -23,6 +23,17 @@ def universal(n):
     return family_class("universal", n)
 
 
+# two float representations of {--, +-} whose inner product at one pair is
+# NaN, which compares neither > 0 nor < 0: a NaN entry, and inf * 0
+NAN_CLASS_ROWS = ["--", "+-"]
+NAN_REPRESENTATIONS = {
+    "nan-entry": SignRepresentation(1, ((1.0,), (float("nan"),)), ((-1.0,), (1.0,))),
+    "inf-times-zero": SignRepresentation(
+        2, ((1.0, 1.0), (float("inf"), -1.0)), ((-1.0, 0.0), (0.0, 1.0))
+    ),
+}
+
+
 def oracle_first_violation(cls, rep):
     """The per-pair check with the generator dot product that
     ``verify_representation`` replaced: (hypothesis, point, reason word) of
@@ -112,6 +123,17 @@ class TestVerify:
         cls = ConceptClass.from_strings(["+"])
         rep = SignRepresentation(1, ((Fraction(0),),), ((1,),))
         assert not verify_representation(cls, rep)
+
+    @pytest.mark.parametrize("name", sorted(NAN_REPRESENTATIONS))
+    def test_nan_inner_product_is_ambiguous(self, name):
+        from spheredim.spheres import sd_bounds
+
+        cls = ConceptClass.from_strings(NAN_CLASS_ROWS)
+        report = verify_representation(cls, NAN_REPRESENTATIONS[name])
+        assert not report
+        assert report.reason.startswith("ambiguous sign")
+        with pytest.raises(ValueError, match="unverified sign representation: ambiguous sign"):
+            sd_bounds(cls, NAN_REPRESENTATIONS[name])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,11 @@ from spheredim import spheres, storage
 from spheredim.concepts import ClassFormatError, ConceptClass, family_class
 from spheredim.complexes import (
     AntipodalComplex,
-    DeltaComplex,
     SimplicialComplex,
     antipodal_subcomplex,
     complex_to_payload,
     face_counts,
+    label_flip,
     point_label,
     realizable_complex,
 )
@@ -76,6 +76,14 @@ class TestComplexRoundtrip:
         assert isinstance(back, AntipodalComplex)
         assert back == ant
 
+    def test_empty_antipodal(self, tmp_path):
+        # a class with one concept has an empty antipodal subcomplex, whose
+        # empty involution is total
+        ant = antipodal_subcomplex(ConceptClass.from_strings(["+-"]))
+        p = tmp_path / "ant.json"
+        store(ant, p)
+        assert load("complex", p) == ant
+
     def test_delta_with_partial_involution(self, tmp_path):
         delta = realizable_complex(
             ConceptClass.from_strings(["---", "-+-", "+--", "++-"])
@@ -83,7 +91,7 @@ class TestComplexRoundtrip:
         p = tmp_path / "delta.json"
         store(delta, p)
         back = load("complex", p)
-        assert isinstance(back, DeltaComplex)
+        assert type(back) is SimplicialComplex
         assert back == delta
 
     def test_delta_in_which_every_point_takes_both_labels(self, tmp_path):
@@ -92,7 +100,7 @@ class TestComplexRoundtrip:
         p = tmp_path / "delta.json"
         store(delta, p)
         back = load("complex", p)
-        assert isinstance(back, DeltaComplex)
+        assert type(back) is SimplicialComplex
         assert back == delta
 
     def test_delta_whose_flip_is_antipodal_loads_as_its_antipodal_form(self, tmp_path):
@@ -115,6 +123,76 @@ class TestComplexRoundtrip:
         p = tmp_path / "k.json"
         p.write_text(json.dumps({"schema_version": "1", "kind": "complex", "payload": payload}))
         with pytest.raises(StorageError, match="pair distinct vertices"):
+            load("complex", p)
+
+    def test_delta_of_one_hypothesis(self, tmp_path):
+        # no point takes both labels, so the label flip is all null
+        delta = realizable_complex(ConceptClass.from_strings(["+-"]))
+        p = tmp_path / "delta.json"
+        store(delta, p)
+        assert json.loads(p.read_text())["payload"]["involution"] == [None, None]
+        assert load("complex", p) == delta
+
+    def test_every_delta_on_at_most_three_points_round_trips(self, tmp_path):
+        p = tmp_path / "delta.json"
+        antipodal = 0
+        for n in (1, 2, 3):
+            for chosen in range(1, 1 << (1 << n)):
+                rows = [
+                    "".join("-+"[m >> x & 1] for x in range(n))
+                    for m in range(1 << n)
+                    if chosen >> m & 1
+                ]
+                cls = ConceptClass.from_strings(rows)
+                delta = realizable_complex(cls)
+                store(delta, p)
+                back = load("complex", p)
+                # the label flip is total, simplicial and free (no concept
+                # graph holds both labels of a point) iff the flip of every
+                # concept is a concept
+                negated = {row.translate(str.maketrans("+-", "-+")) for row in rows}
+                if negated == set(rows):
+                    # the documented exception: it loads as its antipodal form
+                    antipodal += 1
+                    assert None not in label_flip(delta)
+                    assert back == antipodal_subcomplex(cls)
+                else:
+                    assert type(back) is SimplicialComplex
+                    assert back == delta
+        # nonempty unions of antipodal pairs of rows: 1 + 3 + 15
+        assert antipodal == 19
+
+    def test_partial_involution_other_than_the_label_flip_rejected(self, tmp_path):
+        # the figure class's realizable complex with 0- paired to 1-, not 0+
+        payload = complex_to_payload(
+            realizable_complex(ConceptClass.from_strings(["---", "-+-", "+--", "++-"]))
+        )
+        assert payload["vertices"][:4] == ["0-", "0+", "1-", "1+"]
+        assert payload["involution"][:4] == [1, 0, 3, 2]
+        payload["involution"][:4] = [2, 3, 0, 1]
+        p = tmp_path / "k.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "complex", "payload": payload}))
+        with pytest.raises(StorageError, match="not the label flip"):
+            load("complex", p)
+
+    @pytest.mark.parametrize("involution", [[None, None], [1, 0]], ids=["simplicial", "antipodal"])
+    def test_vertex_labels_must_be_strings(self, tmp_path, involution):
+        payload = {"vertices": [1, 2], "maximal_simplices": [[0], [1]], "involution": involution}
+        p = tmp_path / "k.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "complex", "payload": payload}))
+        with pytest.raises(StorageError, match="string labels"):
+            load("complex", p)
+
+    @pytest.mark.parametrize(
+        "involution", ["missing", None, [], 0, False], ids=["missing", "null", "empty", "zero", "false"]
+    )
+    def test_involution_must_list_every_vertex(self, tmp_path, involution):
+        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, 1]]}
+        if involution != "missing":
+            payload["involution"] = involution
+        p = tmp_path / "k.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "complex", "payload": payload}))
+        with pytest.raises(StorageError):
             load("complex", p)
 
     def test_plain_complex(self, tmp_path):
@@ -405,6 +483,13 @@ class TestCubicalRoundtrip:
         with pytest.raises(ValueError):
             load("cubical", p)
 
+    def test_cubes_of_different_lengths_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        payload = {"cubes": ["+", "-+"]}
+        p.write_text(json.dumps({"schema_version": "1", "kind": "cubical", "payload": payload}))
+        with pytest.raises(StorageError, match="same length"):
+            load("cubical", p)
+
 
 class TestRepresentationRoundtrip:
     def test_universal(self, tmp_path):
@@ -456,6 +541,26 @@ class TestRepresentationRoundtrip:
             data["payload"]["phi"]["0"] = value
         p.write_text(json.dumps(data))
         with pytest.raises(StorageError):
+            load("representation", p, cls=cls)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"d": 1, "phi": {"0": [1.0], "1": [float("nan")]}, "w": {"--": [-1.0], "+-": [1.0]}},
+            {
+                "d": 2,
+                "phi": {"0": [1.0, 1.0], "1": [float("inf"), -1.0]},
+                "w": {"--": [-1.0, 0.0], "+-": [0.0, 1.0]},
+            },
+        ],
+        ids=["nan-entry", "inf-times-zero"],
+    )
+    def test_nan_inner_product_rejected(self, tmp_path, payload):
+        # json reads NaN and Infinity; a NaN inner product has no sign
+        cls = ConceptClass.from_strings(["--", "+-"])
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "representation", "payload": payload}))
+        with pytest.raises(StorageError, match="fails its class: ambiguous sign"):
             load("representation", p, cls=cls)
 
     def test_representation_failing_its_class_rejected(self, tmp_path):
