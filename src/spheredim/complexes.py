@@ -2,6 +2,9 @@
 
 A complex is stored by its maximal simplices only (vertex-index bitmasks over
 an ordered list of opaque string labels); the downward closure is implicit.
+There is one complex type: an ``AntipodalComplex`` (a free Z2-complex) is a
+``SimplicialComplex`` plus a checked vertex involution, which subdivision
+and join carry through when every input has one.
 A simplex query is answered by incidence: the transpose of the maximal list
 gives, per vertex, the bitmask of the maximal simplices containing it, and a
 set is a simplex iff the AND of those masks over its vertices is nonzero.
@@ -164,11 +167,10 @@ class SimplicialComplex:
         return {v: i for i, v in enumerate(self.vertices)}
 
 
-def face_counts(k: "SimplicialComplex | AntipodalComplex") -> tuple[int, ...]:
+def face_counts(k: SimplicialComplex) -> tuple[int, ...]:
     """Exact simplex counts by dimension from the closure, under ``DEFAULT_FACE_CAP`` faces."""
-    complex_ = _underlying(k)
     counts: dict[int, int] = {}
-    for s in complex_.all_simplices(DEFAULT_FACE_CAP):
+    for s in k.all_simplices(DEFAULT_FACE_CAP):
         d = popcount(s) - 1
         counts[d] = counts.get(d, 0) + 1
     if not counts:
@@ -181,46 +183,36 @@ def euler_characteristic(k) -> int:
 
 
 @dataclass(frozen=True)
-class AntipodalComplex:
+class AntipodalComplex(SimplicialComplex):
     """A complex with a total, simplicial, fixed-point-free vertex involution.
 
     The involution must map simplices to simplices and no simplex may contain
-    a vertex together with its image; both axioms are machine-checked here.
+    a vertex together with its image; both axioms are machine-checked here,
+    after the checks of a plain complex.
     """
 
-    complex: SimplicialComplex
     involution: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.complex.vertices)
+        super().__post_init__()
+        n = len(self.vertices)
         if len(self.involution) != n:
             raise ValueError("involution must cover every vertex")
         for i, j in enumerate(self.involution):
             if not 0 <= j < n or self.involution[j] != i:
                 raise ValueError("vertex map is not an involution")
-        for s in self.complex.maximal:
+        for s in self.maximal:
             image = self.map_simplex(s)
-            if not self.complex.has_simplex(image):
+            if not self.has_simplex(image):
                 raise ValueError("involution is not simplicial")
             if s & image:
                 raise ValueError("a simplex contains an antipodal vertex pair")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.complex.is_empty
-
-    def dim(self) -> int:
-        return self.complex.dim()
 
     def map_simplex(self, mask: int) -> int:
         out = 0
         for i in bits(mask):
             out |= 1 << self.involution[i]
         return out
-
-
-def _underlying(k) -> SimplicialComplex:
-    return k if isinstance(k, SimplicialComplex) else k.complex
 
 
 def realizable_complex(cls: ConceptClass) -> SimplicialComplex:
@@ -293,7 +285,7 @@ def antipodal_subcomplex(cls: ConceptClass) -> AntipodalComplex:
             keep.append(s)
     labels = tuple(point_label(x, s) for x, s in cols.points)
     involution = tuple(i ^ 1 for i in range(len(masks)))
-    return AntipodalComplex(SimplicialComplex(labels, tuple(sorted(keep))), involution)
+    return AntipodalComplex(labels, tuple(sorted(keep)), involution)
 
 
 def barycentric_subdivision(k):
@@ -303,21 +295,14 @@ def barycentric_subdivision(k):
     An antipodal input yields an antipodal output, with the involution
     extended elementwise to subdivision vertices.
     """
-    base = _underlying(k)
-    sims = sorted(base.all_simplices(DEFAULT_CHAIN_CAP))
+    sims = sorted(k.all_simplices(DEFAULT_CHAIN_CAP))
     index = {s: i for i, s in enumerate(sims)}
-    labels = tuple(
-        chain_label(base.vertices[i] for i in bits(s)) for s in sims
-    )
-
-    total_chains = sum(
-        math.factorial(popcount(m)) for m in base.maximal
-    )
-    if total_chains > DEFAULT_CHAIN_CAP:
+    labels = tuple(chain_label(k.vertices[i] for i in bits(s)) for s in sims)
+    if sum(math.factorial(popcount(m)) for m in k.maximal) > DEFAULT_CHAIN_CAP:
         raise CapExceededError("chain enumeration cap exceeded")
 
-    maximal: set[int] = set()
-    for m in base.maximal:
+    chains: set[int] = set()
+    for m in k.maximal:
         idx = list(bits(m))
         for perm in itertools.permutations(idx):
             chain_mask = 0
@@ -325,29 +310,25 @@ def barycentric_subdivision(k):
             for v in perm:
                 acc |= 1 << v
                 chain_mask |= 1 << index[acc]
-            maximal.add(chain_mask)
-    out = SimplicialComplex(labels, tuple(sorted(maximal)))
+            chains.add(chain_mask)
+    maximal = tuple(sorted(chains))
     if isinstance(k, AntipodalComplex):
         inv = tuple(index[k.map_simplex(s)] for s in sims)
-        return AntipodalComplex(out, inv)
-    return out
+        return AntipodalComplex(labels, maximal, inv)
+    return SimplicialComplex(labels, maximal)
 
 
 def join_complex(a, b):
     """Join of two complexes: disjoint vertices, labelled ``A;`` and ``B;``
     by side, and pairwise unions of maximal simplices.  Joining two
     antipodal complexes yields an antipodal join."""
-    ca, cb = _underlying(a), _underlying(b)
-    labels = tuple("A;" + v for v in ca.vertices) + tuple("B;" + v for v in cb.vertices)
-    shift = len(ca.vertices)
-    maximal = tuple(
-        sorted(sa | (sb << shift) for sa in ca.maximal for sb in cb.maximal)
-    )
-    out = SimplicialComplex(labels, maximal)
+    labels = tuple("A;" + v for v in a.vertices) + tuple("B;" + v for v in b.vertices)
+    shift = len(a.vertices)
+    maximal = tuple(sorted(sa | (sb << shift) for sa in a.maximal for sb in b.maximal))
     if isinstance(a, AntipodalComplex) and isinstance(b, AntipodalComplex):
         inv = tuple(a.involution) + tuple(j + shift for j in b.involution)
-        return AntipodalComplex(out, inv)
-    return out
+        return AntipodalComplex(labels, maximal, inv)
+    return SimplicialComplex(labels, maximal)
 
 
 def complexes_isomorphic(
@@ -361,29 +342,28 @@ def complexes_isomorphic(
     Exact backtracking with degree and simplex-size pruning; deterministic;
     returns the image tuple or None; raises past ``DEFAULT_ISO_VERTEX_CAP`` vertices.
     """
-    ca, cb = _underlying(a), _underlying(b)
     if respect_involution and not (
         isinstance(a, AntipodalComplex) and isinstance(b, AntipodalComplex)
     ):
         raise ValueError("respect_involution requires antipodal complexes")
-    n = len(ca.vertices)
-    if max(n, len(cb.vertices)) > DEFAULT_ISO_VERTEX_CAP:
+    n = len(a.vertices)
+    if max(n, len(b.vertices)) > DEFAULT_ISO_VERTEX_CAP:
         raise CapExceededError(f"isomorphism cap is {DEFAULT_ISO_VERTEX_CAP} vertices")
-    if n != len(cb.vertices) or len(ca.maximal) != len(cb.maximal):
+    if n != len(b.vertices) or len(a.maximal) != len(b.maximal):
         return None
-    if sorted(map(popcount, ca.maximal)) != sorted(map(popcount, cb.maximal)):
+    if sorted(map(popcount, a.maximal)) != sorted(map(popcount, b.maximal)):
         return None
 
     def profile(c: SimplicialComplex, v: int) -> tuple:
         sizes = sorted(popcount(s) for s in c.maximal if s & (1 << v))
         return tuple(sizes)
 
-    prof_a = [profile(ca, v) for v in range(n)]
-    prof_b = [profile(cb, v) for v in range(n)]
+    prof_a = [profile(a, v) for v in range(n)]
+    prof_b = [profile(b, v) for v in range(n)]
     if sorted(prof_a) != sorted(prof_b):
         return None
 
-    maximal_b = set(cb.maximal)
+    maximal_b = set(b.maximal)
     mapping: list[Optional[int]] = [None] * n
     used = [False] * n
 
@@ -399,7 +379,7 @@ def complexes_isomorphic(
                 return False
             if img is None and used[pb] and mapping.index(pb) != pa:
                 return False
-        for s in ca.maximal:
+        for s in a.maximal:
             if not s & (1 << v):
                 continue
             img_mask = 0
@@ -413,7 +393,7 @@ def complexes_isomorphic(
             if complete:
                 if img_mask not in maximal_b:
                     return False
-            elif not cb.has_simplex(img_mask):
+            elif not b.has_simplex(img_mask):
                 return False
         return True
 
@@ -440,10 +420,9 @@ def complexes_isomorphic(
 def complex_to_payload(k) -> dict:
     """Canonical JSON payload shared by all complex kinds: an antipodal
     complex writes its own involution, any other complex its ``label_flip``."""
-    c = _underlying(k)
-    inv = k.involution if isinstance(k, AntipodalComplex) else label_flip(c)
+    inv = k.involution if isinstance(k, AntipodalComplex) else label_flip(k)
     return {
-        "vertices": list(c.vertices),
-        "maximal_simplices": sorted(sorted(bits(s)) for s in c.maximal),
+        "vertices": list(k.vertices),
+        "maximal_simplices": sorted(sorted(bits(s)) for s in k.maximal),
         "involution": list(inv),
     }

@@ -29,6 +29,7 @@ DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_PRODUCT_CAP = 1 << 20
 FAMILY_CUBE_MAX = 20
 FAMILY_UNIVERSAL_MAX = 20
+FAMILY_THRESHOLD_MAX = 4096
 CANONICAL_FORM_MAX_DOMAIN = 8
 
 
@@ -559,6 +560,8 @@ def family_class(name: str, n: int) -> ConceptClass:
             hyps.append(PartialHypothesis.total(size, (1 << size) - 1))
         return ConceptClass(size, tuple(hyps))
     if name == "threshold":
+        if n > FAMILY_THRESHOLD_MAX:
+            raise CapExceededError(f"threshold cap is d <= {FAMILY_THRESHOLD_MAX}")
         hyps = tuple(
             PartialHypothesis.total(n, (1 << i) - 1) for i in range(n + 1)
         )
@@ -566,6 +569,9 @@ def family_class(name: str, n: int) -> ConceptClass:
     if name == "subsets_leq":
         d = n
         width = d + 1
+        # the cube on d+1 points minus its all-plus concept
+        if width > FAMILY_CUBE_MAX:
+            raise CapExceededError(f"subsets_leq cap is d <= {FAMILY_CUBE_MAX - 1}")
         full = (1 << width) - 1
         hyps = tuple(
             PartialHypothesis.total(width, _reversed_bits(i, width))

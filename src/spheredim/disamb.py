@@ -160,7 +160,7 @@ class Disambiguation:
     template: SphereTemplate
 
     def __post_init__(self) -> None:
-        n = len(self.template.complex.complex.vertices)
+        n = len(self.template.complex.vertices)
         if self.domain.size != n or self.cls.domain_size != n:
             raise ValueError("vertex sets of class, domain, and template must match")
         if self.domain.pairing != self.template.complex.involution:
@@ -188,9 +188,9 @@ def check_disambiguates(d: Disambiguation) -> DisambiguationReport:
     tc = d.template.complex
     antipodal = is_antipodal_class(d.cls, d.domain)
     if antipodal:
-        simplices = list(tc.complex.maximal)
+        simplices = list(tc.maximal)
     else:
-        simplices = sorted(tc.complex.all_simplices(DEFAULT_SIMPLEX_CAP))
+        simplices = sorted(tc.all_simplices(DEFAULT_SIMPLEX_CAP))
     checked = 0
     for s in simplices:
         neg = tc.map_simplex(s)
@@ -199,7 +199,7 @@ def check_disambiguates(d: Disambiguation) -> DisambiguationReport:
         )
         checked += 1
         if not good:
-            labels = tuple(tc.complex.vertices[i] for i in bits(s))
+            labels = tuple(tc.vertices[i] for i in bits(s))
             return DisambiguationReport(False, antipodal, checked, labels)
     return DisambiguationReport(True, antipodal, checked, None)
 
@@ -214,7 +214,7 @@ def pullback_disambiguation(witness: SphereWitness) -> Disambiguation:
     n = source.domain_size
     ext, _ext_domain = antipodal_extension(source)
     tc = witness.template.complex
-    num_vertices = len(tc.complex.vertices)
+    num_vertices = len(tc.vertices)
 
     ext_index = [x if s > 0 else n + x for x, s in witness.pairs]
 

@@ -195,7 +195,7 @@ def make_crosspolytope(n: int) -> SphereTemplate:
     for signs in itertools.product((0, 1), repeat=n + 1):
         maximal.append(mask_of(2 * i + s for i, s in enumerate(signs)))
     inv = tuple(i ^ 1 for i in range(2 * (n + 1)))
-    complex_ = AntipodalComplex(SimplicialComplex(tuple(labels), tuple(sorted(maximal))), inv)
+    complex_ = AntipodalComplex(tuple(labels), tuple(sorted(maximal)), inv)
     return SphereTemplate(CrosspolytopeKind(n), complex_)
 
 
@@ -219,7 +219,7 @@ def make_barycentric_boundary(n: int) -> SphereTemplate:
             chain |= 1 << index[acc]
         maximal.add(chain)
     inv = tuple(index[full & ~m] for m in subsets)
-    complex_ = AntipodalComplex(SimplicialComplex(labels, tuple(sorted(maximal))), inv)
+    complex_ = AntipodalComplex(labels, tuple(sorted(maximal)), inv)
     return SphereTemplate(BarycentricBoundaryKind(n), complex_)
 
 
@@ -315,19 +315,19 @@ def _run_checks(w: SphereWitness) -> WitnessReport:
         return WitnessReport(False, "template", f"kind tree invalid: {exc}", tuple(lines))
     got, want = w.template.complex, reference.complex
     if got != want:
-        missing = set(want.complex.maximal) - set(got.complex.maximal)
-        extra = set(got.complex.maximal) - set(want.complex.maximal)
+        missing = set(want.maximal) - set(got.maximal)
+        extra = set(got.maximal) - set(want.maximal)
         if missing:
-            detail = f"missing maximal simplex {_simplex_labels(want.complex, min(missing))}"
+            detail = f"missing maximal simplex {_simplex_labels(want, min(missing))}"
         elif extra:
-            detail = f"unexpected maximal simplex {_simplex_labels(got.complex, min(extra))}"
+            detail = f"unexpected maximal simplex {_simplex_labels(got, min(extra))}"
         else:
             detail = "vertex set or involution differs from the certified construction"
         return WitnessReport(False, "template", detail, tuple(lines))
     lines.append("template: ok")
 
     tc = w.template.complex
-    n = len(tc.complex.vertices)
+    n = len(tc.vertices)
     target = w.cls.label_columns
     if len(w.vertex_map) != n or any(
         not 0 <= v < len(target.points) for v in w.vertex_map
@@ -335,17 +335,17 @@ def _run_checks(w: SphereWitness) -> WitnessReport:
         return WitnessReport(False, "simplicial", "vertex map is not total into the target", tuple(lines))
 
     # (b) simpliciality on maximal simplices (faces follow by downward closure)
-    for s in tc.complex.maximal:
+    for s in tc.maximal:
         image = mask_of(w.vertex_map[i] for i in bits(s))
         if not target.has_simplex(image):
-            detail = f"simplex {_simplex_labels(tc.complex, s)} maps outside the target"
+            detail = f"simplex {_simplex_labels(tc, s)} maps outside the target"
             return WitnessReport(False, "simplicial", detail, tuple(lines))
     lines.append("simplicial: ok")
 
     # (c) equivariance on every vertex: the target's antipode of i is i ^ 1
     for i in range(n):
         if w.vertex_map[tc.involution[i]] != w.vertex_map[i] ^ 1:
-            detail = f"vertex {tc.complex.vertices[i]} breaks equivariance"
+            detail = f"vertex {tc.vertices[i]} breaks equivariance"
             return WitnessReport(False, "equivariance", detail, tuple(lines))
     lines.append("equivariance: ok")
 

@@ -3,10 +3,13 @@
 Class files are plain text (one row per line, '#' comments).  Every other
 artifact is JSON wrapped in {"schema_version", "kind", "payload"} with
 canonical formatting: sorted keys, two-space indent, sorted simplex indices,
-one trailing newline.  A complex other than an ``AntipodalComplex`` stores
-its label flip as its involution (``complexes.label_flip``, read from its
-point labels; all null when no two labels name one point), and a stored
-involution loads only as an antipodal one or as that label flip.
+one trailing newline.  A stored complex's maximal simplices load only in
+the form ``complex_to_payload`` writes: a list, in sorted order, of strictly
+increasing vertex-index lists.  Every complex is a ``SimplicialComplex``;
+one other than an ``AntipodalComplex`` stores its label flip as its
+involution (``complexes.label_flip``, read from its point labels; all null
+when no two labels name one point), and a stored involution loads only as
+an antipodal one or as that label flip.
 Store-then-load returns an equal value, with one exception: a complex whose
 label flip is total, simplicial and free of antipodal pairs, such as the
 realizable complex of {--, ++}, stores the same bytes as the
@@ -91,14 +94,21 @@ def open_envelope(text: str, kind: str) -> dict:
     return data["payload"]
 
 
-def _simplex_mask(indices, size: int) -> int:
-    """Bitmask of a stored simplex, each index checked to be a vertex index
+def _maximal_masks(simplices, size: int) -> tuple[int, ...]:
+    """The sorted masks of stored maximal simplices, held to the form the
+    module docstring gives; each index is checked to be a vertex index
     first, so that a huge index cannot reach the shift."""
-    indices = list(indices)
-    for i in indices:
-        if type(i) is not int or not 0 <= i < size:
-            raise StorageError(f"a simplex index is not one of the {size} vertex indices")
-    return mask_of(indices)
+    if type(simplices) is not list or any(type(s) is not list for s in simplices):
+        raise StorageError("maximal_simplices must be a list of index lists")
+    for indices in simplices:
+        for i in indices:
+            if type(i) is not int or not 0 <= i < size:
+                raise StorageError(f"a simplex index is not one of the {size} vertex indices")
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise StorageError("a simplex must list its vertex indices strictly increasing")
+    if simplices != sorted(simplices):
+        raise StorageError("maximal_simplices must be in sorted order")
+    return tuple(sorted(map(mask_of, simplices)))
 
 
 def complex_from_payload(payload: dict):
@@ -114,16 +124,15 @@ def complex_from_payload(payload: dict):
         valid = type(j) is int and 0 <= j < len(inv) and j != i and inv[j] == i
         if j is not None and not valid:
             raise StorageError("involution entries must pair distinct vertices")
-    maximal = tuple(
-        sorted(_simplex_mask(s, len(vertices)) for s in payload["maximal_simplices"])
-    )
-    base = SimplicialComplex(tuple(vertices), maximal)
+    vertices = tuple(vertices)
+    maximal = _maximal_masks(payload["maximal_simplices"], len(vertices))
     reason = "it is partial"
     if None not in inv:
         try:
-            return AntipodalComplex(base, tuple(inv))
+            return AntipodalComplex(vertices, maximal, tuple(inv))
         except ValueError as exc:
             reason = str(exc)  # such as a realizable complex whose flip is not simplicial
+    base = SimplicialComplex(vertices, maximal)
     if tuple(inv) != label_flip(base):
         raise StorageError(f"involution is not the label flip of the vertex labels, and {reason}")
     return base
@@ -135,7 +144,7 @@ def witness_payload(w: SphereWitness) -> dict:
         "class": list(w.cls.rows()),
         "template": w.template.kind_payload(),
         "vertex_map": [
-            [w.template.complex.complex.vertices[i], w.target.complex.vertices[v]]
+            [w.template.complex.vertices[i], w.target.vertices[v]]
             for i, v in enumerate(w.vertex_map)
         ],
         "embedded": w.embedded,
@@ -268,10 +277,10 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     target = antipodal_subcomplex(cls)
     if complex_to_payload(target) != payload["target"]:
         raise StorageError("stored target does not match the class's antipodal complex")
-    target_index = target.complex.vertex_index()
+    target_index = target.vertex_index()
     vmap = tuple(target_index[pair[1]] for pair in payload["vertex_map"])
     template = build_template(kind)
-    tpl_vertices = template.complex.complex.vertices
+    tpl_vertices = template.complex.vertices
     if [pair[0] for pair in payload["vertex_map"]] != list(tpl_vertices):
         raise StorageError("vertex map does not cover the template vertices in order")
     witness = SphereWitness(template, vmap, cls, payload["embedded"])
@@ -289,7 +298,7 @@ def store(value, path: Union[str, Path], cls: Optional[ConceptClass] = None) -> 
     if isinstance(value, ConceptClass):
         path.write_text(format_class(value))
         return
-    if isinstance(value, (SimplicialComplex, AntipodalComplex)):
+    if isinstance(value, SimplicialComplex):
         payload = complex_to_payload(value)
         kind = "complex"
     elif isinstance(value, SphereWitness):

@@ -30,7 +30,6 @@ from spheredim.concepts import (
 )
 from spheredim.complexes import (
     AntipodalComplex,
-    SimplicialComplex,
     euler_characteristic,
     face_counts,
 )
@@ -194,15 +193,13 @@ def _flip_mutation(w, vertex):
 
 def _drop_mutation(w, which):
     tc = w.template.complex
-    maximal = list(tc.complex.maximal)
+    maximal = list(tc.maximal)
     drop = maximal[which % len(maximal)]
     partner = tc.map_simplex(drop)
     kept = tuple(s for s in maximal if s not in (drop, partner))
-    mutated = AntipodalComplex(
-        SimplicialComplex(tc.complex.vertices, kept), tc.involution
-    )
+    mutated = AntipodalComplex(tc.vertices, kept, tc.involution)
     labels = [
-        tuple(tc.complex.vertices[i] for i in range(len(tc.complex.vertices)) if s & (1 << i))
+        tuple(tc.vertices[i] for i in range(len(tc.vertices)) if s & (1 << i))
         for s in (drop, partner)
     ]
     template = SphereTemplate(w.template.kind, mutated)
@@ -219,18 +216,18 @@ def test_criterion_05_witness_validity_and_mutations():
         while mutations < 100:
             w = witnesses[counter % len(witnesses)]
             tc = w.template.complex
-            n_vertices = len(tc.complex.vertices)
+            n_vertices = len(tc.vertices)
             if counter % 2 == 0:
                 vertex = (counter // 2) % n_vertices
                 mutated = _flip_mutation(w, vertex)
                 report = verify_witness(mutated)
                 assert not report
                 assert report.check in ("simplicial", "equivariance")
-                lab = tc.complex.vertices[vertex]
-                partner = tc.complex.vertices[tc.involution[vertex]]
+                lab = tc.vertices[vertex]
+                partner = tc.vertices[tc.involution[vertex]]
                 assert lab in report.detail or partner in report.detail
             else:
-                if len(tc.complex.maximal) <= 2:
+                if len(tc.maximal) <= 2:
                     counter += 1
                     continue
                 mutated, dropped_labels = _drop_mutation(w, counter)

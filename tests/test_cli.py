@@ -82,6 +82,13 @@ class TestFamily:
         assert out.stderr.startswith("usage error:")
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("name, n", [("subsets_leq", "40"), ("threshold", "100000")])
+    def test_uncapped_size_is_budget_exceeded(self, name, n):
+        out = run_cli("family", name, n)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr.startswith("budget exceeded: ")
+
     def test_unknown_family_is_usage_error(self):
         out = run_cli("family", "nonsense", "3")
         assert out.returncode == 1

@@ -60,7 +60,7 @@ def crosspolytope_complex(n):
             m |= 1 << (2 * i + s)
         maximal.append(m)
     inv = tuple(i ^ 1 for i in range(2 * (n + 1)))
-    return AntipodalComplex(SimplicialComplex(tuple(labels), tuple(sorted(maximal))), inv)
+    return AntipodalComplex(tuple(labels), tuple(sorted(maximal)), inv)
 
 
 def fig_class():
@@ -156,7 +156,7 @@ class TestRealizableComplex:
         # the flip pairs the two labels of one point; any other label has none
         k = SimplicialComplex(("0-", "e0+", "0+", "[1-]", "1-", "01+"), (0b111111,))
         assert label_flip(k) == (2, None, 0, None, None, None)
-        assert label_flip(crosspolytope_complex(1).complex) == (None,) * 4
+        assert label_flip(crosspolytope_complex(1)) == (None,) * 4
 
     def test_involution_partial(self):
         delta = realizable_complex(fig_class())
@@ -169,7 +169,7 @@ class TestRealizableComplex:
 class TestAntipodalSubcomplex:
     def test_figure_class_gives_four_cycle(self):
         ant = antipodal_subcomplex(fig_class())
-        assert len(ant.complex.vertices) == 4
+        assert len(ant.vertices) == 4
         assert face_counts(ant) == (4, 4)
         iso = complexes_isomorphic(ant, crosspolytope_complex(1), respect_involution=True)
         assert iso is not None
@@ -177,8 +177,8 @@ class TestAntipodalSubcomplex:
     def test_threshold_two_components(self):
         ant = antipodal_subcomplex(family_class("threshold", 3))
         # exactly the all-minus and all-plus simplices
-        assert len(ant.complex.maximal) == 2
-        m1, m2 = ant.complex.maximal
+        assert len(ant.maximal) == 2
+        m1, m2 = ant.maximal
         assert m1 & m2 == 0
         assert ant.map_simplex(m1) == m2
 
@@ -189,25 +189,61 @@ class TestAntipodalSubcomplex:
     def test_cube_equals_own_antipodal(self):
         delta = realizable_complex(family_class("cube", 3))
         ant = antipodal_subcomplex(family_class("cube", 3))
-        assert sorted(ant.complex.maximal) == sorted(delta.maximal)
+        assert sorted(ant.maximal) == sorted(delta.maximal)
 
     def test_axioms_checked(self):
         pair = "a simplex contains an antipodal vertex pair"
         with pytest.raises(ValueError, match=pair):
             # involution with a fixed simplex pair violation: edge {a, b} with a<->b
-            AntipodalComplex(SimplicialComplex(("a", "b"), (0b11,)), (1, 0))
+            AntipodalComplex(("a", "b"), (0b11,), (1, 0))
         # a square a-b-c-d with a<->b, c<->d: the edge {a, b} is a side
         square = SimplicialComplex(("a", "b", "c", "d"), (0b0011, 0b0110, 0b1001, 0b1100))
         with pytest.raises(ValueError, match=pair):
-            AntipodalComplex(square, (1, 0, 3, 2))
+            AntipodalComplex(square.vertices, square.maximal, (1, 0, 3, 2))
         # the edge {a, b} maps to {c, d}, which is not an edge
         k = SimplicialComplex(("a", "b", "c", "d"), (0b0011, 0b0100, 0b1000))
         with pytest.raises(ValueError, match="involution is not simplicial"):
-            AntipodalComplex(k, (2, 3, 0, 1))
+            AntipodalComplex(k.vertices, k.maximal, (2, 3, 0, 1))
         # a triangle and an edge swapped by the involution
         k = SimplicialComplex(("a", "b", "c", "d", "e", "f"), (0b000111, 0b011000, 0b100000))
         with pytest.raises(ValueError, match="involution is not simplicial"):
-            AntipodalComplex(k, (3, 4, 5, 0, 1, 2))
+            AntipodalComplex(k.vertices, k.maximal, (3, 4, 5, 0, 1, 2))
+
+
+class TestAntipodalComplexType:
+    """An antipodal complex is a simplicial complex that adds an involution."""
+
+    def test_not_equal_to_its_plain_complex(self):
+        ant = crosspolytope_complex(1)
+        plain = SimplicialComplex(ant.vertices, ant.maximal)
+        assert isinstance(ant, SimplicialComplex)
+        assert ant != plain and plain != ant
+        assert hash(ant) != hash(plain)
+        assert len({ant, plain}) == 2
+
+    @pytest.mark.parametrize(
+        "vertices, maximal, error",
+        [
+            (("a", "a", "b", "b"), (0b0101, 0b1010), "vertex labels must be unique"),
+            (("a", "b", "c", "d"), (0b0001, 0b0101, 0b1010), "maximal simplices must be incomparable"),
+            (("a", "b", "c", "d"), (0b00101, 0b11010), "simplex refers to a missing vertex"),
+            (("a", "b", "c", "d"), (0b0001, 0b0010), "every vertex must lie in some maximal simplex"),
+        ],
+        ids=["duplicate labels", "comparable", "missing vertex", "uncovered vertex"],
+    )
+    def test_checks_of_a_plain_complex_fire(self, vertices, maximal, error):
+        with pytest.raises(ValueError, match=error):
+            AntipodalComplex(vertices, maximal, (1, 0, 3, 2))
+
+    def test_mixed_or_plain_inputs_give_a_plain_complex(self):
+        ant = crosspolytope_complex(0)
+        plain = SimplicialComplex(ant.vertices, ant.maximal)
+        for a, b in ((ant, plain), (plain, ant), (plain, plain)):
+            assert type(join_complex(a, b)) is SimplicialComplex
+        assert type(join_complex(ant, ant)) is AntipodalComplex
+        assert type(barycentric_subdivision(plain)) is SimplicialComplex
+        assert type(barycentric_subdivision(realizable_complex(fig_class()))) is SimplicialComplex
+        assert type(barycentric_subdivision(ant)) is AntipodalComplex
 
 
 def oracle_has_simplex(k, mask):
@@ -279,7 +315,7 @@ class TestMembershipOracle:
         kinds = set()
         for t in template_complexes():
             kinds.add(type(t.kind).__name__)
-            k = t.complex.complex
+            k = t.complex
             for mask in probe_masks(rng, k, count=3000):
                 assert k.has_simplex(mask) == oracle_has_simplex(k, mask)
         assert kinds == {"CrosspolytopeKind", "BarycentricBoundaryKind", "JoinKind", "SubdividedKind"}
@@ -346,8 +382,7 @@ def oracle_antipodal_subcomplex(delta):
         sorted(mask_of(new_index[i] for i in bits(s)) for s in keep)
     )
     return AntipodalComplex(
-        SimplicialComplex(labels, maximal),
-        tuple(new_index[involution[o]] for o in old_indices),
+        labels, maximal, tuple(new_index[involution[o]] for o in old_indices)
     )
 
 
@@ -356,11 +391,11 @@ def assert_same_antipodal(cls):
     realizable complex, field by field; return the oracle's complex."""
     got = antipodal_subcomplex(cls)
     want = oracle_antipodal_subcomplex(realizable_complex(cls))
-    assert got.complex.vertices == want.complex.vertices
-    assert got.complex.maximal == want.complex.maximal
+    assert got.vertices == want.vertices
+    assert got.maximal == want.maximal
     assert got.involution == want.involution
     # the builder's vertices are the class's two-label points
-    assert tuple(map(parse_point_label, want.complex.vertices)) == cls.label_columns.points
+    assert tuple(map(parse_point_label, want.vertices)) == cls.label_columns.points
     return want
 
 
@@ -450,14 +485,14 @@ class TestAntipodalOracle:
         for _ in range(200):
             cls = random_total_class(rng, max_n=6, max_size=20)
             oracle = assert_same_antipodal(cls)
-            index = {parse_point_label(v): i for i, v in enumerate(oracle.complex.vertices)}
+            index = {parse_point_label(v): i for i, v in enumerate(oracle.vertices)}
             n = cls.domain_size
             for _ in range(20):
                 points = rng.sample(range(n), rng.randint(1, n))
                 sigma = [(x, rng.choice((-1, +1))) for x in points]
                 member = agrees(cls, sigma) and agrees(cls, [(x, -s) for x, s in sigma])
                 if all(p in index for p in sigma):
-                    assert oracle.complex.has_simplex(mask_of(index[p] for p in sigma)) == member
+                    assert oracle.has_simplex(mask_of(index[p] for p in sigma)) == member
                     checked += 1
                 else:
                     assert not member
@@ -504,10 +539,10 @@ class TestLabelColumnsOracle:
         for cls in small_and_random_total_classes():
             ant = oracle_antipodal_subcomplex(realizable_complex(cls))
             cols = cls.label_columns
-            assert cols.points == tuple(map(parse_point_label, ant.complex.vertices))
+            assert cols.points == tuple(map(parse_point_label, ant.vertices))
             assert ant.involution == tuple(i ^ 1 for i in range(len(cols.points)))
             for mask in range(1 << len(cols.points)):
-                assert cols.has_simplex(mask) == ant.complex.has_simplex(mask), (cls.rows(), mask)
+                assert cols.has_simplex(mask) == ant.has_simplex(mask), (cls.rows(), mask)
             # a mask past the last vertex is never a simplex
             assert not cols.has_simplex(1 << len(cols.points))
             classes += 1
@@ -633,8 +668,8 @@ class TestIsomorphism:
         a = crosspolytope_complex(1)
         b = crosspolytope_complex(1)
         iso = complexes_isomorphic(a, b, respect_involution=True)
-        maximal_b = set(b.complex.maximal)
-        for s in a.complex.maximal:
+        maximal_b = set(b.maximal)
+        for s in a.maximal:
             img = 0
             for i in range(4):
                 if s & (1 << i):

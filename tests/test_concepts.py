@@ -655,8 +655,23 @@ class TestFamilies:
     def test_caps(self):
         with pytest.raises(CapExceededError):
             family_class("cube", 21)
+        # subsets_leq d is the cube on d+1 points minus one concept
+        with pytest.raises(CapExceededError, match="subsets_leq cap is d <= 19"):
+            family_class("subsets_leq", 20)
+        with pytest.raises(CapExceededError, match="threshold cap is d <= 4096"):
+            family_class("threshold", 4097)
         with pytest.raises(ValueError):
             family_class("nonsense", 2)
+
+    def test_caps_are_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr("spheredim.concepts.FAMILY_CUBE_MAX", 4)
+        monkeypatch.setattr("spheredim.concepts.FAMILY_THRESHOLD_MAX", 5)
+        assert len(family_class("subsets_leq", 3)) == 15
+        assert len(family_class("threshold", 5)) == 6
+        with pytest.raises(CapExceededError):
+            family_class("subsets_leq", 4)
+        with pytest.raises(CapExceededError):
+            family_class("threshold", 6)
 
 
 # --- class order --------------------------------------------------------

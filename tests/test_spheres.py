@@ -58,8 +58,8 @@ class TestTemplates:
     def test_crosspolytope_structure(self):
         t = make_crosspolytope(2)
         assert t.dimension == 2
-        assert len(t.complex.complex.vertices) == 6
-        assert len(t.complex.complex.maximal) == 8
+        assert len(t.complex.vertices) == 6
+        assert len(t.complex.maximal) == 8
 
     def test_barycentric_boundary_structure(self):
         t = make_barycentric_boundary(1)
@@ -147,14 +147,13 @@ class TestTemplateCache:
         if change == "relabelled":
             # the join of two 0-spheres: the same masks under other labels
             other = build_template(JoinKind((CrosspolytopeKind(0), CrosspolytopeKind(0)))).complex
-            assert other.complex.maximal == complex_.complex.maximal
+            assert other.maximal == complex_.maximal
             detail = "vertex set or involution differs"
         else:
-            drop = complex_.complex.maximal[0]
+            drop = complex_.maximal[0]
             pair = (drop, complex_.map_simplex(drop))
-            kept = tuple(s for s in complex_.complex.maximal if s not in pair)
-            base = complexes.SimplicialComplex(complex_.complex.vertices, kept)
-            other = dataclasses.replace(complex_, complex=base)
+            kept = tuple(s for s in complex_.maximal if s not in pair)
+            other = dataclasses.replace(complex_, maximal=kept)
             detail = "missing maximal simplex"
         template = SphereTemplate(w.template.kind, other)
         changed = SphereWitness(template, w.vertex_map, w.cls, True)
@@ -276,17 +275,14 @@ class TestVerifyWitness:
     def test_dropped_simplex_pair_reported(self):
         w = crosspolytope_witness(cube(2), (0, 1))
         complex_ = w.template.complex
-        kept = list(complex_.complex.maximal)
+        kept = list(complex_.maximal)
         drop = kept[0]
         partner = complex_.map_simplex(drop)
         kept = [s for s in kept if s not in (drop, partner)]
-        from spheredim.complexes import AntipodalComplex, SimplicialComplex
+        from spheredim.complexes import AntipodalComplex
         from spheredim.spheres import SphereTemplate
 
-        mutated_complex = AntipodalComplex(
-            SimplicialComplex(complex_.complex.vertices, tuple(kept)),
-            complex_.involution,
-        )
+        mutated_complex = AntipodalComplex(complex_.vertices, tuple(kept), complex_.involution)
         mutated = SphereWitness(
             SphereTemplate(w.template.kind, mutated_complex),
             w.vertex_map,

@@ -328,7 +328,7 @@ class TestTemplateSize:
         kind = kind_from_payload(kind)
         built = build_template(kind).complex
         f = list(face_counts(built))
-        vertices = len(built.complex.vertices)
+        vertices = len(built.vertices)
         assert _template_face_counts(kind, 10**9) == f
         assert _template_face_counts(kind, sum(f)) == f
         assert _template_face_counts(kind, sum(f) - 1) is None
@@ -402,7 +402,7 @@ class TestTemplateSize:
     def test_depth_2_subdivided_witness_loads(self, tmp_path):
         cls = family_class("threshold", 1)
         template = subdivide_template(make_crosspolytope(0), 2)
-        assert template.complex.complex.vertices == ("[[e0-]]", "[[e0+]]")
+        assert template.complex.vertices == ("[[e0-]]", "[[e0+]]")
         w = SphereWitness(template, (0, 1), cls, embedded=True)
         assert verify_witness(w)
         p = tmp_path / "w.json"
@@ -665,8 +665,26 @@ class TestMalformedPayloads:
             load(kind, p)
 
     def test_out_of_range_simplex(self, tmp_path):
-        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, 5]]}
-        with pytest.raises(StorageError):
+        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, 5]], "involution": [None, None]}
+        with pytest.raises(StorageError, match="not one of the 2 vertex indices"):
+            load("complex", self.write(tmp_path, "complex", payload))
+
+    @pytest.mark.parametrize(
+        "vertices, simplices, error",
+        [
+            (["a", "b"], [[0, 0], [1]], "strictly increasing"),
+            (["a", "b"], [[1, 0]], "strictly increasing"),
+            (["a", "b"], [[1], [0]], "sorted order"),
+            ([], "", "list of index lists"),
+            ([], {}, "list of index lists"),
+            ([], [""], "list of index lists"),
+        ],
+        ids=["repeated index", "decreasing indices", "unsorted simplices", "string", "object", "string simplex"],
+    )
+    def test_maximal_simplices_only_as_written(self, tmp_path, vertices, simplices, error):
+        # each of these once loaded, and stored back other bytes or none
+        payload = {"vertices": vertices, "maximal_simplices": simplices, "involution": [None] * len(vertices)}
+        with pytest.raises(StorageError, match=error):
             load("complex", self.write(tmp_path, "complex", payload))
 
     def test_empty_cubical_payload(self, tmp_path):
@@ -676,8 +694,8 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize("index", [10**12, 10**30, -1, True, 1.0, "0"])
     def test_simplex_index_not_a_vertex(self, tmp_path, index):
-        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, index]]}
-        with pytest.raises(StorageError):
+        payload = {"vertices": ["a", "b"], "maximal_simplices": [[0, index]], "involution": [None, None]}
+        with pytest.raises(StorageError, match="not one of the 2 vertex indices"):
             load("complex", self.write(tmp_path, "complex", payload))
 
     def test_deeply_nested_json(self, tmp_path):
