@@ -23,8 +23,8 @@ vertex answer whether a labelled set and its flip are both realizable, and
 its maximal simplices are the disagreement sets of concept pairs that no
 vertex extends, with no pairwise comparison of candidates.
 
-Barycentric subdivision, joins, small-instance isomorphism testing, and exact
-face counting round out the toolbox.  Face enumeration is explicitly capped:
+Barycentric subdivision, joins and exact face counting round out the
+toolbox.  Face enumeration is explicitly capped:
 a complex on n points stores at most |H| maximal simplices but can hide
 exponentially many faces.
 """
@@ -48,7 +48,6 @@ from spheredim.concepts import (
 )
 
 DEFAULT_FACE_CAP = 10**7
-DEFAULT_ISO_VERTEX_CAP = 64
 DEFAULT_CHAIN_CAP = 10**6
 
 
@@ -122,10 +121,6 @@ class SimplicialComplex:
         ]
         return cls(tuple(vertices), tuple(sorted(keep)))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def dim(self) -> int:
         if not self.maximal:
             return -1
@@ -178,35 +173,34 @@ def face_counts(k: SimplicialComplex) -> tuple[int, ...]:
     return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
 
 
-def euler_characteristic(k) -> int:
-    return sum((-1) ** d * c for d, c in enumerate(face_counts(k)))
-
-
 @dataclass(frozen=True)
 class AntipodalComplex(SimplicialComplex):
     """A complex with a total, simplicial, fixed-point-free vertex involution.
 
     The involution must map simplices to simplices and no simplex may contain
     a vertex together with its image; both axioms are machine-checked here,
-    after the checks of a plain complex.
+    before the checks of a plain complex, so a failed axiom costs no pairwise
+    comparison of maximal simplices.
     """
 
     involution: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         n = len(self.vertices)
         if len(self.involution) != n:
             raise ValueError("involution must cover every vertex")
         for i, j in enumerate(self.involution):
             if not 0 <= j < n or self.involution[j] != i:
                 raise ValueError("vertex map is not an involution")
+        if any(s >> n for s in self.maximal):  # the axioms read only vertices
+            raise ValueError("simplex refers to a missing vertex")
         for s in self.maximal:
             image = self.map_simplex(s)
             if not self.has_simplex(image):
                 raise ValueError("involution is not simplicial")
             if s & image:
                 raise ValueError("a simplex contains an antipodal vertex pair")
+        super().__post_init__()
 
     def map_simplex(self, mask: int) -> int:
         out = 0
@@ -329,92 +323,6 @@ def join_complex(a, b):
         inv = tuple(a.involution) + tuple(j + shift for j in b.involution)
         return AntipodalComplex(labels, maximal, inv)
     return SimplicialComplex(labels, maximal)
-
-
-def complexes_isomorphic(
-    a,
-    b,
-    respect_involution: bool = False,
-) -> Optional[tuple[int, ...]]:
-    """Search for a vertex bijection carrying maximal simplices onto maximal
-    simplices (and commuting with the involutions when asked).
-
-    Exact backtracking with degree and simplex-size pruning; deterministic;
-    returns the image tuple or None; raises past ``DEFAULT_ISO_VERTEX_CAP`` vertices.
-    """
-    if respect_involution and not (
-        isinstance(a, AntipodalComplex) and isinstance(b, AntipodalComplex)
-    ):
-        raise ValueError("respect_involution requires antipodal complexes")
-    n = len(a.vertices)
-    if max(n, len(b.vertices)) > DEFAULT_ISO_VERTEX_CAP:
-        raise CapExceededError(f"isomorphism cap is {DEFAULT_ISO_VERTEX_CAP} vertices")
-    if n != len(b.vertices) or len(a.maximal) != len(b.maximal):
-        return None
-    if sorted(map(popcount, a.maximal)) != sorted(map(popcount, b.maximal)):
-        return None
-
-    def profile(c: SimplicialComplex, v: int) -> tuple:
-        sizes = sorted(popcount(s) for s in c.maximal if s & (1 << v))
-        return tuple(sizes)
-
-    prof_a = [profile(a, v) for v in range(n)]
-    prof_b = [profile(b, v) for v in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-
-    maximal_b = set(b.maximal)
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    # assign vertices in order of rarest profile first for better pruning
-    order = sorted(range(n), key=lambda v: (prof_a.count(prof_a[v]), v))
-
-    def consistent(v: int, w: int) -> bool:
-        if respect_involution:
-            pa = a.involution[v]
-            pb = b.involution[w]
-            img = mapping[pa]
-            if img is not None and img != pb:
-                return False
-            if img is None and used[pb] and mapping.index(pb) != pa:
-                return False
-        for s in a.maximal:
-            if not s & (1 << v):
-                continue
-            img_mask = 0
-            complete = True
-            for i in bits(s):
-                m = mapping[i]
-                if m is None:
-                    complete = False
-                else:
-                    img_mask |= 1 << m
-            if complete:
-                if img_mask not in maximal_b:
-                    return False
-            elif not b.has_simplex(img_mask):
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for w in range(n):
-            if used[w] or prof_b[w] != prof_a[v]:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if consistent(v, w) and backtrack(pos + 1):
-                return True
-            mapping[v] = None
-            used[w] = False
-        return False
-
-    if backtrack(0):
-        return tuple(mapping)  # type: ignore[arg-type]
-    return None
 
 
 def complex_to_payload(k) -> dict:

@@ -18,7 +18,6 @@ are downward closed.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -30,7 +29,6 @@ DEFAULT_PRODUCT_CAP = 1 << 20
 FAMILY_CUBE_MAX = 20
 FAMILY_UNIVERSAL_MAX = 20
 FAMILY_THRESHOLD_MAX = 4096
-CANONICAL_FORM_MAX_DOMAIN = 8
 
 
 class ClassFormatError(ValueError):
@@ -109,19 +107,10 @@ class PartialHypothesis:
     def is_total(self) -> bool:
         return self.defined == (1 << self.n) - 1
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(bits(self.defined))
-
     @property
     def dimension(self) -> int:
         """Number of undefined coordinates, d(h) = n - |supp(h)|."""
         return self.n - popcount(self.defined)
-
-    def value(self, x: int) -> str:
-        bit = 1 << x
-        if not self.defined & bit:
-            return "*"
-        return "+" if self.plus & bit else "-"
 
     def extends(self, other: "PartialHypothesis") -> bool:
         """True when self >= other, i.e. self agrees with other on supp(other)."""
@@ -175,10 +164,6 @@ class ConceptClass:
         """Whether some hypothesis is partial; kept with the instance, since
         every analysis step asks ``require_total`` again."""
         return any(not h.is_total for h in self.hypotheses)
-
-    @property
-    def size(self) -> int:
-        return len(self.hypotheses)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -655,37 +640,3 @@ def search_class_leq(
 
     return extend([])
 
-
-def class_canonical_form(cls: ConceptClass) -> tuple[tuple[int, ...], int]:
-    """Canonical form under domain permutation and hypothesis reordering.
-
-    Minimizes the sorted tuple of '+' masks over all domain permutations;
-    capped at small domains since the search is factorial.
-    """
-    cls.require_total("class_canonical_form")
-    n = cls.domain_size
-    if n > CANONICAL_FORM_MAX_DOMAIN:
-        raise CapExceededError(
-            f"canonical form cap is n <= {CANONICAL_FORM_MAX_DOMAIN}"
-        )
-    best: Optional[tuple[int, ...]] = None
-    for perm in itertools.permutations(range(n)):
-        rows = []
-        for h in cls.hypotheses:
-            m = 0
-            for j, x in enumerate(perm):
-                if h.plus & (1 << x):
-                    m |= 1 << j
-            rows.append(m)
-        cand = tuple(sorted(rows))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best, n
-
-
-def classes_equivalent(a: ConceptClass, b: ConceptClass) -> bool:
-    """Equality up to domain relabeling and hypothesis reordering."""
-    if a.domain_size != b.domain_size or len(a) != len(b):
-        return False
-    return class_canonical_form(a) == class_canonical_form(b)

@@ -78,19 +78,23 @@ class CubicalComplex:
     """All discrete cubes of a class, closed under subcubes.
 
     ``cubes`` holds every cube as a partial hypothesis, including the
-    0-cubes, which are exactly the concepts when built from a class.
+    0-cubes, which are exactly the concepts when built from a class, in
+    (dimension, label) order whatever order they are given in.
     """
 
     cubes: tuple[PartialHypothesis, ...]
     cofaces: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Check that the cubes share one length and are closed under
-        facets, and build the coface index: ``cofaces[i]`` is the bitmask
-        of the positions in ``cubes`` of the codimension-one cubes that have
-        ``cubes[i]`` as a facet."""
+        """Sort the cubes by (dimension, label), check that they share one
+        length and are closed under facets, and build the coface index:
+        ``cofaces[i]`` is the bitmask of the positions in ``cubes`` of the
+        codimension-one cubes that have ``cubes[i]`` as a facet."""
         if len({c.n for c in self.cubes}) > 1:
             raise ValueError("cubes must all have the same length")
+        object.__setattr__(
+            self, "cubes", tuple(sorted(self.cubes, key=lambda c: (c.dimension, str(c))))
+        )
         index = {(c.plus, c.defined): i for i, c in enumerate(self.cubes)}
         if len(index) != len(self.cubes):
             raise ValueError("duplicate cubes")
@@ -117,13 +121,7 @@ class CubicalComplex:
 
     @classmethod
     def from_strings(cls, rows) -> "CubicalComplex":
-        cubes = tuple(
-            sorted(
-                (PartialHypothesis.from_string(r) for r in rows),
-                key=lambda c: (c.dimension, str(c)),
-            )
-        )
-        return cls(cubes)
+        return cls(tuple(PartialHypothesis.from_string(r) for r in rows))
 
 
 def _facets(c: PartialHypothesis) -> list[PartialHypothesis]:
@@ -155,34 +153,20 @@ def cubical_complex(cls: ConceptClass) -> CubicalComplex:
                     cubes.append(PartialHypothesis(n, key, full & ~smask))
                     if len(cubes) > DEFAULT_CUBE_CAP:
                         raise CapExceededError(f"cube cap {DEFAULT_CUBE_CAP} exceeded")
-    cubes.sort(key=lambda c: (c.dimension, str(c)))
     return CubicalComplex(tuple(cubes))
 
 
-def _cube_order(cc: CubicalComplex) -> tuple[list[int], list[int]]:
-    """The positions in ``cc.cubes`` ranked by (dimension, label), and the
-    rank of each position."""
-    order = sorted(
-        range(len(cc.cubes)), key=lambda i: (cc.cubes[i].dimension, str(cc.cubes[i]))
-    )
-    rank = [0] * len(order)
-    for r, i in enumerate(order):
-        rank[i] = r
-    return order, rank
-
-
-def _cube_chains(cc: CubicalComplex) -> tuple[list[PartialHypothesis], list[int]]:
-    """The cubes in (dimension, label) order and the maximal chains of the
-    cube poset, sorted, as bitmasks over positions in that order.
+def _cube_chains(cc: CubicalComplex) -> list[int]:
+    """The maximal chains of the cube poset, sorted, as bitmasks over
+    positions in ``cc.cubes``.
 
     A maximal chain is a facet-descending path from an inclusion-maximal cube
     down to a vertex.
     """
-    order, rank = _cube_order(cc)
-    facets: list[list[int]] = [[] for _ in order]
+    facets: list[list[int]] = [[] for _ in cc.cubes]
     for j, up in enumerate(cc.cofaces):
         for i in bits(up):
-            facets[rank[i]].append(rank[j])
+            facets[i].append(j)
     maximal: list[int] = []
 
     def descend(r: int, chain_mask: int) -> None:
@@ -196,8 +180,8 @@ def _cube_chains(cc: CubicalComplex) -> tuple[list[PartialHypothesis], list[int]
     # complex is closed under faces; so the top cubes are those without one
     for i, up in enumerate(cc.cofaces):
         if not up:
-            descend(rank[i], 1 << rank[i])
-    return [cc.cubes[i] for i in order], sorted(maximal)
+            descend(i, 1 << i)
+    return sorted(maximal)
 
 
 def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
@@ -206,8 +190,7 @@ def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
     Maximal simplices are the facet-descending paths from the inclusion-
     maximal cubes down to vertices.
     """
-    order, maximal = _cube_chains(cc)
-    return SimplicialComplex(tuple(str(c) for c in order), tuple(maximal))
+    return SimplicialComplex(cc.rows(), tuple(_cube_chains(cc)))
 
 
 def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
@@ -401,8 +384,7 @@ def full_subcomplex_embedding_check(
             "reversed case: the subdivided realizable complex sits inside the cube poset",
         )
 
-    order, maximal = _cube_chains(cc)
-    cube_bit = {(c.plus, c.defined): 1 << i for i, c in enumerate(order)}
+    cube_bit = {(c.plus, c.defined): 1 << i for i, c in enumerate(cc.cubes)}
     verts, parts = _chain_cube_parts(cls, cube_bit)
 
     # every cube is a vertex of the subdivided realizable complex
@@ -415,7 +397,7 @@ def full_subcomplex_embedding_check(
     # every chain of cubes is a simplex there; a maximal chain that is
     # itself a cube part needs no scan
     chains = 0
-    for s in maximal:
+    for s in _cube_chains(cc):
         if s not in parts and not any((s & ~p) == 0 for p in parts):
             return EmbeddingReport(
                 False, False, len(cc.cubes), chains,
@@ -425,13 +407,13 @@ def full_subcomplex_embedding_check(
 
     # fullness: every cube part is a chain of cubes; a violation names the
     # least violating part, so the parts need no sorting
-    plus = [c.plus for c in order]
-    defined = [c.defined for c in order]
+    plus = [c.plus for c in cc.cubes]
+    defined = [c.defined for c in cc.cubes]
     broken = [part for part in parts if not _is_chain(plus, defined, part)]
     if broken:
         # in the order of the subdivided realizable complex's vertices
         members = sorted(
-            (str(order[i]) for i in bits(min(broken))),
+            (str(cc.cubes[i]) for i in bits(min(broken))),
             key=lambda v: (len(v) - v.count("*"), v),
         )
         return EmbeddingReport(
@@ -464,13 +446,12 @@ def collapse_certificate(
     """
     if len(cc.cubes) > DEFAULT_CUBE_CAP:
         raise CapExceededError(f"collapse cube cap is {DEFAULT_CUBE_CAP}")
-    # A state is a bitmask over the cubes ranked by (dimension, label), so a
-    # scan of its bits visits candidate free faces in greedy order.
-    order, rank = _cube_order(cc)
-    labels = [str(cc.cubes[i]) for i in order]
-    dims = [cc.cubes[i].dimension for i in order]
-    cofaces = [mask_of(rank[j] for j in bits(cc.cofaces[i])) for i in order]
-    state = (1 << len(order)) - 1
+    # A state is a bitmask over the cubes, which are in (dimension, label)
+    # order, so a scan of its bits visits candidate free faces in greedy order.
+    labels = cc.rows()
+    dims = [c.dimension for c in cc.cubes]
+    cofaces = cc.cofaces
+    state = (1 << len(cc.cubes)) - 1
     dead: set[int] = set()
     moves: list[tuple[str, str]] = []
     nodes = 0

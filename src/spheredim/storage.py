@@ -10,10 +10,14 @@ one other than an ``AntipodalComplex`` stores its label flip as its
 involution (``complexes.label_flip``, read from its point labels; all null
 when no two labels name one point), and a stored involution loads only as
 an antipodal one or as that label flip.
-Store-then-load returns an equal value, with one exception: a complex whose
-label flip is total, simplicial and free of antipodal pairs, such as the
-realizable complex of {--, ++}, stores the same bytes as the
-``AntipodalComplex`` with that involution and loads as it.
+Store-then-load returns an equal value, with two exceptions.  A complex
+whose label flip is total, simplicial and free of antipodal pairs, such as
+the realizable complex of {--, ++}, stores the same bytes as the
+``AntipodalComplex`` with that involution and loads as it.  And a witness's
+template is built only when the vertex map lists its vertices and it has at
+most ``complexes.DEFAULT_FACE_CAP`` faces, both read from the kind tree
+first; past the face cap ``load`` raises ``CapExceededError``, so a witness
+on a larger template stores but does not load.
 Witnesses are reloaded against a target recomputed from the class alone
 (``antipodal_subcomplex``), so a tampered file cannot smuggle in an
 inconsistent complex; the loaded witness keeps that target, so storing it
@@ -30,7 +34,15 @@ import math
 from pathlib import Path
 from typing import Optional, Union
 
-from spheredim.concepts import ClassFormatError, ConceptClass, format_class, parse_class
+from spheredim import complexes
+from spheredim.concepts import (
+    CapExceededError,
+    ClassFormatError,
+    ConceptClass,
+    format_class,
+    mask_of,
+    parse_class,
+)
 from spheredim.complexes import (
     AntipodalComplex,
     SimplicialComplex,
@@ -38,7 +50,6 @@ from spheredim.complexes import (
     complex_to_payload,
     label_flip,
 )
-from spheredim.concepts import mask_of
 from spheredim.extremal import CubicalComplex
 from spheredim.signrank import (
     SignRepresentation,
@@ -269,6 +280,11 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     longest = max((len(pair[0]) for pair in payload["vertex_map"]), default=0)
     if 2 * _subdivision_depth(kind) > longest:
         raise StorageError(f"template is subdivided deeper than labels of {longest} characters allow")
+    # a crosspolytope's vertex count is linear in n but its face count is
+    # exponential, so the vertex map alone does not bound the build
+    cap = complexes.DEFAULT_FACE_CAP
+    if _template_face_counts(kind, cap) is None:
+        raise CapExceededError(f"template has more faces than complexes.DEFAULT_FACE_CAP = {cap}")
     if type(payload["embedded"]) is not bool:
         raise StorageError("embedded must be true or false")
     # the checks that read only the class come before the template, whose

@@ -1,0 +1,103 @@
+"""Complex oracles shared by several test files.
+
+Neither is part of the package: certification reads only witnesses, and
+general sphere recognition is deliberately not attempted, so no command
+needs a complex isomorphism or an Euler characteristic.
+"""
+
+from typing import Optional
+
+from spheredim.complexes import AntipodalComplex, SimplicialComplex, face_counts
+from spheredim.concepts import CapExceededError, bits, popcount
+
+ISO_VERTEX_CAP = 64
+
+
+def euler_characteristic(k) -> int:
+    return sum((-1) ** d * c for d, c in enumerate(face_counts(k)))
+
+
+def complexes_isomorphic(
+    a,
+    b,
+    respect_involution: bool = False,
+) -> Optional[tuple[int, ...]]:
+    """Search for a vertex bijection carrying maximal simplices onto maximal
+    simplices (and commuting with the involutions when asked).
+
+    Exact backtracking with degree and simplex-size pruning; deterministic;
+    returns the image tuple or None; raises past ``ISO_VERTEX_CAP`` vertices.
+    """
+    if respect_involution and not (
+        isinstance(a, AntipodalComplex) and isinstance(b, AntipodalComplex)
+    ):
+        raise ValueError("respect_involution requires antipodal complexes")
+    n = len(a.vertices)
+    if max(n, len(b.vertices)) > ISO_VERTEX_CAP:
+        raise CapExceededError(f"isomorphism cap is {ISO_VERTEX_CAP} vertices")
+    if n != len(b.vertices) or len(a.maximal) != len(b.maximal):
+        return None
+    if sorted(map(popcount, a.maximal)) != sorted(map(popcount, b.maximal)):
+        return None
+
+    def profile(c: SimplicialComplex, v: int) -> tuple:
+        sizes = sorted(popcount(s) for s in c.maximal if s & (1 << v))
+        return tuple(sizes)
+
+    prof_a = [profile(a, v) for v in range(n)]
+    prof_b = [profile(b, v) for v in range(n)]
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+
+    maximal_b = set(b.maximal)
+    mapping: list[Optional[int]] = [None] * n
+    used = [False] * n
+
+    # assign vertices in order of rarest profile first for better pruning
+    order = sorted(range(n), key=lambda v: (prof_a.count(prof_a[v]), v))
+
+    def consistent(v: int, w: int) -> bool:
+        if respect_involution:
+            pa = a.involution[v]
+            pb = b.involution[w]
+            img = mapping[pa]
+            if img is not None and img != pb:
+                return False
+            if img is None and used[pb] and mapping.index(pb) != pa:
+                return False
+        for s in a.maximal:
+            if not s & (1 << v):
+                continue
+            img_mask = 0
+            complete = True
+            for i in bits(s):
+                m = mapping[i]
+                if m is None:
+                    complete = False
+                else:
+                    img_mask |= 1 << m
+            if complete:
+                if img_mask not in maximal_b:
+                    return False
+            elif not b.has_simplex(img_mask):
+                return False
+        return True
+
+    def backtrack(pos: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        for w in range(n):
+            if used[w] or prof_b[w] != prof_a[v]:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if consistent(v, w) and backtrack(pos + 1):
+                return True
+            mapping[v] = None
+            used[w] = False
+        return False
+
+    if backtrack(0):
+        return tuple(mapping)  # type: ignore[arg-type]
+    return None

@@ -28,11 +28,7 @@ from spheredim.concepts import (
     shattered_family,
     strongly_shattered_family,
 )
-from spheredim.complexes import (
-    AntipodalComplex,
-    euler_characteristic,
-    face_counts,
-)
+from spheredim.complexes import AntipodalComplex, face_counts
 from spheredim.disamb import (
     check_disambiguates,
     is_antipodal_class,
@@ -65,6 +61,8 @@ from spheredim.spheres import (
     join_witness,
     verify_witness,
 )
+
+from oracles import euler_characteristic
 
 V = DimensionVariant
 SRC = str(Path(__file__).resolve().parents[1] / "src")

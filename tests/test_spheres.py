@@ -12,11 +12,13 @@ from spheredim.concepts import (
     ConceptClass,
     DimensionVariant,
     PartialHypothesis,
+    bits,
     dimension,
     family_class,
     format_class,
+    popcount,
 )
-from spheredim.complexes import complexes_isomorphic, face_counts
+from spheredim.complexes import face_counts
 from spheredim.spheres import (
     BarycentricBoundaryKind,
     ClassAnalysis,
@@ -38,6 +40,8 @@ from spheredim.spheres import (
     subdivide_template,
     verify_witness,
 )
+
+from oracles import complexes_isomorphic
 
 V = DimensionVariant
 
@@ -428,6 +432,47 @@ class TestSdBounds:
         upper_names = [c.name for c in sb.upper_certificates]
         assert "crosspolytope" in lower_names
         assert "dimension bound" in upper_names
+
+
+class TestSoundnessSweep:
+    """Every total class on at most 3 points.  sd is monotone: a subclass
+    H - h and a restriction H|S have their antipodal subcomplexes inside
+    Delta_ant(H) equivariantly, so each certified lower bound of theirs is
+    at most every sound upper bound of H.  No exact sd is needed."""
+
+    @staticmethod
+    def all_bounds():
+        """sd_bounds of every total class on 1 to 3 points, keyed by the
+        domain size and the set of '+' masks."""
+        out = {}
+        for n in (1, 2, 3):
+            for chosen in range(1, 1 << (1 << n)):
+                masks = frozenset(bits(chosen))
+                cls = ConceptClass(n, tuple(PartialHypothesis.total(n, m) for m in sorted(masks)))
+                out[n, masks] = sd_bounds(cls)
+        return out
+
+    def test_every_class_on_at_most_3_points(self):
+        bounds = self.all_bounds()
+        assert len(bounds) == 3 + 15 + 255
+        for (n, masks), sb in bounds.items():
+            assert sb.lower <= sb.upper
+            for cert in sb.lower_certificates:
+                if cert.witness is not None:
+                    assert verify_witness(cert.witness), (n, sorted(masks), cert.name)
+            if len(masks) > 1:
+                for m in masks:
+                    assert bounds[n, masks - {m}].lower <= sb.upper, (n, sorted(masks), m)
+            # duplicate rows of a restriction collapse, as in a class
+            for points in range(1, (1 << n) - 1):
+                restricted = frozenset(
+                    sum(1 << j for j, x in enumerate(bits(points)) if m >> x & 1)
+                    for m in masks
+                )
+                sub = bounds[popcount(points), restricted]
+                assert sub.lower <= sb.upper, (n, sorted(masks), points)
+        loose = sum(sb.lower < sb.upper for (n, _), sb in bounds.items() if n == 3)
+        assert loose == 122
 
 
 # --- one analysis per class ----------------------------------------------

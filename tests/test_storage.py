@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spheredim import spheres, storage
-from spheredim.concepts import ClassFormatError, ConceptClass, family_class
+from spheredim.concepts import CapExceededError, ClassFormatError, ConceptClass, family_class
 from spheredim.complexes import (
     AntipodalComplex,
     SimplicialComplex,
@@ -102,6 +102,23 @@ class TestComplexRoundtrip:
         back = load("complex", p)
         assert type(back) is SimplicialComplex
         assert back == delta
+
+    def test_failed_antipodal_attempt_costs_no_pairwise_check(self, tmp_path, monkeypatch):
+        # the involution is total, so the load tries the antipodal form first;
+        # its axioms fail before the pairwise check of maximal simplices runs
+        delta = realizable_complex(ConceptClass.from_strings(["--", "-+", "+-"]))
+        p = tmp_path / "delta.json"
+        store(delta, p)
+        calls = []
+        pairwise = SimplicialComplex.__post_init__
+
+        def counted(self):
+            calls.append(type(self))
+            pairwise(self)
+
+        monkeypatch.setattr(SimplicialComplex, "__post_init__", counted)
+        assert load("complex", p) == delta
+        assert calls == [SimplicialComplex]
 
     def test_delta_whose_flip_is_antipodal_loads_as_its_antipodal_form(self, tmp_path):
         cls = ConceptClass.from_strings(["--", "++"])
@@ -380,6 +397,34 @@ class TestTemplateSize:
             load("witness", p)
         assert time.monotonic() - start < 1
 
+    def test_crosspolytope_past_the_face_cap_rejected_before_building(self, tmp_path):
+        # 30 vertices match the vertex map, but crosspolytope 14 has
+        # 2^15 maximal simplices and 3^15 - 1 faces
+        payload = {
+            "class": ["-", "+"],
+            "template": cross(14),
+            "vertex_map": [[f"e{i}{s}", "0-"] for i in range(15) for s in "-+"],
+            "embedded": False,
+            "target": {},
+        }
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"schema_version": "1", "kind": "witness", "payload": payload}))
+        start = time.monotonic()
+        with pytest.raises(CapExceededError, match="DEFAULT_FACE_CAP = 10000000"):
+            load("witness", p)
+        assert time.monotonic() - start < 1
+
+    def test_face_cap_on_a_loaded_template(self, tmp_path, monkeypatch):
+        # crosspolytope 2 has 3^3 - 1 = 26 faces
+        w = crosspolytope_witness(family_class("cube", 3), (0, 1, 2))
+        p = tmp_path / "w.json"
+        store(w, p)
+        monkeypatch.setattr("spheredim.complexes.DEFAULT_FACE_CAP", 25)
+        with pytest.raises(CapExceededError, match="DEFAULT_FACE_CAP = 25"):
+            load("witness", p)
+        monkeypatch.setattr("spheredim.complexes.DEFAULT_FACE_CAP", 26)
+        assert load("witness", p) == w
+
     def test_deep_subdivision_of_a_0_sphere_rejected_by_its_labels(self, tmp_path):
         # a subdivision of a 0-dimensional template keeps its two vertices,
         # so the vertex count matches at any depth
@@ -468,6 +513,18 @@ class TestCubicalRoundtrip:
         assert isinstance(back, CubicalComplex)
         assert set(back.rows()) == set(cc.rows())
         assert back == cc
+
+    def test_unsorted_cubes(self, tmp_path):
+        # the cubes are kept in (dimension, label) order, so a complex given
+        # them in another order stores and loads back as an equal value
+        cc = cubical_complex(
+            ConceptClass.from_strings(["---", "-+-", "++-", "+--", "--+"])
+        )
+        shuffled = CubicalComplex(tuple(reversed(cc.cubes)))
+        assert shuffled == cc
+        p = tmp_path / "cc.json"
+        store(shuffled, p)
+        assert load("cubical", p) == shuffled
 
     def test_closure_violation_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
