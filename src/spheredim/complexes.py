@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from spheredim.concepts import (
     CapExceededError,
@@ -112,14 +112,15 @@ class SimplicialComplex:
     def from_maximal(
         cls, vertices: Sequence[str], simplices: Iterable[int]
     ) -> "SimplicialComplex":
-        """Build from an arbitrary simplex list, keeping only maximal ones."""
+        """Build a plain complex from an arbitrary simplex list, keeping only
+        maximal ones; on a subclass too, as the list carries no involution."""
         sims = sorted(set(simplices))
         keep = [
             s
             for s in sims
             if not any(s != t and (s & ~t) == 0 for t in sims)
         ]
-        return cls(tuple(vertices), tuple(sorted(keep)))
+        return SimplicialComplex(tuple(vertices), tuple(sorted(keep)))
 
     def dim(self) -> int:
         if not self.maximal:
@@ -171,6 +172,23 @@ def face_counts(k: SimplicialComplex) -> tuple[int, ...]:
     if not counts:
         return ()
     return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
+
+
+def subdivision_face_counts(f: Sequence[int], faces: Callable[[int, int], int]) -> list[int]:
+    """Face counts of the barycentric subdivision of a complex whose face
+    counts are ``f`` and whose every j-face has ``faces(j, i)`` faces of
+    dimension i: C(j+1, i+1) for a simplex, C(j, i)*2^(j-i) for a cube.
+    A k-face of the subdivision is a chain of k+1 faces.  Those topped by a
+    j-face number c(j, 0) = 1 and c(j, k) = sum over i < j of
+    faces(j, i)*c(i, k-1), so f_k is the sum of f_j*c(j, k) over j."""
+    chains: list[list[int]] = []  # chains[j][k] = c(j, k), zero for k > j
+    for j in range(len(f)):
+        below = [faces(j, i) for i in range(j)]
+        chains.append([1] + [
+            sum(below[i] * chains[i][k - 1] for i in range(k - 1, j))
+            for k in range(1, j + 1)
+        ])
+    return [sum(f[j] * chains[j][k] for j in range(k, len(f))) for k in range(len(f))]
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,18 @@ class ConceptClass:
                 masks += [full & ~col, col]
         return LabelColumns(tuple(points), tuple(masks))
 
+    @cached_property
+    def shattered_levels(self) -> tuple[tuple[int, ...], ...]:
+        """The shattered point sets (the family shatter(H)) as masks, level
+        k holding the k-sets in lexicographic order, found on first read and
+        kept with the instance like ``label_columns``.  The search stops at
+        the Sauer-Shelah cap: a shattered k-set needs 2^k distinct patterns,
+        each from its own hypothesis, so k <= log2|H| and no set is lost."""
+        levels = _monotone_family(
+            self, lambda m: _shatters_mask(self, m), len(self).bit_length() - 1
+        )
+        return tuple(map(tuple, levels))
+
     def restrict(self, points: Sequence[int]) -> "ConceptClass":
         """Restriction to a point sequence, which must keep hypotheses distinct."""
         out: list[PartialHypothesis] = []
@@ -272,19 +284,6 @@ def _antipodally_shatters_mask(cls: ConceptClass, mask: int) -> bool:
     return False
 
 
-def _strongly_shatters_mask(cls: ConceptClass, mask: int) -> bool:
-    k = popcount(mask)
-    groups: dict[int, int] = {}
-    target = 1 << k
-    for h in cls.hypotheses:
-        key = h.plus & ~mask
-        c = groups.get(key, 0) + 1
-        if c == target:
-            return True
-        groups[key] = c
-    return False
-
-
 def _monotone_family(
     cls: ConceptClass, predicate, max_size: Optional[int] = None
 ) -> list[list[int]]:
@@ -328,14 +327,9 @@ def _monotone_family(
     return levels
 
 
-def shattered_family(cls: ConceptClass) -> list[list[int]]:
-    """All shattered subsets, grouped by size (the family shatter(H))."""
-    return _monotone_family(cls, lambda m: _shatters_mask(cls, m))
-
-
-def strongly_shattered_family(cls: ConceptClass) -> list[list[int]]:
-    cls.require_total("strongly_shattered_family")
-    return _monotone_family(cls, lambda m: _strongly_shatters_mask(cls, m))
+def shattered_family(cls: ConceptClass) -> tuple[tuple[int, ...], ...]:
+    """All shattered subsets, grouped by size: ``cls.shattered_levels``."""
+    return cls.shattered_levels
 
 
 def transpose(n: int, rows: Iterable[int]) -> list[int]:
@@ -430,13 +424,16 @@ class DimensionVariant(enum.Enum):
 def max_shattered_set(cls: ConceptClass, antipodal: bool = False) -> int:
     """Lexicographically least maximum-size (antipodally) shattered set, as a mask.
 
-    The search stops at the Sauer-Shelah cap: a shattered k-set needs 2^k
-    distinct patterns and an antipodally shattered one 2^(k-1) pairs of
-    them, each from its own hypothesis, so k <= log2|H| (+1 when antipodal).
+    The shattered sets are ``cls.shattered_levels``.  The antipodal search
+    stops at the Sauer-Shelah cap: an antipodally shattered k-set needs
+    2^(k-1) pairs of patterns, each from its own hypothesis, so k <= log2|H| + 1.
     """
-    pred = _antipodally_shatters_mask if antipodal else _shatters_mask
-    cap = len(cls).bit_length() - 1 + (1 if antipodal else 0)
-    levels = _monotone_family(cls, lambda m: pred(cls, m), max_size=cap)
+    if antipodal:
+        levels = _monotone_family(
+            cls, lambda m: _antipodally_shatters_mask(cls, m), len(cls).bit_length()
+        )
+    else:
+        levels = cls.shattered_levels
     return min(levels[-1], key=lambda m: tuple(bits(m)))
 
 

@@ -2,11 +2,13 @@
 
 A finite total class is extremal when it meets Pajor's inequality |H| <=
 |shatter(H)| with equality; equivalently, every shattered set is strongly
-shattered.  The discrete cubes of a class (partial hypotheses whose full
-completion cube lies inside the class) form a cubical complex whose dimension
-equals VC for extremal classes; its barycentric subdivision is the order
-complex of the cube poset and, away from the full binary cube, embeds as a
-full subcomplex of the subdivided realizable complex.
+shattered: is the set of free points of a cube.  The discrete cubes of a
+class (partial hypotheses whose full completion cube lies inside the class)
+form a cubical complex whose dimension equals VC for extremal classes; its
+barycentric subdivision is the order complex of the cube poset and, away from
+the full binary cube, embeds as a full subcomplex of the subdivided
+realizable complex.  Free points are shattered, so the cubes are found on the
+one shattered family of the class, which the Pajor count reads too.
 
 Collapsibility is certified constructively: a free face is a cube with exactly
 one proper coface in the current complex, and an elementary collapse removes
@@ -39,7 +41,6 @@ from spheredim.concepts import (
     mask_of,
     popcount,
     shattered_family,
-    strongly_shattered_family,
     _shatters_mask,
 )
 from spheredim import complexes
@@ -137,12 +138,15 @@ def _facets(c: PartialHypothesis) -> list[PartialHypothesis]:
 
 def cubical_complex(cls: ConceptClass) -> CubicalComplex:
     """All partial hypotheses whose completion cube lies inside the class,
-    at most ``DEFAULT_CUBE_CAP`` of them."""
+    at most ``DEFAULT_CUBE_CAP`` of them.  The free points of a cube are
+    shattered, so walking the shattered family finds every cube: a group of
+    2^k concepts that agree off a shattered k-set is one, and a set that is
+    shattered but not strongly shattered has no such group and adds none."""
     cls.require_total("cubical_complex")
     n = cls.domain_size
     full = (1 << n) - 1
     cubes: list[PartialHypothesis] = []
-    for level in strongly_shattered_family(cls):
+    for level in cls.shattered_levels:
         for smask in level:
             target = 1 << popcount(smask)
             groups: dict[int, int] = defaultdict(int)
@@ -198,25 +202,15 @@ def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
 
     A face of the order complex is a chain of cubes.  The complex is closed
     under facets, so below a j-cube sits the face lattice of a j-cube, with
-    C(j, i)*2^(j-i) faces of dimension i.  The chains of k+1 cubes topped by
-    a j-cube therefore number c(j, 0) = 1 and c(j, k) = sum over i < j of
-    C(j, i)*2^(j-i)*c(i, k-1), and f_k is the sum of c(dim, k) over cubes.
-    A total over ``complexes.DEFAULT_FACE_CAP`` raises, as in ``face_counts``.
+    C(j, i)*2^(j-i) faces of dimension i, for the chain count of
+    ``complexes.subdivision_face_counts``.  A total over
+    ``complexes.DEFAULT_FACE_CAP`` raises, as in ``face_counts``.
     """
     if not cc.cubes:
         return ()
-    chains: list[list[int]] = []  # chains[j][k] = c(j, k), zero for k > j
-    for j in range(cc.dim() + 1):
-        below = [math.comb(j, i) * 2 ** (j - i) for i in range(j)]
-        chains.append([1] + [
-            sum(below[i] * chains[i][k - 1] for i in range(k - 1, j))
-            for k in range(1, j + 1)
-        ])
-    counts = cc.counts()
-    out = tuple(
-        sum(counts[j] * chains[j][k] for j in range(k, len(counts)))
-        for k in range(len(counts))
-    )
+    out = tuple(complexes.subdivision_face_counts(
+        cc.counts(), lambda j, i: math.comb(j, i) << (j - i)
+    ))
     if sum(out) > complexes.DEFAULT_FACE_CAP:
         raise CapExceededError("face enumeration cap exceeded")
     return out

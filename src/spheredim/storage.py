@@ -165,25 +165,6 @@ def witness_payload(w: SphereWitness) -> dict:
     }
 
 
-def _stirling_rows(m: int) -> list[list[int]]:
-    """Stirling numbers of the second kind, ``rows[a][b] == S(a, b)``."""
-    rows = [[1]]
-    for a in range(1, m + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [b * prev[b] + prev[b - 1] for b in range(1, a + 1)])
-    return rows
-
-
-def _subdivision_face_counts(f: list[int]) -> list[int]:
-    """Face counts of sd K from those of K: a chain of k+1 faces topped by a
-    j-simplex is an ordered partition of its j+1 vertices into k+1 blocks."""
-    s = _stirling_rows(len(f))
-    return [
-        math.factorial(k + 1) * sum(f[j] * s[j + 1][k + 1] for j in range(k, len(f)))
-        for k in range(len(f))
-    ]
-
-
 def _template_face_counts(kind: TemplateKind, limit: int) -> Optional[list[int]]:
     """Face counts by dimension of the template a kind tree names, or None
     once their total exceeds ``limit``; nothing is built.  A complex with
@@ -199,12 +180,14 @@ def _template_face_counts(kind: TemplateKind, limit: int) -> Optional[list[int]]
             if sum(f) > limit:
                 return None
         return f
+    depth = 0
     if isinstance(kind, BarycentricBoundaryKind):
         n = kind.n
         if n + 2 > limit.bit_length() + 1:  # 2^(n+2) - 2 vertices
             return None
-        s = _stirling_rows(n + 2)[n + 2]
-        f = [math.factorial(i + 2) * s[i + 2] for i in range(n + 1)]
+        # the boundary of the (n+1)-simplex, subdivided once below
+        f = [math.comb(n + 2, i + 1) for i in range(n + 1)]
+        depth = 1
     elif isinstance(kind, JoinKind):
         # the face polynomial 1 + sum f_i t^(i+1) is multiplicative
         poly = [1]
@@ -223,13 +206,13 @@ def _template_face_counts(kind: TemplateKind, limit: int) -> Optional[list[int]]
     else:
         depth = kind.depth
         f = _template_face_counts(kind.base, limit)
-        # below dimension 1 a subdivision only relabels; above it every
-        # subdivision adds faces, so the loop ends by the limit
-        while depth and f is not None and len(f) > 1:
-            f = _subdivision_face_counts(f)
-            depth -= 1
-            if sum(f) > limit:
-                return None
+    # below dimension 1 a subdivision only relabels; above it every
+    # subdivision adds faces, so the loop ends by the limit
+    while depth and f is not None and len(f) > 1:
+        f = complexes.subdivision_face_counts(f, lambda j, i: math.comb(j + 1, i + 1))
+        depth -= 1
+        if sum(f) > limit:
+            return None
     return None if f is None or sum(f) > limit else f
 
 

@@ -1,16 +1,38 @@
-"""Complex oracles shared by several test files.
+"""Oracles shared by several test files.
 
-Neither is part of the package: certification reads only witnesses, and
+None is part of the package.  Certification reads only witnesses, and
 general sphere recognition is deliberately not attempted, so no command
-needs a complex isomorphism or an Euler characteristic.
+needs a complex isomorphism or an Euler characteristic.  And no command
+needs the strongly shattered family: the Pajor count and the cubical
+complex both read the one shattered family of a class.
 """
 
 from typing import Optional
 
 from spheredim.complexes import AntipodalComplex, SimplicialComplex, face_counts
-from spheredim.concepts import CapExceededError, bits, popcount
+from spheredim.concepts import CapExceededError, _monotone_family, bits, popcount
 
 ISO_VERTEX_CAP = 64
+
+
+def _strongly_shatters_mask(cls, mask: int) -> bool:
+    """Whether some 2^k concepts agree off the k points of ``mask``: a cube
+    of the class with those free points."""
+    k = popcount(mask)
+    groups: dict[int, int] = {}
+    target = 1 << k
+    for h in cls.hypotheses:
+        key = h.plus & ~mask
+        c = groups.get(key, 0) + 1
+        if c == target:
+            return True
+        groups[key] = c
+    return False
+
+
+def strongly_shattered_family(cls) -> list[list[int]]:
+    cls.require_total("strongly_shattered_family")
+    return _monotone_family(cls, lambda m: _strongly_shatters_mask(cls, m))
 
 
 def euler_characteristic(k) -> int:

@@ -26,7 +26,6 @@ from spheredim.concepts import (
     format_class,
     power_class,
     shattered_family,
-    strongly_shattered_family,
 )
 from spheredim.complexes import AntipodalComplex, face_counts
 from spheredim.disamb import (
@@ -62,7 +61,7 @@ from spheredim.spheres import (
     verify_witness,
 )
 
-from oracles import euler_characteristic
+from oracles import euler_characteristic, strongly_shattered_family
 
 V = DimensionVariant
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -80,6 +80,14 @@ class TestSimplicialComplex:
         k = SimplicialComplex.from_maximal(("a", "b", "c"), [0b011, 0b001, 0b110])
         assert k.maximal == (0b011, 0b110)
 
+    def test_from_maximal_on_the_antipodal_subclass(self):
+        # a simplex list carries no involution, so the subclass builds a
+        # plain complex
+        k = AntipodalComplex.from_maximal(("a", "b", "c"), [0b011, 0b001, 0b110])
+        assert type(k) is SimplicialComplex
+        assert k == SimplicialComplex(("a", "b", "c"), (0b011, 0b110))
+        assert isinstance(SimplicialComplex.__dict__["from_maximal"], classmethod)
+
     def test_membership_is_downward_closure(self):
         k = SimplicialComplex(("a", "b", "c"), (0b111,))
         assert k.has_simplex(0b101)

@@ -29,13 +29,13 @@ from spheredim.concepts import (
     search_class_leq,
     shattered_family,
     shatters,
-    strongly_shattered_family,
     verify_class_leq,
     _antipodally_shatters_mask,
     _monotone_family,
     _shatters_mask,
-    _strongly_shatters_mask,
 )
+
+from oracles import _strongly_shatters_mask, strongly_shattered_family
 
 V = DimensionVariant
 

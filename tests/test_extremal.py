@@ -47,7 +47,7 @@ from spheredim.extremal import (
 )
 from spheredim.spheres import verify_witness
 
-from oracles import euler_characteristic
+from oracles import euler_characteristic, strongly_shattered_family
 
 V = DimensionVariant
 
@@ -358,7 +358,7 @@ class TestIsExtremal:
             is_extremal(family_class("cube", 3))
 
     def test_strong_equals_plain_iff_extremal(self):
-        from spheredim.concepts import shattered_family, strongly_shattered_family
+        from spheredim.concepts import shattered_family
 
         def agree(cls):
             shat = {m for lv in shattered_family(cls) for m in lv}

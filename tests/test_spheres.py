@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from spheredim.concepts import (
     dimension,
     family_class,
     format_class,
+    mask_of,
     popcount,
 )
 from spheredim.complexes import face_counts
@@ -435,10 +437,11 @@ class TestSdBounds:
 
 
 class TestSoundnessSweep:
-    """Every total class on at most 3 points.  sd is monotone: a subclass
-    H - h and a restriction H|S have their antipodal subcomplexes inside
-    Delta_ant(H) equivariantly, so each certified lower bound of theirs is
-    at most every sound upper bound of H.  No exact sd is needed."""
+    """Every total class on at most 3 points, and on 4 points one class per
+    orbit of the cube's symmetries.  sd is monotone: a subclass H - h and a
+    restriction H|S have their antipodal subcomplexes inside Delta_ant(H)
+    equivariantly, so each certified lower bound of theirs is at most every
+    sound upper bound of H.  No exact sd is needed."""
 
     @staticmethod
     def all_bounds():
@@ -473,6 +476,65 @@ class TestSoundnessSweep:
                 assert sub.lower <= sb.upper, (n, sorted(masks), points)
         loose = sum(sb.lower < sb.upper for (n, _), sb in bounds.items() if n == 3)
         assert loose == 122
+
+    @staticmethod
+    def cube_orbits():
+        """The orbits of the nonempty classes on 4 points under the cube's
+        384 symmetries (point permutations and per-point label flips), a
+        class being the 16-bit mask of its concepts' '+' masks.  Returns the
+        orbit representatives in increasing order, each the least mask of
+        its orbit, and the representative of every mask.  Each symmetry acts
+        on a class mask through two byte-lookup image tables."""
+        pairs = []  # per symmetry, the image tables of the low and high byte
+        for perm in itertools.permutations(range(4)):
+            for flip in range(16):
+                image = [mask_of(perm[x] for x in bits(v)) ^ flip for v in range(16)]
+                pair = []
+                for half in (image[:8], image[8:]):
+                    table = [0] * 256
+                    for byte in range(1, 256):
+                        low = byte & -byte
+                        table[byte] = table[byte ^ low] | 1 << half[low.bit_length() - 1]
+                    pair.append(table)
+                pairs.append(pair)
+        rep = [0] * (1 << 16)
+        reps = []
+        for chosen in range(1, 1 << 16):
+            if not rep[chosen]:
+                reps.append(chosen)
+                for lo, hi in pairs:
+                    rep[lo[chosen & 255] | hi[chosen >> 8]] = chosen
+        return reps, rep
+
+    def test_every_class_on_4_points_up_to_symmetry(self):
+        # every bound is invariant under the cube's symmetries, so one class
+        # per orbit stands for its orbit, and a subclass or a restriction is
+        # looked up through its orbit's representative.  H|S is read as the
+        # class on 4 points that is '-' off S, whose antipodal subcomplex is
+        # that of H|S, since a one-label point is no vertex of it
+        reps, rep = self.cube_orbits()
+        assert len(reps) == 401
+        bounds = {}
+        for chosen in reps:
+            cls = ConceptClass(4, tuple(PartialHypothesis.total(4, m) for m in bits(chosen)))
+            bounds[chosen] = sd_bounds(cls)
+        for chosen, sb in bounds.items():
+            assert sb.lower <= sb.upper
+            for cert in sb.lower_certificates:
+                if cert.witness is not None:
+                    assert verify_witness(cert.witness), (chosen, cert.name)
+            if chosen & (chosen - 1):
+                for v in bits(chosen):
+                    assert bounds[rep[chosen ^ 1 << v]].lower <= sb.upper, (chosen, v)
+            for points in range(1, 15):
+                restricted = mask_of(v & points for v in bits(chosen))
+                assert bounds[rep[restricted]].lower <= sb.upper, (chosen, points)
+        loose = [chosen for chosen, sb in bounds.items() if sb.lower < sb.upper]
+        weight = Counter(rep[1:])
+        print(f"loose sd intervals on 4 points: {len(loose)} of 401 orbits, "
+              f"{sum(weight[c] for c in loose)} of 65535 classes")
+        assert len(loose) == 374
+        assert sum(weight[c] for c in loose) == 63502
 
 
 # --- one analysis per class ----------------------------------------------
@@ -532,6 +594,21 @@ class TestClassAnalysis:
         assert calls["dual_class"] == 1
         assert calls["is_extremal"] == 1
         assert calls["classify_low_vc"] <= 1
+
+    @pytest.mark.parametrize(
+        "command, searches",
+        [("report", 4), ("sd", 2), ("extremal", 1), ("dims", 4), ("witness", 2), ("classify", 0)],
+    )
+    def test_one_primal_search_per_class(self, command, searches, monkeypatch, tmp_path, capsys):
+        # the primal search runs once per class and is kept with it, so VC,
+        # the Pajor count and the cubes read one family; the antipodal and
+        # dual searches keep their own runs
+        calls = count_calls(monkeypatch, ("_monotone_family",))
+        path = tmp_path / "c.cls"
+        path.write_text(format_class(ANALYSED["figure"]))
+        assert cli.main([command, str(path)]) == 0
+        assert capsys.readouterr().out
+        assert calls["_monotone_family"] == searches
 
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_witness_builds_one_antipodal_subcomplex(self, name, monkeypatch, tmp_path, capsys):
