@@ -35,6 +35,7 @@ from spheredim.complexes import (
 )
 from spheredim.extremal import (
     DEFAULT_COLLAPSE_BUDGET,
+    ExtremalityReport,
     Singleton,
     ThresholdLike,
     Vc1NonThreshold,
@@ -201,15 +202,19 @@ def cmd_sd(args) -> int:
     return 0
 
 
-def cmd_extremal(args) -> int:
-    _require_count("--collapse-budget", args.collapse_budget)
-    cls = _load_class(args.file, args)
-    report = is_extremal(cls)
-    payload: dict = {
+def _extremality_payload(report: ExtremalityReport) -> dict:
+    return {
         "size": report.size,
         "shattered_sets": report.shattered_count,
         "extremal": report.extremal,
     }
+
+
+def cmd_extremal(args) -> int:
+    _require_count("--collapse-budget", args.collapse_budget)
+    cls = _load_class(args.file, args)
+    report = is_extremal(cls)
+    payload = _extremality_payload(report)
     if report.extremal:
         cc = cubical_complex(cls)
         payload["cube_counts"] = list(cc.counts())
@@ -290,11 +295,7 @@ def cmd_report(args) -> int:
     dims = _dims_payload(analysis)
     sd = _sd_payload(analysis)
     rep = analysis.extremality
-    ext = None if rep is None else {
-        "size": rep.size,
-        "shattered_sets": rep.shattered_count,
-        "extremal": rep.extremal,
-    }
+    ext = None if rep is None else _extremality_payload(rep)
     classification = _classification_payload(analysis)
     lr_floor = (sd["lower"] + 3 + 1) // 2 if sd["lower"] >= 1 else None
     payload = {

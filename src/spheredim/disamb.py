@@ -7,10 +7,11 @@ non-representative points of non-antipodal pairs; antipodal extension doubles
 the domain with flipped labels, turning any class into an antipodal one
 losslessly, and restriction to representatives undoes it.
 
-A class on the vertex set of a simplicial sphere template disambiguates the
-template when every simplex s has a hypothesis that is constantly positive on
-s and constantly negative on -s.  Pulling a verified sphere witness back
-along its vertex map produces such a disambiguation; conversely an antipodal
+A class on the vertex set of a sphere template disambiguates the template when
+every maximal simplex s (and so every face of s) has a hypothesis that is
+constantly positive on s and constantly negative on -s.  Pulling a verified
+sphere witness back along its vertex map, one transpose of the class's label
+columns, produces such a disambiguation; conversely an antipodal
 disambiguation yields an embedded witness of the same dimension for the
 restriction of the disambiguation to representatives.  Both constructions are
 machine-checked on every call.
@@ -19,9 +20,10 @@ machine-checked on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from spheredim.concepts import ConceptClass, PartialHypothesis, bits
+from spheredim.concepts import ConceptClass, PartialHypothesis, bits, columns, transpose
 from spheredim.spheres import (
     SphereTemplate,
     SphereWitness,
@@ -29,8 +31,6 @@ from spheredim.spheres import (
     verify_witness,
     witness_on,
 )
-
-DEFAULT_SIMPLEX_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,19 @@ class AntipodalDomain:
 
 
 def is_antipodal_class(cls: ConceptClass, domain: AntipodalDomain) -> bool:
-    """True when every hypothesis satisfies h(-x) = -h(x)."""
+    """True when every hypothesis satisfies h(-x) = -h(x): when the columns
+    at the two points of each pair are complementary."""
     if domain.size != cls.domain_size:
         raise ValueError("domain size mismatch")
-    for h in cls.hypotheses:
-        for x, y in enumerate(domain.pairing):
-            if bool(h.plus & (1 << x)) == bool(h.plus & (1 << y)):
-                return False
-    return True
+    full = (1 << len(cls)) - 1
+    cols = columns(cls.domain_size, cls.hypotheses)
+    return all(cols[x] ^ cols[y] == full for x, y in enumerate(domain.pairing) if x < y)
 
 
 def symmetrize(cls: ConceptClass, domain: AntipodalDomain) -> ConceptClass:
-    """Symmetrization by the domain's representation map, duplicates collapsed.
-
-    Values already antipodal on their pair are kept; otherwise the
-    representative keeps its value and the other point is flipped.
-    """
+    """Symmetrization by the domain's representation map, duplicates collapsed:
+    each point takes its representative's value, flipped unless it is the
+    representative, so values already antipodal on their pair are kept."""
     cls.require_total("symmetrize")
     if domain.size != cls.domain_size:
         raise ValueError("domain size mismatch")
@@ -96,17 +93,8 @@ def symmetrize(cls: ConceptClass, domain: AntipodalDomain) -> ConceptClass:
     seen: set[int] = set()
     for h in cls.hypotheses:
         plus = 0
-        for x in range(domain.size):
-            y = domain.pairing[x]
-            value = bool(h.plus & (1 << x))
-            opposite = bool(h.plus & (1 << y))
-            if value != opposite:
-                keep = value
-            elif domain.representative[x] == x:
-                keep = value
-            else:
-                keep = not value
-            if keep:
+        for x, r in enumerate(domain.representative):
+            if bool(h.plus >> r & 1) == (r == x):
                 plus |= 1 << x
         if plus not in seen:
             seen.add(plus)
@@ -156,15 +144,16 @@ class Disambiguation:
     """A total class on the vertex set of a sphere template."""
 
     cls: ConceptClass
-    domain: AntipodalDomain
     template: SphereTemplate
 
     def __post_init__(self) -> None:
-        n = len(self.template.complex.vertices)
-        if self.domain.size != n or self.cls.domain_size != n:
-            raise ValueError("vertex sets of class, domain, and template must match")
-        if self.domain.pairing != self.template.complex.involution:
-            raise ValueError("domain pairing must equal the template antipodality")
+        if self.cls.domain_size != len(self.template.complex.vertices):
+            raise ValueError("vertex sets of class and template must match")
+
+    @cached_property
+    def domain(self) -> AntipodalDomain:
+        """The template's involution, each pair represented by its smaller vertex."""
+        return AntipodalDomain.from_pairing(self.template.complex.involution)
 
 
 @dataclass(frozen=True)
@@ -179,60 +168,38 @@ class DisambiguationReport:
 
 
 def check_disambiguates(d: Disambiguation) -> DisambiguationReport:
-    """Check that every template simplex is covered sign-consistently.
-
-    For an antipodal class the maximal simplices suffice, since a hypothesis
-    positive on a simplex restricts to its faces; otherwise the full closure
-    is enumerated under ``DEFAULT_SIMPLEX_CAP``.
-    """
+    """Check that every template simplex is covered sign-consistently, on the
+    maximal simplices: a hypothesis positive on s and negative on s's image
+    covers each face f of s too, since f's image lies inside s's image."""
     tc = d.template.complex
     antipodal = is_antipodal_class(d.cls, d.domain)
-    if antipodal:
-        simplices = list(tc.maximal)
-    else:
-        simplices = sorted(tc.all_simplices(DEFAULT_SIMPLEX_CAP))
-    checked = 0
-    for s in simplices:
+    for checked, s in enumerate(tc.maximal, 1):
         neg = tc.map_simplex(s)
-        good = any(
-            (h.plus & s) == s and (h.plus & neg) == 0 for h in d.cls.hypotheses
-        )
-        checked += 1
-        if not good:
+        if not any((h.plus & s) == s and (h.plus & neg) == 0 for h in d.cls.hypotheses):
             labels = tuple(tc.vertices[i] for i in bits(s))
             return DisambiguationReport(False, antipodal, checked, labels)
-    return DisambiguationReport(True, antipodal, checked, None)
+    return DisambiguationReport(True, antipodal, len(tc.maximal), None)
 
 
 def pullback_disambiguation(witness: SphereWitness) -> Disambiguation:
-    """Pull the antipodal extension of the witness's class back along the
-    witness map, yielding an antipodal disambiguation of the template."""
+    """Pull the witness's class back along the witness map, yielding an
+    antipodal disambiguation of the template.
+
+    Concept j is positive at template vertex v iff it carries the labelled
+    point that v maps to, so the pulled concepts are one transpose of the
+    class's label columns; repeats collapse in concept order.
+    """
     report = verify_witness(witness)
     if not report:
         raise WitnessError(f"pullback requires a verified witness: {report.detail}")
-    source = witness.cls
-    n = source.domain_size
-    ext, _ext_domain = antipodal_extension(source)
-    tc = witness.template.complex
-    num_vertices = len(tc.vertices)
-
-    ext_index = [x if s > 0 else n + x for x, s in witness.pairs]
-
-    pulled: list[PartialHypothesis] = []
-    seen: set[int] = set()
-    for h in ext.hypotheses:
-        plus = 0
-        for i, j in enumerate(ext_index):
-            if h.plus & (1 << j):
-                plus |= 1 << i
-        if plus not in seen:
-            seen.add(plus)
-            pulled.append(PartialHypothesis.total(num_vertices, plus))
-    domain = AntipodalDomain.from_pairing(tc.involution)
-    d = Disambiguation(ConceptClass(num_vertices, tuple(pulled)), domain, witness.template)
-    if not is_antipodal_class(d.cls, d.domain):
-        raise AssertionError("pullback produced a non-antipodal class")
+    masks = witness.cls.label_columns.masks
+    n = len(witness.template.complex.vertices)
+    pulled = dict.fromkeys(transpose(len(witness.cls), (masks[u] for u in witness.vertex_map)))
+    cls = ConceptClass(n, tuple(PartialHypothesis.total(n, plus) for plus in pulled))
+    d = Disambiguation(cls, witness.template)
     check = check_disambiguates(d)
+    if not check.antipodal:
+        raise AssertionError("pullback produced a non-antipodal class")
     if not check:
         raise AssertionError(
             f"pullback failed to disambiguate simplex {check.failing_simplex}"
@@ -247,14 +214,14 @@ def sphere_from_disambiguation(d: Disambiguation) -> SphereWitness:
     The vertex map sends v to (r(v), +) when v is its own representative and
     to (r(v), -) otherwise.
     """
-    if not is_antipodal_class(d.cls, d.domain):
-        raise WitnessError("sphere extraction requires an antipodal disambiguation")
     check = check_disambiguates(d)
+    if not check.antipodal:
+        raise WitnessError("sphere extraction requires an antipodal disambiguation")
     if not check:
         raise WitnessError(
             f"class does not disambiguate the template at {check.failing_simplex}"
         )
-    restricted, reps = representatives_restriction(d.cls, d.domain)
+    reps = d.domain.representatives()
     rep_pos = {x: j for j, x in enumerate(reps)}
     pairs = [(rep_pos[r], +1 if r == v else -1) for v, r in enumerate(d.domain.representative)]
-    return witness_on(d.template, pairs, restricted, True, "extracted sphere")
+    return witness_on(d.template, pairs, d.cls.restrict(reps), True, "extracted sphere")

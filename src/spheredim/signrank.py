@@ -179,9 +179,10 @@ def representation_from_payload(cls: ConceptClass, payload: dict) -> SignReprese
     """The representation a stored payload names.  Raises ValueError unless
     ``d`` is an int and every entry is an int, a float or a ``[num, den]``
     pair of ints in lowest terms with ``den > 1`` (the form
-    ``representation_payload`` writes), a bool counting as none of these, so
-    that an edited file cannot load as an equal value that stores other
-    bytes."""
+    ``representation_payload`` writes), a bool counting as none of these,
+    and unless the payload, ``phi`` and ``w`` have exactly the keys that
+    function writes, so that an edited file cannot load as an equal value
+    that stores other bytes."""
     def decode(v) -> Number:
         if type(v) is list and len(v) == 2 and all(type(e) is int for e in v):
             num, den = v
@@ -202,4 +203,8 @@ def representation_from_payload(cls: ConceptClass, payload: dict) -> SignReprese
     hyps = tuple(
         tuple(decode(v) for v in payload["w"][str(h)]) for h in cls.hypotheses
     )
+    if (set(payload), set(payload["phi"]), set(payload["w"])) != (
+        {"d", "phi", "w"}, set(map(str, range(cls.domain_size))), set(map(str, cls.hypotheses))
+    ):
+        raise ValueError("payload, phi or w has keys other than representation_payload writes")
     return SignRepresentation(payload["d"], points, hyps)

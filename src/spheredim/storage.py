@@ -24,7 +24,9 @@ inconsistent complex; the loaded witness keeps that target, so storing it
 again builds none.  A loaded witness must pass ``verify_witness``, so a
 tampered vertex map or embedded flag is rejected too.
 A loaded sign representation must pass ``verify_representation`` against its
-class, so an edited vector that flips a sign is rejected.
+class, so an edited vector that flips a sign is rejected.  Every payload
+loads only with exactly the keys its writer writes, and a witness only with
+its own transcript and two-label vertex map entries.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ def complex_from_payload(payload: dict):
             raise StorageError("involution entries must pair distinct vertices")
     vertices = tuple(vertices)
     maximal = _maximal_masks(payload["maximal_simplices"], len(vertices))
+    # every key has been read by now, so a missing one fails as it did before
+    _require_keys(payload, {"vertices", "involution", "maximal_simplices"}, "complex")
     reason = "it is partial"
     if None not in inv:
         try:
@@ -147,6 +151,12 @@ def complex_from_payload(payload: dict):
     if tuple(inv) != label_flip(base):
         raise StorageError(f"involution is not the label flip of the vertex labels, and {reason}")
     return base
+
+
+def _require_keys(payload: dict, keys: set[str], what: str) -> None:
+    """Reject a payload whose keys are not exactly those its writer writes."""
+    if set(payload) != keys:
+        raise StorageError(f"{what} payload must have exactly the keys {sorted(keys)}")
 
 
 def witness_payload(w: SphereWitness) -> dict:
@@ -287,6 +297,15 @@ def witness_from_payload(payload: dict) -> SphereWitness:
     report = verify_witness(witness)
     if not report:
         raise StorageError(f"witness fails the {report.check} check: {report.detail}")
+    # each pair's labels were matched above, so only its length is left
+    if any(type(pair) is not list or len(pair) != 2 for pair in payload["vertex_map"]):
+        raise StorageError("each vertex_map entry must be a list of two vertex labels")
+    keys = {"class", "template", "vertex_map", "embedded", "target", "transcript"}
+    _require_keys(payload, keys, "witness")
+    if payload["template"] != template.kind_payload():
+        raise StorageError("template kind tree must have exactly the keys store writes")
+    if payload["transcript"] != list(report.transcript):
+        raise StorageError("stored transcript does not match the witness's checks")
     return witness
 
 
@@ -345,7 +364,9 @@ def _decode(kind: str, payload, cls: Optional[ConceptClass]):
     if kind == "witness":
         return witness_from_payload(payload)
     if kind == "cubical":
-        return CubicalComplex.from_strings(payload["cubes"])
+        value = CubicalComplex.from_strings(payload["cubes"])
+        _require_keys(payload, {"cubes"}, "cubical")
+        return value
     if kind == "representation":
         if cls is None:
             raise StorageError("loading a representation requires its class")

@@ -4,15 +4,20 @@ None is part of the package.  Certification reads only witnesses, and
 general sphere recognition is deliberately not attempted, so no command
 needs a complex isomorphism or an Euler characteristic.  And no command
 needs the strongly shattered family: the Pajor count and the cubical
-complex both read the one shattered family of a class.
+complex both read the one shattered family of a class.  The disambiguation
+check reads only maximal simplices and the pullback only the class's label
+columns; the closure check and the pullback through the antipodal extension
+that they replaced stay here.
 """
 
 from typing import Optional
 
 from spheredim.complexes import AntipodalComplex, SimplicialComplex, face_counts
 from spheredim.concepts import CapExceededError, _monotone_family, bits, popcount
+from spheredim.disamb import antipodal_extension
 
 ISO_VERTEX_CAP = 64
+SIMPLEX_CAP = 10**6
 
 
 def _strongly_shatters_mask(cls, mask: int) -> bool:
@@ -123,3 +128,33 @@ def complexes_isomorphic(
     if backtrack(0):
         return tuple(mapping)  # type: ignore[arg-type]
     return None
+
+
+def closure_disambiguates(d) -> bool:
+    """Whether every simplex of the template's closure, at most
+    ``SIMPLEX_CAP`` of them, has a hypothesis positive on it and negative on
+    its image."""
+    tc = d.template.complex
+    for s in sorted(tc.all_simplices(SIMPLEX_CAP)):
+        neg = tc.map_simplex(s)
+        if not any((h.plus & s) == s and (h.plus & neg) == 0 for h in d.cls.hypotheses):
+            return False
+    return True
+
+
+def extension_pullback_rows(w) -> list[int]:
+    """The concept masks a witness pulls back to, read through the antipodal
+    extension of its class: (x, +) is point x and (x, -) point n + x of the
+    doubled class; repeats collapse in concept order."""
+    ext, _domain = antipodal_extension(w.cls)
+    n = w.cls.domain_size
+    ext_index = [x if s > 0 else n + x for x, s in w.pairs]
+    rows: list[int] = []
+    for h in ext.hypotheses:
+        plus = 0
+        for i, j in enumerate(ext_index):
+            if h.plus & (1 << j):
+                plus |= 1 << i
+        if plus not in rows:
+            rows.append(plus)
+    return rows

@@ -25,12 +25,20 @@ from spheredim.disamb import (
     symmetrize,
 )
 from spheredim.spheres import (
+    BarycentricBoundaryKind,
+    ClassAnalysis,
+    CrosspolytopeKind,
+    JoinKind,
+    SubdividedKind,
     WitnessError,
     barycentric_witness,
+    build_template,
     crosspolytope_witness,
     make_crosspolytope,
     verify_witness,
 )
+
+from oracles import closure_disambiguates, extension_pullback_rows
 
 V = DimensionVariant
 
@@ -180,7 +188,6 @@ class TestExtensionRestriction:
 class TestCheckDisambiguates:
     def test_full_antipodal_cube_on_square(self):
         template = make_crosspolytope(1)
-        domain = AntipodalDomain.from_pairing(template.complex.involution)
         # all four antipodal sign assignments on the two pairs
         rows = []
         for a in "-+":
@@ -189,24 +196,85 @@ class TestCheckDisambiguates:
                 rows.append(a + flip[a] + b + flip[b])
         # vertex order of the crosspolytope is (0,-),(0,+),(1,-),(1,+)
         cls = ConceptClass.from_strings(rows)
-        d = Disambiguation(cls, domain, template)
+        d = Disambiguation(cls, template)
         report = check_disambiguates(d)
         assert report.ok and report.antipodal
 
     def test_missing_pattern_reported(self):
         template = make_crosspolytope(1)
-        domain = AntipodalDomain.from_pairing(template.complex.involution)
         rows = ["-+-+", "-++-", "+--+"]  # one sign quadrant missing
-        d = Disambiguation(ConceptClass.from_strings(rows), domain, template)
+        d = Disambiguation(ConceptClass.from_strings(rows), template)
         report = check_disambiguates(d)
         assert not report.ok
         assert report.failing_simplex is not None
 
     def test_vertex_mismatch_rejected(self):
         template = make_crosspolytope(1)
-        domain = AntipodalDomain.standard(2)
         with pytest.raises(ValueError):
-            Disambiguation(ConceptClass.from_strings(["--+", "++-"]), domain, template)
+            Disambiguation(ConceptClass.from_strings(["--+", "++-"]), template)
+
+
+class TestMaximalCheck:
+    TEMPLATES = (
+        CrosspolytopeKind(0),
+        CrosspolytopeKind(1),
+        CrosspolytopeKind(2),
+        BarycentricBoundaryKind(0),
+        BarycentricBoundaryKind(1),
+        JoinKind((CrosspolytopeKind(0), BarycentricBoundaryKind(1))),
+        SubdividedKind(CrosspolytopeKind(1), 1),
+    )
+
+    @staticmethod
+    def near_antipodal_class(rng, template):
+        """Random rows antipodal under the template's involution, then up to
+        three random rows, which make most classes non-antipodal."""
+        inv = template.complex.involution
+        n = len(inv)
+        rows = set()
+        for _ in range(rng.randint(1, 2 * n)):
+            plus = 0
+            for x, y in enumerate(inv):
+                if (rng.random() < 0.5) if x < y else not plus >> y & 1:
+                    plus |= 1 << x
+            rows.add(plus)
+        rows.update(rng.getrandbits(n) for _ in range(rng.randint(0, 3)))
+        return ConceptClass(n, tuple(PartialHypothesis.total(n, p) for p in sorted(rows)))
+
+    def test_agrees_with_closure_oracle(self):
+        rng = random.Random(24)
+        non_antipodal = covering = 0
+        for kind in self.TEMPLATES:
+            template = build_template(kind)
+            for _ in range(600):
+                d = Disambiguation(self.near_antipodal_class(rng, template), template)
+                report = check_disambiguates(d)
+                assert report.ok == closure_disambiguates(d), (kind, d.cls.rows())
+                assert report.antipodal == is_antipodal_class(d.cls, d.domain)
+                if not report.antipodal:
+                    non_antipodal += 1
+                    covering += report.ok
+        print(f"non-antipodal {non_antipodal} of 4200, {covering} of them disambiguate")
+        assert non_antipodal >= 2000
+        assert covering >= 100
+
+    def test_non_antipodal_class_checked_on_maximal_simplices(self):
+        # crosspolytope 3 has 16 maximal simplices and 80 faces in all
+        template = make_crosspolytope(3)
+        inv = template.complex.involution
+        antipodal = [
+            sum(1 << x for x, y in enumerate(inv) if (x < y) == bool(signs >> (x // 2) & 1))
+            for signs in range(16)
+        ]
+        rows = antipodal + [0]  # the all-minus row is not antipodal
+        cls = ConceptClass(8, tuple(PartialHypothesis.total(8, p) for p in rows))
+        report = check_disambiguates(Disambiguation(cls, template))
+        assert report.ok and not report.antipodal
+        assert report.simplices_checked == len(template.complex.maximal) == 16
+        cls = ConceptClass(8, tuple(PartialHypothesis.total(8, p) for p in rows[1:]))
+        report = check_disambiguates(Disambiguation(cls, template))
+        assert not report.ok and not report.antipodal
+        assert len(report.failing_simplex) == 4
 
 
 class TestPullback:
@@ -237,6 +305,33 @@ class TestPullback:
         with pytest.raises(WitnessError):
             pullback_disambiguation(broken)
 
+    def test_rows_equal_extension_oracle(self):
+        classes = [
+            family_class(name, n)
+            for name, sizes in (
+                ("cube", (1, 2, 3, 4)),
+                ("universal", (2, 3, 4)),
+                ("universal_plus", (2, 3)),
+                ("threshold", (2, 5)),
+                ("subsets_leq", (1, 2, 3)),
+            )
+            for n in sizes
+        ]
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            classes.append(random_class(rng, n, rng.randint(2, min(12, 2**n))))
+        witnesses = 0
+        for cls in classes:
+            analysis = ClassAnalysis(cls)
+            for w in (analysis.crosspolytope, analysis.barycentric):
+                if w is not None:
+                    pulled = [h.plus for h in pullback_disambiguation(w).cls.hypotheses]
+                    assert pulled == extension_pullback_rows(w), cls.rows()
+                    witnesses += 1
+        print(f"{witnesses} witnesses")
+        assert witnesses >= 600
+
     def test_pullback_dimensions_bounded_by_source(self):
         for cls, wit in (
             (cube(2), crosspolytope_witness(cube(2), (0, 1))),
@@ -253,13 +348,12 @@ class TestPullback:
 class TestSphereFromDisambiguation:
     def test_hand_built_square_disambiguation(self):
         template = make_crosspolytope(1)
-        domain = AntipodalDomain.from_pairing(template.complex.involution)
         rows = []
         for a in "-+":
             for b in "-+":
                 flip = {"+": "-", "-": "+"}
                 rows.append(a + flip[a] + b + flip[b])
-        d = Disambiguation(ConceptClass.from_strings(rows), domain, template)
+        d = Disambiguation(ConceptClass.from_strings(rows), template)
         w = sphere_from_disambiguation(d)
         assert w.dimension == 1
         assert w.embedded
@@ -267,8 +361,7 @@ class TestSphereFromDisambiguation:
 
     def test_non_antipodal_rejected(self):
         template = make_crosspolytope(0)
-        domain = AntipodalDomain.from_pairing(template.complex.involution)
-        d = Disambiguation(ConceptClass.from_strings(["++", "--"]), domain, template)
+        d = Disambiguation(ConceptClass.from_strings(["++", "--"]), template)
         with pytest.raises(WitnessError):
             sphere_from_disambiguation(d)
 

@@ -691,6 +691,75 @@ class TestRepresentationRoundtrip:
             store(rep, tmp_path / "rep.json")
 
 
+class TestStrictPayloads:
+    """An edited file that would load as an equal value and then store back
+    other bytes is rejected: each payload must have exactly the keys its
+    writer writes, and a witness its own transcript."""
+
+    @staticmethod
+    def edited(tmp_path, value, edit, cls=None):
+        p = tmp_path / "artifact.json"
+        store(value, p, cls=cls)
+        data = json.loads(p.read_text())
+        edit(data["payload"])
+        p.write_text(json.dumps(data))
+        return p
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d.update(note="x"), "witness payload must have exactly the keys"),
+            (lambda d: d["template"].update(note="x"), "template kind tree must have exactly"),
+            (lambda d: d.pop("transcript"), "witness payload must have exactly the keys"),
+            (lambda d: d["transcript"].append("x: ok"), "stored transcript does not match"),
+            (lambda d: d["transcript"].__setitem__(0, "template: fine"), "stored transcript"),
+            (lambda d: d["vertex_map"][0].append("x"), "list of two vertex labels"),
+        ],
+        ids=["payload-key", "template-key", "no-transcript", "longer-transcript",
+             "edited-transcript", "vertex-map-entry"],
+    )
+    def test_edited_witness_rejected(self, tmp_path, edit, error):
+        w = crosspolytope_witness(family_class("cube", 2), (0, 1))
+        assert w.template.kind_payload() == {"kind": "crosspolytope", "n": 1}
+        with pytest.raises(StorageError, match=error):
+            load("witness", self.edited(tmp_path, w, edit))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            antipodal_subcomplex(family_class("cube", 2)),
+            realizable_complex(family_class("threshold", 2)),
+        ],
+        ids=["antipodal", "realizable"],
+    )
+    def test_complex_with_extra_key_rejected(self, tmp_path, value):
+        p = self.edited(tmp_path, value, lambda d: d.update(note="x"))
+        with pytest.raises(StorageError, match="complex payload must have exactly the keys"):
+            load("complex", p)
+
+    def test_cubical_with_extra_key_rejected(self, tmp_path):
+        cc = cubical_complex(family_class("cube", 2))
+        p = self.edited(tmp_path, cc, lambda d: d.update(note="x"))
+        with pytest.raises(StorageError, match="cubical payload must have exactly the keys"):
+            load("cubical", p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(note="x"),
+            lambda d: d["phi"].update({"1": [1]}),
+            lambda d: d["w"].update({"x": [1]}),
+        ],
+        ids=["payload-key", "phi-key", "w-key"],
+    )
+    def test_representation_with_extra_key_rejected(self, tmp_path, edit):
+        cls = family_class("threshold", 1)
+        rep = representation_from_payload(cls, {"d": 1, "phi": {"0": [1]}, "w": {"-": [-1], "+": [1]}})
+        p = self.edited(tmp_path, rep, edit, cls=cls)
+        with pytest.raises(StorageError, match="keys other than representation_payload writes"):
+            load("representation", p, cls=cls)
+
+
 class TestMalformedPayloads:
     """Malformed payloads raise StorageError, not a bare KeyError or ValueError."""
 
