@@ -20,8 +20,12 @@ with their flips.  It is built from the class's label columns alone, not
 from the realizable complex: its vertices are the two-label points, on
 which the flip is the total involution i ^ 1, the masks of concepts per
 vertex answer whether a labelled set and its flip are both realizable, and
-its maximal simplices are the disagreement sets of concept pairs that no
-vertex extends, with no pairwise comparison of candidates.
+its maximal simplices are the disagreement sets G - H of concept pairs
+g != h (G, H their vertex sets) whose only carrier is g and whose flip
+H - G has h as its only carrier, with no pairwise comparison of
+candidates.  Another carrier k of G - H differs from g where g and h agree,
+and its label there extends the set; conversely a vertex extending it lies
+where g and h disagree, so already in it.
 
 Barycentric subdivision, joins and exact face counting round out the
 toolbox.  Face enumeration is explicitly capped:
@@ -212,9 +216,13 @@ class AntipodalComplex(SimplicialComplex):
                 raise ValueError("vertex map is not an involution")
         if any(s >> n for s in self.maximal):  # the axioms read only vertices
             raise ValueError("simplex refers to a missing vertex")
+        # a simplicial involution is a bijection, so it maps maximal
+        # simplices to maximal ones: membership answers all but a miss,
+        # and the incidence index is built only for one
+        maximal = set(self.maximal)
         for s in self.maximal:
             image = self.map_simplex(s)
-            if not self.has_simplex(image):
+            if image not in maximal and not self.has_simplex(image):
                 raise ValueError("involution is not simplicial")
             if s & image:
                 raise ValueError("a simplex contains an antipodal vertex pair")
@@ -268,33 +276,41 @@ def antipodal_subcomplex(cls: ConceptClass) -> AntipodalComplex:
     ``cls.label_columns``, so vertex i ^ 1 is the antipode of vertex i, and
     ``masks[v]`` is the mask of the concepts that carry vertex v: a set s of
     vertices is a simplex iff the AND of ``masks`` over s and the AND over
-    its flip are both nonzero.  Every such s lies in a candidate g & ~h, the
-    vertices of concept g that concept h does not carry (where the two
-    disagree, labelled by g), and a candidate is maximal iff no vertex
-    outside it extends it under the same rule, which costs two ANDs per
-    vertex instead of a comparison with every other candidate.  Every
-    vertex lies in some candidate (g and h labelling its point each way),
-    so the vertex set needs no reindexing.
+    its flip are both nonzero.  Every such s lies in a disagreement set
+    g & ~h, the vertices of concept g that concept h does not carry (where
+    the two disagree, labelled by g), whose flip h & ~g concept h carries.
+    For g != h, g & ~h is maximal iff g is the only concept carrying it and
+    h the only one carrying its flip.  If another concept k carries it, k
+    differs from g at a point x where g and h agree, and k's label at x
+    extends the set, its flip still carried by h.  Conversely a vertex at
+    such an x needs g and h to label x apart, which they do not.  The rule
+    is symmetric in g and h, so each unordered pair keeps both sets or
+    neither, with no comparison of candidates.  Every vertex is a simplex
+    (two concepts label its point each way), so it lies in a kept set and
+    the vertex set needs no reindexing.
     """
     cols = cls.label_columns
     masks = cols.masks
+
+    def sole_carrier(s: int, concept: int) -> bool:
+        """Whether ``concept`` is the only concept carrying every vertex of
+        ``s``: the AND of ``masks`` over s, stopped once it is that bit."""
+        common = -1
+        while s:  # bits(s), inlined: every pair of concepts comes here
+            low = s & -s
+            common &= masks[low.bit_length() - 1]
+            if common == concept:
+                return True
+            s ^= low
+        return False
+
     concepts = transpose(len(cls), masks)
-    candidates = {g & ~h for g in concepts for h in concepts}
-    candidates.discard(0)
-    # (bit, masks[v], masks[v ^ 1]) for every vertex v
-    pairs = [(1 << v, m, masks[v ^ 1]) for v, m in enumerate(masks)]
     keep = []
-    for s in candidates:
-        a = b = -1
-        for bit, cv, cw in pairs:
-            if s & bit:
-                a &= cv
-                b &= cw
-        for bit, cv, cw in pairs:
-            if a & cv and b & cw and not s & bit:
-                break  # s plus this vertex is still a simplex
-        else:
-            keep.append(s)
+    for i, g in enumerate(concepts):
+        for j in range(i + 1, len(concepts)):
+            h = concepts[j]
+            if sole_carrier(g & ~h, 1 << i) and sole_carrier(h & ~g, 1 << j):
+                keep += (g & ~h, h & ~g)
     labels = tuple(point_label(x, s) for x, s in cols.points)
     involution = tuple(i ^ 1 for i in range(len(masks)))
     return AntipodalComplex(labels, tuple(sorted(keep)), involution)
@@ -349,6 +365,6 @@ def complex_to_payload(k) -> dict:
     inv = k.involution if isinstance(k, AntipodalComplex) else label_flip(k)
     return {
         "vertices": list(k.vertices),
-        "maximal_simplices": sorted(sorted(bits(s)) for s in k.maximal),
+        "maximal_simplices": sorted(list(bits(s)) for s in k.maximal),  # bits ascend
         "involution": list(inv),
     }

@@ -78,15 +78,14 @@ class PartialHypothesis:
 
     @classmethod
     def from_string(cls, text: str) -> "PartialHypothesis":
-        plus = 0
-        defined = 0
-        for i, ch in enumerate(text):
-            if ch not in ALPHABET:
-                raise ClassFormatError(f"illegal character {ch!r} in hypothesis")
-            if ch != "*":
-                defined |= 1 << i
-                if ch == "+":
-                    plus |= 1 << i
+        """Parse a row in linear time: character i is bit i, so the
+        reversed row, rewritten as two 0/1 strings, gives both masks."""
+        if not ALPHABET.issuperset(text):
+            ch = next(ch for ch in text if ch not in ALPHABET)
+            raise ClassFormatError(f"illegal character {ch!r} in hypothesis")
+        backwards = "0" + text[::-1].replace("*", "0")  # the 0 reads an empty row
+        plus = int(backwards.replace("-", "0").replace("+", "1"), 2)
+        defined = int(backwards.replace("-", "1").replace("+", "1"), 2)
         return cls(len(text), plus, defined)
 
     @classmethod

@@ -3,9 +3,11 @@
 Class files are plain text (one row per line, '#' comments).  Every other
 artifact is JSON wrapped in {"schema_version", "kind", "payload"} with
 canonical formatting: sorted keys, two-space indent, sorted simplex indices,
-one trailing newline.  A stored complex's maximal simplices load only in
-the form ``complex_to_payload`` writes: a list, in sorted order, of strictly
-increasing vertex-index lists.  Every complex is a ``SimplicialComplex``;
+one trailing newline.  ``canonical_json`` writes these bytes itself, in one
+pass; they are those of ``json.dumps`` with sorted keys and an indent of 2,
+which the tests keep as its oracle.  A stored complex's maximal simplices
+load only in the form ``complex_to_payload`` writes: a list, in sorted
+order, of strictly increasing vertex-index lists.  Every complex is a ``SimplicialComplex``;
 one other than an ``AntipodalComplex`` stores its label flip as its
 involution (``complexes.label_flip``, read from its point labels; all null
 when no two labels name one point), and a stored involution loads only as
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -81,7 +84,39 @@ class StorageError(ValueError):
 
 
 def canonical_json(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(envelope, sort_keys=True, indent=2)`` and a
+    newline, written in one pass: with an indent, json always takes its
+    pure-Python encoder, which stays only for the scalars written here."""
+    out: list[str] = []
+    _write_json(envelope, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` as json writes it with sorted keys and a two-space
+    indent, its lines after the first starting with ``newline``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if all(type(x) is int for x in value):  # bools are written by json
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append("," + inner if i else inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict) and value and all(type(k) is str for k in value):
+        inner = newline + "  "
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append(("," + inner if i else inner) + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+        out.append(newline + "}")
+    else:  # a scalar, an empty container or a dict with other keys
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def envelope(kind: str, payload) -> dict:

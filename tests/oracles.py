@@ -7,9 +7,13 @@ needs the strongly shattered family: the Pajor count and the cubical
 complex both read the one shattered family of a class.  The disambiguation
 check reads only maximal simplices and the pullback only the class's label
 columns; the closure check and the pullback through the antipodal extension
-that they replaced stay here.
+that they replaced stay here, and so does the loader of the benchmark's
+corpus, whose classes several test files read.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Optional
 
 from spheredim.complexes import AntipodalComplex, SimplicialComplex, face_counts
@@ -18,6 +22,7 @@ from spheredim.disamb import antipodal_extension
 
 ISO_VERTEX_CAP = 64
 SIMPLEX_CAP = 10**6
+BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
 
 
 def _strongly_shatters_mask(cls, mask: int) -> bool:
@@ -158,3 +163,13 @@ def extension_pullback_rows(w) -> list[int]:
         if plus not in rows:
             rows.append(plus)
     return rows
+
+
+def bench_corpus():
+    """bench/corpus.py, loaded by path: it generates class files without
+    importing spheredim."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

@@ -1,13 +1,12 @@
 """Tests for simplicial complexes and the realizable-distribution complex."""
 
-import importlib.util
+import hashlib
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
+from spheredim import cli
 from spheredim.concepts import (
     CapExceededError,
     ClassFormatError,
@@ -42,9 +41,8 @@ from spheredim.spheres import (
 )
 from spheredim.storage import complex_from_payload, load, store
 
-from oracles import complexes_isomorphic, euler_characteristic
-
-BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+import test_spheres
+from oracles import bench_corpus, complexes_isomorphic, euler_characteristic
 
 
 def crosspolytope_complex(n):
@@ -216,6 +214,26 @@ class TestAntipodalSubcomplex:
         k = SimplicialComplex(("a", "b", "c", "d", "e", "f"), (0b000111, 0b011000, 0b100000))
         with pytest.raises(ValueError, match="involution is not simplicial"):
             AntipodalComplex(k.vertices, k.maximal, (3, 4, 5, 0, 1, 2))
+
+    def test_axioms_checked_past_a_non_maximal_image(self):
+        """An image that is no maximal simplex is looked up by incidence;
+        the checks, their order and their messages are those of a lookup
+        for every image."""
+        # {a} maps onto a face of {b, d}, whose image {a, c} is no simplex
+        with pytest.raises(ValueError, match="^involution is not simplicial$"):
+            AntipodalComplex(("a", "b", "c", "d"), (0b0001, 0b1010), (1, 0, 3, 2))
+        # {a, b, c} maps onto a face of {a, b, d, e} and holds the pair a, b
+        with pytest.raises(ValueError, match="^a simplex contains an antipodal vertex pair$"):
+            AntipodalComplex(
+                tuple("abcdef"), (0b000111, 0b011011), (1, 0, 3, 2, 5, 4)
+            )
+        # a fixed point is an antipodal pair of one vertex
+        with pytest.raises(ValueError, match="^a simplex contains an antipodal vertex pair$"):
+            AntipodalComplex(("a", "b", "c"), (0b001, 0b110), (0, 2, 1))
+        # a simplicial involution maps maximal simplices onto maximal ones,
+        # so a valid complex builds no incidence index
+        ant = antipodal_subcomplex(family_class("universal", 3))
+        assert "incidence" not in vars(ant)
 
 
 class TestAntipodalComplexType:
@@ -414,16 +432,6 @@ def random_total_class(rng, max_n=8, max_size=30):
     return ConceptClass(n, tuple(PartialHypothesis.total(n, m) for m in masks))
 
 
-def bench_corpus():
-    """bench/corpus.py, loaded by path: it generates class files without
-    importing spheredim."""
-    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def corpus_classes():
     """Every distinct class of the steady benchmark workloads, seeds 1 and 2."""
@@ -457,10 +465,39 @@ class TestAntipodalOracle:
         for cls in corpus_classes:
             assert_same_antipodal(cls)
 
+    def test_four_point_orbit_representatives(self):
+        reps, _ = test_spheres.TestSoundnessSweep.cube_orbits()
+        assert len(reps) == 401
+        for chosen in reps:
+            assert_same_antipodal(
+                ConceptClass(4, tuple(PartialHypothesis.total(4, m) for m in bits(chosen)))
+            )
+
     def test_random_total_classes(self):
         rng = random.Random(6)
         for _ in range(2000):
             assert_same_antipodal(random_total_class(rng))
+
+    def test_each_maximal_simplex_and_its_flip_have_one_carrier(self, corpus_classes):
+        """The rule the builder keeps a disagreement set by, read from the
+        hypotheses themselves rather than from the label columns."""
+        def carriers(cls, labels):
+            return sum(
+                all(bool(h.plus >> x & 1) == (s > 0) for x, s in labels)
+                for h in cls.hypotheses
+            )
+
+        rng = random.Random(9)
+        randoms = [random_total_class(rng) for _ in range(300)]
+        simplices = 0
+        for cls in itertools.chain(small_and_random_total_classes(), corpus_classes, randoms):
+            points = cls.label_columns.points
+            for s in antipodal_subcomplex(cls).maximal:
+                sigma = [points[v] for v in bits(s)]
+                assert carriers(cls, sigma) == 1, (cls.rows(), s)
+                assert carriers(cls, [(x, -sign) for x, sign in sigma]) == 1, (cls.rows(), s)
+                simplices += 1
+        assert simplices > 9000
 
     def test_storage_round_trip(self, tmp_path):
         rng = random.Random(7)
@@ -517,6 +554,19 @@ class TestAntipodalOracle:
         assert max_hamming_distance(cls) == 12
         assert library_max_hamming_distance(cls) == 12
         assert antipodal_subcomplex(cls).dim() == 11
+
+    def test_twelve_by_two_hundred_bytes(self, tmp_path, capsys):
+        """``complex --antipodal`` on r12x200 writes the bytes that the
+        pairwise-filter builder and ``json.dumps`` wrote, measured on
+        Python 3.10.13, 3.11.7 and 3.13.0."""
+        path = tmp_path / "r12x200.cls"
+        path.write_text(bench_corpus().scale(1).corpus["r12x200"])
+        assert cli.main(["complex", "--antipodal", str(path)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 370_311
+        assert hashlib.sha256(out).hexdigest() == (
+            "a14b81c3b28272b66da74f00f1345eee697d9cccb814dac94b20ab9936bb9900"
+        )
 
 
 def all_total_classes(n):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,40 @@ class TestPartialHypothesis:
         assert hi.extends(lo)
         assert not lo.extends(hi)
         assert hi.extends(hi)
+
+    @staticmethod
+    def parse_by_character(text):
+        """One bit per character: the parser the linear one replaced."""
+        plus = defined = 0
+        for i, ch in enumerate(text):
+            if ch not in "+-*":
+                raise ClassFormatError(f"illegal character {ch!r} in hypothesis")
+            if ch != "*":
+                defined |= 1 << i
+                if ch == "+":
+                    plus |= 1 << i
+        return len(text), plus, defined
+
+    def test_parse_matches_the_parser_by_character(self):
+        rng = random.Random(12)
+        rows = ["", "+", "-", "*", "+" * 3000, "*" * 3000 + "-"]
+        for _ in range(5000):
+            row = "".join(rng.choice("+-*") for _ in range(rng.randint(0, 40)))
+            if row and rng.random() < 0.2:  # one illegal character, or more
+                for _ in range(rng.randint(1, 3)):
+                    i = rng.randrange(len(row))
+                    row = row[:i] + rng.choice("x0 é\n+\x00") + row[i + 1:]
+            rows.append(row)
+        for row in rows:
+            try:
+                want = self.parse_by_character(row)
+            except ClassFormatError as exc:
+                with pytest.raises(ClassFormatError, match=f"^{re.escape(str(exc))}$"):
+                    PartialHypothesis.from_string(row)
+            else:
+                h = PartialHypothesis.from_string(row)
+                assert (h.n, h.plus, h.defined) == want
+                assert str(h) == row
 
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spheredim import spheres, storage
+from spheredim import cli, spheres, storage
 from spheredim.concepts import CapExceededError, ClassFormatError, ConceptClass, family_class
 from spheredim.complexes import (
     AntipodalComplex,
@@ -47,9 +47,12 @@ from spheredim.storage import (
     StorageError,
     _template_face_counts,
     _template_vertex_count,
+    canonical_json,
     load,
     store,
 )
+
+from oracles import bench_corpus
 
 
 class TestClassRoundtrip:
@@ -997,3 +1000,83 @@ class TestCanonicalBytes:
             assert [v for _, v in payload["vertex_map"]] == [
                 point_label(x, s) for x, s in w.pairs
             ]
+
+
+def json_oracle(envelope) -> str:
+    """The canonical bytes as ``json`` writes them: the writer's oracle."""
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+# JSON documents with tuples beside lists, which json writes as lists
+TUPLE_JSON = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestCanonicalJson:
+    """``canonical_json`` writes the bytes of ``json.dumps`` with sorted
+    keys and a two-space indent, plus a newline."""
+
+    def test_hand_built_envelope(self):
+        payload = {
+            "empty": [[], {}, [[]], [{}], {"inner": []}, {"inner": {}}, ()],
+            "tuples": (1, (2, 3), ("a", (None,)), [(), ()]),
+            "ints": [0, -1, 7, 10**30, -(2**64), True, False, None],
+            "only ints": [3, -2, 10**40],
+            "bools": [True, False],
+            "floats": [0.0, -0.0, 0.1, 1e300, 1.5e-10, float("nan"), float("inf"), -float("inf")],
+            "strings": ["", 'q"uote', "back\\slash", "\x00\x1f\n\t\x7f", "é中\U0001f600", "/"],
+            "scalars": {"none": None, "true": True, "int": 5, "float": 2.5, "string": "s"},
+            "keys": {"b": 1, "a": 2, "": 3, "B": 4, "é": 5, "a\"b": 6},
+            "other keys": {3: "three", 1: {"z": [1]}},
+            "nested": {"deep": {"deeper": [{"deepest": (1, [2, {"x": ()}])}]}},
+        }
+        doc = storage.envelope("report", payload)
+        assert canonical_json(doc) == json_oracle(doc)
+        for value in ({}, [], (), "", 0, None, [[[]]], {"a": {"b": {}}}):
+            assert canonical_json(value) == json_oracle(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=TUPLE_JSON)
+    def test_any_document(self, doc):
+        assert canonical_json(doc) == json_oracle(doc)
+
+    def test_every_payload_of_the_bench_corpora(self, tmp_path, monkeypatch, capsys):
+        """Every CLI op of the steady workloads, seeds 1 and 2, with each
+        envelope the CLI writes checked against ``json.dumps``."""
+        corpus = bench_corpus()
+        kinds = []
+
+        def checked(envelope):
+            text = canonical_json(envelope)
+            assert text == json_oracle(envelope)
+            kinds.append(envelope["kind"])
+            return text
+
+        monkeypatch.setattr(cli, "canonical_json", checked)
+        monkeypatch.setattr(storage, "canonical_json", checked)
+        path = tmp_path / "class.cls"
+        done = set()
+        for workload in corpus.STEADY_WORKLOADS:
+            for seed in (1, 2):
+                built = corpus.build(workload, seed)
+                for op in built.ops:
+                    text = built.corpus[op.classes[0]]
+                    if op.command == "roundtrip" or (op.args, text) in done:
+                        continue
+                    done.add((op.args, text))
+                    path.write_text(text)
+                    code = cli.main(list(op.args) + [str(path)])
+                    stdout = capsys.readouterr().out
+                    if op.command == "witness" and code == 0:
+                        # a stored witness loads and stores again
+                        (tmp_path / "w.json").write_text(stdout)
+                        store(load("witness", tmp_path / "w.json"), tmp_path / "again.json")
+                        assert (tmp_path / "again.json").read_text() == stdout
+        counts = {kind: kinds.count(kind) for kind in set(kinds)}
+        assert set(counts) == {"complex", "witness", "report"}
+        assert min(counts.values()) > 20, counts
