@@ -78,15 +78,21 @@ def _load_class(path: str, args) -> ConceptClass:
     except UnicodeDecodeError as exc:
         raise ClassFormatError(f"cannot decode {path}: {exc}") from exc
     cls = parse_class(text)
-    if cls.domain_size > args.max_domain:
-        raise CapExceededError(
-            f"domain size {cls.domain_size} exceeds --max-domain {args.max_domain}"
-        )
-    if len(cls) > args.max_hypotheses:
-        raise CapExceededError(
-            f"{len(cls)} hypotheses exceed --max-hypotheses {args.max_hypotheses}"
-        )
+    _check_domain(cls.domain_size, args)
+    _check_hypotheses(len(cls), args)
     return cls
+
+
+def _check_domain(size: int, args) -> None:
+    if size > args.max_domain:
+        raise CapExceededError(f"domain size {size} exceeds --max-domain {args.max_domain}")
+
+
+def _check_hypotheses(count: int, args) -> None:
+    if count > args.max_hypotheses:
+        raise CapExceededError(
+            f"{count} hypotheses exceed --max-hypotheses {args.max_hypotheses}"
+        )
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -275,9 +281,12 @@ def cmd_family(args) -> int:
         raise UsageError(f"family parameter n must be >= 1, got {args.n}")
     if args.power < 1:
         raise UsageError(f"--power must be >= 1, got {args.power}")
-    cls = family_class(args.name, args.n)
-    if args.power > 1:
-        cls = power_class(cls, args.power)
+    _require_count("--max-domain", args.max_domain)
+    _require_count("--max-hypotheses", args.max_hypotheses)
+    base = family_class(args.name, args.n)
+    _check_domain(base.domain_size * args.power, args)  # before any product
+    cls = power_class(base, args.power)
+    _check_hypotheses(len(cls), args)
     _emit(format_class(cls), args.output)
     return 0
 

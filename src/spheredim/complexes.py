@@ -27,10 +27,10 @@ candidates.  Another carrier k of G - H differs from g where g and h agree,
 and its label there extends the set; conversely a vertex extending it lies
 where g and h disagree, so already in it.
 
-Barycentric subdivision, joins and exact face counting round out the
-toolbox.  Face enumeration is explicitly capped:
-a complex on n points stores at most |H| maximal simplices but can hide
-exponentially many faces.
+Barycentric subdivision, joins and the face counts of a subdivision, read
+from the face counts of its base, round out the toolbox.  Face enumeration
+is explicitly capped: a complex on n points stores at most |H| maximal
+simplices but can hide exponentially many faces.
 """
 
 from __future__ import annotations
@@ -126,11 +126,6 @@ class SimplicialComplex:
         ]
         return SimplicialComplex(tuple(vertices), tuple(sorted(keep)))
 
-    def dim(self) -> int:
-        if not self.maximal:
-            return -1
-        return max(popcount(s) for s in self.maximal) - 1
-
     @cached_property
     def incidence(self) -> tuple[int, ...]:
         """For each vertex, the mask of the positions in ``maximal`` of the
@@ -165,17 +160,6 @@ class SimplicialComplex:
 
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-
-def face_counts(k: SimplicialComplex) -> tuple[int, ...]:
-    """Exact simplex counts by dimension from the closure, under ``DEFAULT_FACE_CAP`` faces."""
-    counts: dict[int, int] = {}
-    for s in k.all_simplices(DEFAULT_FACE_CAP):
-        d = popcount(s) - 1
-        counts[d] = counts.get(d, 0) + 1
-    if not counts:
-        return ()
-    return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
 
 
 def subdivision_face_counts(f: Sequence[int], faces: Callable[[int, int], int]) -> list[int]:

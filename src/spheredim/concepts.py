@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 ALPHABET = {"-", "+", "*"}
 
-DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_PRODUCT_CAP = 1 << 20
 FAMILY_CUBE_MAX = 20
 FAMILY_UNIVERSAL_MAX = 20
@@ -498,13 +497,24 @@ def product_class(a: ConceptClass, b: ConceptClass) -> ConceptClass:
 
 
 def power_class(cls: ConceptClass, m: int) -> ConceptClass:
-    """m-fold product power of a class, under the cap of ``product_class``."""
+    """m-fold product power of a class, under the cap of ``product_class``.
+
+    Built by squaring: the product of A^p and A^q lists the concatenated
+    tuples of their rows in lexicographic order, which is A^(p+q) row for
+    row, so the powers at the set bits of m multiply to A^m.  No power
+    built on the way has more rows than A^m.
+    """
     if m < 1:
         raise ValueError("power must be >= 1")
-    out = cls
-    for _ in range(m - 1):
-        out = product_class(out, cls)
-    return out
+    out = None
+    square = cls
+    while True:
+        if m & 1:
+            out = square if out is None else product_class(out, square)
+        m >>= 1
+        if not m:
+            return out
+        square = product_class(square, square)
 
 
 def family_class(name: str, n: int) -> ConceptClass:
@@ -570,69 +580,3 @@ def _reversed_bits(i: int, n: int) -> int:
         if i & (1 << (n - 1 - j)):
             out |= 1 << j
     return out
-
-
-def verify_class_leq(
-    a: ConceptClass,
-    b: ConceptClass,
-    phi: Sequence[int],
-    sigma: Sequence[int],
-) -> bool:
-    """Check sigma(h)(phi(x)) = h(x) for all h in a and x in its domain."""
-    a.require_total("verify_class_leq")
-    b.require_total("verify_class_leq")
-    if len(phi) != a.domain_size or len(sigma) != len(a):
-        raise ValueError("map sizes do not match the class")
-    for x in phi:
-        if not 0 <= x < b.domain_size:
-            raise IndexError("phi maps outside the target domain")
-    for j in sigma:
-        if not 0 <= j < len(b):
-            raise IndexError("sigma maps outside the target class")
-    images = columns(b.domain_size, [b.hypotheses[j] for j in sigma])
-    cols = columns(a.domain_size, a.hypotheses)
-    return all(col == images[phi[x]] for x, col in enumerate(cols))
-
-
-def search_class_leq(
-    a: ConceptClass, b: ConceptClass
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Brute-force search for maps witnessing a <= b, lexicographically first.
-
-    The a-priori search space size |X_b|^|X_a| * |H_b|^|H_a| must stay within
-    ``DEFAULT_SEARCH_BUDGET``; larger instances raise CapExceededError, which
-    is distinct from a completed search finding nothing.
-    """
-    a.require_total("search_class_leq")
-    b.require_total("search_class_leq")
-    space = (b.domain_size ** a.domain_size) * (len(b) ** len(a))
-    if space > DEFAULT_SEARCH_BUDGET:
-        raise CapExceededError(f"search space {space} exceeds budget {DEFAULT_SEARCH_BUDGET}")
-
-    na, nb = a.domain_size, b.domain_size
-
-    def image_columns(sigma_prefix: list[int]) -> list[int]:
-        return columns(nb, [b.hypotheses[j] for j in sigma_prefix])
-
-    def candidates_exist(sigma_prefix: list[int]) -> bool:
-        # every a-point must still have a compatible image point
-        have = set(image_columns(sigma_prefix))
-        return all(want in have for want in columns(na, a.hypotheses[: len(sigma_prefix)]))
-
-    def extend(sigma_prefix: list[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if len(sigma_prefix) == len(a):
-            # candidates_exist passed on the full map, so every column is found
-            cols_b = image_columns(sigma_prefix)
-            phi = tuple(cols_b.index(want) for want in columns(na, a.hypotheses))
-            return phi, tuple(sigma_prefix)
-        for j in range(len(b)):
-            sigma_prefix.append(j)
-            if candidates_exist(sigma_prefix):
-                got = extend(sigma_prefix)
-                if got is not None:
-                    return got
-            sigma_prefix.pop()
-        return None
-
-    return extend([])
-

@@ -1,26 +1,21 @@
-"""Antipodal domains and the disambiguation <-> sphere equivalence.
-
-An antipodal domain is a point set with a fixed-point-free involution and a
-representation map choosing one point per antipodal pair.  Symmetrization
-forces every hypothesis to be antipodal (h(-x) = -h(x)) by flipping values at
-non-representative points of non-antipodal pairs; antipodal extension doubles
-the domain with flipped labels, turning any class into an antipodal one
-losslessly, and restriction to representatives undoes it.
+"""Disambiguations of sphere templates and the disambiguation <-> sphere
+equivalence.
 
 A class on the vertex set of a sphere template disambiguates the template when
 every maximal simplex s (and so every face of s) has a hypothesis that is
-constantly positive on s and constantly negative on -s.  Pulling a verified
-sphere witness back along its vertex map, one transpose of the class's label
-columns, produces such a disambiguation; conversely an antipodal
-disambiguation yields an embedded witness of the same dimension for the
-restriction of the disambiguation to representatives.  Both constructions are
-machine-checked on every call.
+constantly positive on s and constantly negative on -s.  The antipodes are
+the template's involution: a class is antipodal when h(-v) = -h(v) for every
+hypothesis h and vertex v, and each pair is represented by its smaller
+vertex.  Pulling a verified sphere witness back along its vertex map, one
+transpose of the class's label columns, produces an antipodal
+disambiguation; conversely an antipodal disambiguation yields an embedded
+witness of the same dimension for the restriction of the disambiguation to
+representatives.  Both constructions are machine-checked on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from spheredim.concepts import ConceptClass, PartialHypothesis, bits, columns, transpose
@@ -33,110 +28,15 @@ from spheredim.spheres import (
 )
 
 
-@dataclass(frozen=True)
-class AntipodalDomain:
-    """Points with a fixed-point-free involution and a representation map.
-
-    ``representative[x]`` equals ``representative[pairing[x]]`` and is one of
-    the two points of the pair.
-    """
-
-    size: int
-    pairing: tuple[int, ...]
-    representative: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pairing) != self.size or len(self.representative) != self.size:
-            raise ValueError("maps must cover the whole domain")
-        for x, y in enumerate(self.pairing):
-            if not 0 <= y < self.size or y == x or self.pairing[y] != x:
-                raise ValueError("pairing must be a fixed-point-free involution")
-            r = self.representative[x]
-            if r not in (x, y) or self.representative[y] != r:
-                raise ValueError("representation must pick one point per pair")
-
-    @classmethod
-    def standard(cls, n: int) -> "AntipodalDomain":
-        """The doubled domain (x, +) at x and (x, -) at n + x."""
-        pairing = tuple((x + n) % (2 * n) for x in range(2 * n))
-        rep = tuple(x % n for x in range(2 * n))
-        return cls(2 * n, pairing, rep)
-
-    @classmethod
-    def from_pairing(cls, pairing: tuple[int, ...]) -> "AntipodalDomain":
-        """The domain whose representative of each pair is its smaller point."""
-        representative = tuple(min(x, pairing[x]) for x in range(len(pairing)))
-        return cls(len(pairing), pairing, representative)
-
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.representative)))
-
-
-def is_antipodal_class(cls: ConceptClass, domain: AntipodalDomain) -> bool:
-    """True when every hypothesis satisfies h(-x) = -h(x): when the columns
-    at the two points of each pair are complementary."""
-    if domain.size != cls.domain_size:
+def is_antipodal_class(cls: ConceptClass, involution: tuple[int, ...]) -> bool:
+    """True when every hypothesis satisfies h(-x) = -h(x) for the given
+    involution: when the columns at the two points of each pair are
+    complementary."""
+    if len(involution) != cls.domain_size:
         raise ValueError("domain size mismatch")
     full = (1 << len(cls)) - 1
     cols = columns(cls.domain_size, cls.hypotheses)
-    return all(cols[x] ^ cols[y] == full for x, y in enumerate(domain.pairing) if x < y)
-
-
-def symmetrize(cls: ConceptClass, domain: AntipodalDomain) -> ConceptClass:
-    """Symmetrization by the domain's representation map, duplicates collapsed:
-    each point takes its representative's value, flipped unless it is the
-    representative, so values already antipodal on their pair are kept."""
-    cls.require_total("symmetrize")
-    if domain.size != cls.domain_size:
-        raise ValueError("domain size mismatch")
-    out: list[PartialHypothesis] = []
-    seen: set[int] = set()
-    for h in cls.hypotheses:
-        plus = 0
-        for x, r in enumerate(domain.representative):
-            if bool(h.plus >> r & 1) == (r == x):
-                plus |= 1 << x
-        if plus not in seen:
-            seen.add(plus)
-            out.append(PartialHypothesis.total(domain.size, plus))
-    result = ConceptClass(domain.size, tuple(out))
-    if not is_antipodal_class(result, domain):
-        raise AssertionError("symmetrization produced a non-antipodal class")
-    return result
-
-
-def antipodal_extension(cls: ConceptClass) -> tuple[ConceptClass, AntipodalDomain]:
-    """Double the domain with flipped labels: h^a(x, y) = y * h(x)."""
-    cls.require_total("antipodal_extension")
-    n = cls.domain_size
-    full = (1 << n) - 1
-    domain = AntipodalDomain.standard(n)
-    hyps = tuple(
-        PartialHypothesis.total(2 * n, h.plus | ((full & ~h.plus) << n))
-        for h in cls.hypotheses
-    )
-    out = ConceptClass(2 * n, hyps)
-    if not is_antipodal_class(out, domain):
-        raise AssertionError("antipodal extension produced a non-antipodal class")
-    return out, domain
-
-
-def representatives_restriction(
-    cls: ConceptClass, domain: AntipodalDomain
-) -> tuple[ConceptClass, tuple[int, ...]]:
-    """Restriction of an antipodal class to the representative points.
-
-    Returns the restricted class together with the representative points in
-    the order used for the new domain.  Antipodal hypotheses are determined
-    by their representative values, so no duplicates can arise.
-    """
-    if not is_antipodal_class(cls, domain):
-        raise WitnessError("restriction to representatives requires an antipodal class")
-    reps = domain.representatives()
-    return cls.restrict(reps), reps
-
-
-# --- disambiguations ------------------------------------------------------
+    return all(cols[x] ^ cols[y] == full for x, y in enumerate(involution) if x < y)
 
 
 @dataclass(frozen=True)
@@ -149,11 +49,6 @@ class Disambiguation:
     def __post_init__(self) -> None:
         if self.cls.domain_size != len(self.template.complex.vertices):
             raise ValueError("vertex sets of class and template must match")
-
-    @cached_property
-    def domain(self) -> AntipodalDomain:
-        """The template's involution, each pair represented by its smaller vertex."""
-        return AntipodalDomain.from_pairing(self.template.complex.involution)
 
 
 @dataclass(frozen=True)
@@ -172,7 +67,7 @@ def check_disambiguates(d: Disambiguation) -> DisambiguationReport:
     maximal simplices: a hypothesis positive on s and negative on s's image
     covers each face f of s too, since f's image lies inside s's image."""
     tc = d.template.complex
-    antipodal = is_antipodal_class(d.cls, d.domain)
+    antipodal = is_antipodal_class(d.cls, tc.involution)
     for checked, s in enumerate(tc.maximal, 1):
         neg = tc.map_simplex(s)
         if not any((h.plus & s) == s and (h.plus & neg) == 0 for h in d.cls.hypotheses):
@@ -209,10 +104,13 @@ def pullback_disambiguation(witness: SphereWitness) -> Disambiguation:
 
 def sphere_from_disambiguation(d: Disambiguation) -> SphereWitness:
     """Turn an antipodal disambiguation into an embedded witness of the same
-    dimension for its restriction to the representatives of its domain.
+    dimension for its restriction to the representatives: the vertices v
+    below their antipode inv[v], in increasing order.
 
-    The vertex map sends v to (r(v), +) when v is its own representative and
-    to (r(v), -) otherwise.
+    The vertex map sends v to (r, +) when v is the representative r of its
+    pair and to (r, -) when its antipode is.  The template's complex has
+    already checked that its involution pairs the vertices without fixed
+    points.
     """
     check = check_disambiguates(d)
     if not check.antipodal:
@@ -221,7 +119,8 @@ def sphere_from_disambiguation(d: Disambiguation) -> SphereWitness:
         raise WitnessError(
             f"class does not disambiguate the template at {check.failing_simplex}"
         )
-    reps = d.domain.representatives()
-    rep_pos = {x: j for j, x in enumerate(reps)}
-    pairs = [(rep_pos[r], +1 if r == v else -1) for v, r in enumerate(d.domain.representative)]
+    inv = d.template.complex.involution
+    reps = [v for v, u in enumerate(inv) if v < u]
+    rep_pos = {v: j for j, v in enumerate(reps)}
+    pairs = [(rep_pos[min(v, u)], +1 if v < u else -1) for v, u in enumerate(inv)]
     return witness_on(d.template, pairs, d.cls.restrict(reps), True, "extracted sphere")

@@ -33,18 +33,15 @@ from typing import Iterator, Optional, Union
 from spheredim.concepts import (
     CapExceededError,
     ConceptClass,
-    DimensionVariant,
     PartialHypothesis,
     bits,
     columns,
-    dimension,
     mask_of,
     popcount,
     shattered_family,
     _shatters_mask,
 )
 from spheredim import complexes
-from spheredim.complexes import SimplicialComplex
 from spheredim.spheres import (
     BarycentricBoundaryKind,
     SphereWitness,
@@ -107,9 +104,6 @@ class CubicalComplex:
                     raise ValueError(f"cube {c} is missing its facet {facet}")
                 cofaces[j] |= 1 << i
         object.__setattr__(self, "cofaces", tuple(cofaces))
-
-    def dim(self) -> int:
-        return max(c.dimension for c in self.cubes)
 
     def counts(self) -> tuple[int, ...]:
         out: dict[int, int] = {}
@@ -188,23 +182,15 @@ def _cube_chains(cc: CubicalComplex) -> list[int]:
     return sorted(maximal)
 
 
-def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
-    """Order complex of the cube poset: vertices are cubes, simplices chains.
-
-    Maximal simplices are the facet-descending paths from the inclusion-
-    maximal cubes down to vertices.
-    """
-    return SimplicialComplex(cc.rows(), tuple(_cube_chains(cc)))
-
-
 def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
-    """Face counts of ``cubical_barycentric(cc)``, without building it.
+    """Face counts of the barycentric subdivision of ``cc``, the order
+    complex of its cube poset, without building it.
 
     A face of the order complex is a chain of cubes.  The complex is closed
     under facets, so below a j-cube sits the face lattice of a j-cube, with
     C(j, i)*2^(j-i) faces of dimension i, for the chain count of
     ``complexes.subdivision_face_counts``.  A total over
-    ``complexes.DEFAULT_FACE_CAP`` raises, as in ``face_counts``.
+    ``complexes.DEFAULT_FACE_CAP`` raises.
     """
     if not cc.cubes:
         return ()
@@ -240,30 +226,6 @@ def _is_chain(plus: list[int], defined: list[int], mask: int) -> bool:
 def realizable_partial(cls: ConceptClass, h: PartialHypothesis) -> bool:
     """True when some concept of the class extends h."""
     return any(g.extends(h) for g in cls.hypotheses)
-
-
-def restriction(cls: ConceptClass, h: PartialHypothesis) -> ConceptClass:
-    """The subclass of concepts extending h, on the same domain.
-
-    Restricting an extremal class at a realizable partial hypothesis yields
-    an extremal class again; this is verified when the input is small enough
-    to test for extremality.
-    """
-    cls.require_total("restriction")
-    if h.n != cls.domain_size:
-        raise ValueError("length mismatch")
-    kept = tuple(g for g in cls.hypotheses if g.extends(h))
-    if not kept:
-        raise WitnessError(f"partial hypothesis {h} is not realizable")
-    out = ConceptClass(cls.domain_size, kept)
-    try:
-        if is_extremal(cls).extremal and not is_extremal(out).extremal:
-            raise AssertionError(
-                f"restriction of an extremal class at {h} is not extremal"
-            )
-    except CapExceededError:
-        pass
-    return out
 
 
 @dataclass(frozen=True)
@@ -663,21 +625,3 @@ def classify_low_vc(cls: ConceptClass) -> LowVcClassification:
     if not verify_threshold_certificate(cls, flip, order):
         raise AssertionError("two-chain order failed threshold verification")
     return ThresholdLike(flip, order)
-
-
-def vc_extremal_upper(cls: ConceptClass, candidate: ConceptClass) -> Optional[int]:
-    """VC of a verified extremal superclass, as an upper bound certificate.
-
-    No search is performed: the candidate must live on the same domain,
-    contain every hypothesis of the class, and be extremal.
-    """
-    cls.require_total("vc_extremal_upper")
-    candidate.require_total("vc_extremal_upper")
-    if candidate.domain_size != cls.domain_size:
-        raise ValueError("domain size mismatch")
-    have = {h.plus for h in candidate.hypotheses}
-    if any(h.plus not in have for h in cls.hypotheses):
-        return None
-    if not is_extremal(candidate).extremal:
-        return None
-    return dimension(candidate, DimensionVariant.PRIMAL)

@@ -1,24 +1,45 @@
-"""Oracles shared by several test files.
+"""Oracles and test-only helpers shared by several test files.
 
-None is part of the package.  Certification reads only witnesses, and
-general sphere recognition is deliberately not attempted, so no command
-needs a complex isomorphism or an Euler characteristic.  And no command
-needs the strongly shattered family: the Pajor count and the cubical
-complex both read the one shattered family of a class.  The disambiguation
-check reads only maximal simplices and the pullback only the class's label
-columns; the closure check and the pullback through the antipodal extension
-that they replaced stay here, and so does the loader of the benchmark's
-corpus, whose classes several test files read.
+None is part of the package, and no command reaches any of them:
+
+- complex isomorphism, the Euler characteristic and exact face counts:
+  certification reads only witnesses, and general sphere recognition is
+  deliberately not attempted;
+- the strongly shattered family: the Pajor count and the cubical complex
+  both read the one shattered family of a class;
+- the closure check of a disambiguation, which the check on maximal
+  simplices replaced, and the pullback through the antipodal extension,
+  which the one transpose of label columns replaced;
+- antipodal domains with a representation map of their own, symmetrization,
+  the antipodal extension and the restriction to representatives: a
+  disambiguation's antipodes are its template's involution, each pair
+  represented by its smaller vertex;
+- the restriction of a class at a partial hypothesis, and the order complex
+  of a cube poset, whose face counts ``extremal.cubical_face_counts`` reads
+  without building it;
+- the loader of the benchmark's corpus, whose classes several test files
+  read.
 """
 
 import importlib.util
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from spheredim.complexes import AntipodalComplex, SimplicialComplex, face_counts
-from spheredim.concepts import CapExceededError, _monotone_family, bits, popcount
-from spheredim.disamb import antipodal_extension
+from spheredim import complexes, extremal
+from spheredim.complexes import AntipodalComplex, SimplicialComplex
+from spheredim.concepts import (
+    CapExceededError,
+    ConceptClass,
+    PartialHypothesis,
+    _monotone_family,
+    bits,
+    popcount,
+)
+from spheredim.disamb import is_antipodal_class
+from spheredim.extremal import CubicalComplex, is_extremal
+from spheredim.spheres import WitnessError
 
 ISO_VERTEX_CAP = 64
 SIMPLEX_CAP = 10**6
@@ -43,6 +64,18 @@ def _strongly_shatters_mask(cls, mask: int) -> bool:
 def strongly_shattered_family(cls) -> list[list[int]]:
     cls.require_total("strongly_shattered_family")
     return _monotone_family(cls, lambda m: _strongly_shatters_mask(cls, m))
+
+
+def face_counts(k: SimplicialComplex) -> tuple[int, ...]:
+    """Exact simplex counts by dimension from the closure, under
+    ``complexes.DEFAULT_FACE_CAP`` faces."""
+    counts: dict[int, int] = {}
+    for s in k.all_simplices(complexes.DEFAULT_FACE_CAP):
+        d = popcount(s) - 1
+        counts[d] = counts.get(d, 0) + 1
+    if not counts:
+        return ()
+    return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
 
 
 def euler_characteristic(k) -> int:
@@ -147,6 +180,102 @@ def closure_disambiguates(d) -> bool:
     return True
 
 
+# --- antipodal domains ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AntipodalDomain:
+    """Points with a fixed-point-free involution and a representation map.
+
+    ``representative[x]`` equals ``representative[pairing[x]]`` and is one of
+    the two points of the pair.
+    """
+
+    size: int
+    pairing: tuple[int, ...]
+    representative: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.pairing) != self.size or len(self.representative) != self.size:
+            raise ValueError("maps must cover the whole domain")
+        for x, y in enumerate(self.pairing):
+            if not 0 <= y < self.size or y == x or self.pairing[y] != x:
+                raise ValueError("pairing must be a fixed-point-free involution")
+            r = self.representative[x]
+            if r not in (x, y) or self.representative[y] != r:
+                raise ValueError("representation must pick one point per pair")
+
+    @classmethod
+    def standard(cls, n: int) -> "AntipodalDomain":
+        """The doubled domain (x, +) at x and (x, -) at n + x."""
+        pairing = tuple((x + n) % (2 * n) for x in range(2 * n))
+        rep = tuple(x % n for x in range(2 * n))
+        return cls(2 * n, pairing, rep)
+
+    @classmethod
+    def from_pairing(cls, pairing: tuple[int, ...]) -> "AntipodalDomain":
+        """The domain whose representative of each pair is its smaller point."""
+        representative = tuple(min(x, pairing[x]) for x in range(len(pairing)))
+        return cls(len(pairing), pairing, representative)
+
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.representative)))
+
+
+def symmetrize(cls: ConceptClass, domain: AntipodalDomain) -> ConceptClass:
+    """Symmetrization by the domain's representation map, duplicates collapsed:
+    each point takes its representative's value, flipped unless it is the
+    representative, so values already antipodal on their pair are kept."""
+    cls.require_total("symmetrize")
+    if domain.size != cls.domain_size:
+        raise ValueError("domain size mismatch")
+    out: list[PartialHypothesis] = []
+    seen: set[int] = set()
+    for h in cls.hypotheses:
+        plus = 0
+        for x, r in enumerate(domain.representative):
+            if bool(h.plus >> r & 1) == (r == x):
+                plus |= 1 << x
+        if plus not in seen:
+            seen.add(plus)
+            out.append(PartialHypothesis.total(domain.size, plus))
+    result = ConceptClass(domain.size, tuple(out))
+    if not is_antipodal_class(result, domain.pairing):
+        raise AssertionError("symmetrization produced a non-antipodal class")
+    return result
+
+
+def antipodal_extension(cls: ConceptClass) -> tuple[ConceptClass, AntipodalDomain]:
+    """Double the domain with flipped labels: h^a(x, y) = y * h(x)."""
+    cls.require_total("antipodal_extension")
+    n = cls.domain_size
+    full = (1 << n) - 1
+    domain = AntipodalDomain.standard(n)
+    hyps = tuple(
+        PartialHypothesis.total(2 * n, h.plus | ((full & ~h.plus) << n))
+        for h in cls.hypotheses
+    )
+    out = ConceptClass(2 * n, hyps)
+    if not is_antipodal_class(out, domain.pairing):
+        raise AssertionError("antipodal extension produced a non-antipodal class")
+    return out, domain
+
+
+def representatives_restriction(
+    cls: ConceptClass, domain: AntipodalDomain
+) -> tuple[ConceptClass, tuple[int, ...]]:
+    """Restriction of an antipodal class to the representative points.
+
+    Returns the restricted class together with the representative points in
+    the order used for the new domain.  Antipodal hypotheses are determined
+    by their representative values, so no duplicates can arise.
+    """
+    if not is_antipodal_class(cls, domain.pairing):
+        raise WitnessError("restriction to representatives requires an antipodal class")
+    reps = domain.representatives()
+    return cls.restrict(reps), reps
+
+
 def extension_pullback_rows(w) -> list[int]:
     """The concept masks a witness pulls back to, read through the antipodal
     extension of its class: (x, +) is point x and (x, -) point n + x of the
@@ -163,6 +292,43 @@ def extension_pullback_rows(w) -> list[int]:
         if plus not in rows:
             rows.append(plus)
     return rows
+
+
+# --- extremal classes -------------------------------------------------------
+
+
+def restriction(cls: ConceptClass, h: PartialHypothesis) -> ConceptClass:
+    """The subclass of concepts extending h, on the same domain.
+
+    Restricting an extremal class at a realizable partial hypothesis yields
+    an extremal class again; this is verified when the input is small enough
+    to test for extremality.
+    """
+    cls.require_total("restriction")
+    if h.n != cls.domain_size:
+        raise ValueError("length mismatch")
+    kept = tuple(g for g in cls.hypotheses if g.extends(h))
+    if not kept:
+        raise WitnessError(f"partial hypothesis {h} is not realizable")
+    out = ConceptClass(cls.domain_size, kept)
+    try:
+        if is_extremal(cls).extremal and not is_extremal(out).extremal:
+            raise AssertionError(
+                f"restriction of an extremal class at {h} is not extremal"
+            )
+    except CapExceededError:
+        pass
+    return out
+
+
+def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
+    """Order complex of the cube poset: vertices are cubes, simplices chains.
+
+    Maximal simplices are the facet-descending paths from the inclusion-
+    maximal cubes down to vertices, read through the module, so that a test
+    that patches ``extremal._cube_chains`` reaches this complex too.
+    """
+    return SimplicialComplex(cc.rows(), tuple(extremal._cube_chains(cc)))
 
 
 def bench_corpus():

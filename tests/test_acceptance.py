@@ -27,7 +27,7 @@ from spheredim.concepts import (
     power_class,
     shattered_family,
 )
-from spheredim.complexes import AntipodalComplex, face_counts
+from spheredim.complexes import AntipodalComplex
 from spheredim.disamb import (
     check_disambiguates,
     is_antipodal_class,
@@ -39,13 +39,11 @@ from spheredim.extremal import (
     Vc1NonThreshold,
     classify_low_vc,
     collapse_certificate,
-    cubical_barycentric,
     cubical_complex,
     cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
     realizable_partial,
-    restriction,
 )
 from spheredim.signrank import (
     product_representation,
@@ -61,7 +59,13 @@ from spheredim.spheres import (
     verify_witness,
 )
 
-from oracles import euler_characteristic, strongly_shattered_family
+from oracles import (
+    cubical_barycentric,
+    euler_characteristic,
+    face_counts,
+    restriction,
+    strongly_shattered_family,
+)
 
 V = DimensionVariant
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -353,7 +357,7 @@ def test_criterion_09_disambiguation_roundtrip():
         ]
         for w in cases:
             d = pullback_disambiguation(w)
-            assert is_antipodal_class(d.cls, d.domain)
+            assert is_antipodal_class(d.cls, d.template.complex.involution)
             assert check_disambiguates(d).ok
             back = sphere_from_disambiguation(d)
             assert back.embedded

@@ -89,6 +89,33 @@ class TestFamily:
         assert out.stdout == ""
         assert out.stderr.startswith("budget exceeded: ")
 
+    def test_domain_cap_is_checked_before_any_product(self, capsys, monkeypatch):
+        argv = ["--max-domain", "100", "family", "universal", "1", "-m"]
+        assert cli.main(argv + ["50"]) == 0
+        assert capsys.readouterr().out == "-+" * 50 + "\n"
+
+        def refuse(cls, m):
+            raise AssertionError(f"power {m} built past the domain cap")
+
+        monkeypatch.setattr(cli, "power_class", refuse)
+        assert cli.main(argv + ["51"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "budget exceeded: domain size 102 exceeds --max-domain 100\n"
+
+    def test_hypothesis_cap_is_checked_on_the_result(self, capsys):
+        argv = ["family", "cube", "2", "-m", "2"]
+        assert cli.main(["--max-hypotheses", "16", *argv]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 16
+        assert cli.main(["--max-hypotheses", "15", *argv]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "budget exceeded: 16 hypotheses exceed --max-hypotheses 15\n"
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        assert cli.main(["--max-domain", "-1", "family", "cube", "2"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --max-domain must be >= 0")
+
     def test_unknown_family_is_usage_error(self):
         out = run_cli("family", "nonsense", "3")
         assert out.returncode == 1

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,8 @@ from spheredim.concepts import (
     popcount,
     power_class,
     product_class,
-    search_class_leq,
     shattered_family,
     shatters,
-    verify_class_leq,
     _antipodally_shatters_mask,
     _monotone_family,
     _shatters_mask,
@@ -694,6 +693,38 @@ class TestProducts:
         with pytest.raises(CapExceededError):
             product_class(cube(3), cube(3))
 
+    def test_power_equals_the_iterated_product(self):
+        # the left product A^(m-1) x A, m - 1 times, is the oracle for the
+        # power built by squaring: same rows in the same order
+        bases = [cube(1), cube(2), universal(1), universal(2), threshold(3),
+                 family_class("subsets_leq", 1)]
+        for base, m in itertools.product(bases, range(1, 7)):
+            want = base
+            for _ in range(m - 1):
+                want = product_class(want, base)
+            assert power_class(base, m) == want, (base.rows(), m)
+
+    def test_power_cap_raises_before_a_product_past_it(self, monkeypatch):
+        # cube 1 has 2 rows: 2^5 = 32 fits a cap of 32 and 2^6 does not
+        monkeypatch.setattr("spheredim.concepts.DEFAULT_PRODUCT_CAP", 32)
+        assert len(power_class(cube(1), 5)) == 32
+        built = []
+        original = ConceptClass.__post_init__
+
+        def record(self):
+            built.append(len(self))
+            original(self)
+
+        monkeypatch.setattr(ConceptClass, "__post_init__", record)
+        with pytest.raises(CapExceededError):
+            power_class(cube(1), 6)
+        assert max(built) <= 32
+
+    def test_long_power_of_one_row(self):
+        p = power_class(universal(1), 1000)
+        assert len(p) == 1 and p.domain_size == 2000
+        assert p.rows() == ("-+" * 1000,)
+
 
 # --- families -----------------------------------------------------------
 
@@ -747,6 +778,74 @@ class TestFamilies:
 # --- class order --------------------------------------------------------
 
 
+DEFAULT_SEARCH_BUDGET = 10**8
+
+
+def verify_class_leq(
+    a: ConceptClass,
+    b: ConceptClass,
+    phi: Sequence[int],
+    sigma: Sequence[int],
+) -> bool:
+    """Check sigma(h)(phi(x)) = h(x) for all h in a and x in its domain."""
+    a.require_total("verify_class_leq")
+    b.require_total("verify_class_leq")
+    if len(phi) != a.domain_size or len(sigma) != len(a):
+        raise ValueError("map sizes do not match the class")
+    for x in phi:
+        if not 0 <= x < b.domain_size:
+            raise IndexError("phi maps outside the target domain")
+    for j in sigma:
+        if not 0 <= j < len(b):
+            raise IndexError("sigma maps outside the target class")
+    images = columns(b.domain_size, [b.hypotheses[j] for j in sigma])
+    cols = columns(a.domain_size, a.hypotheses)
+    return all(col == images[phi[x]] for x, col in enumerate(cols))
+
+
+def search_class_leq(
+    a: ConceptClass, b: ConceptClass
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Brute-force search for maps witnessing a <= b, lexicographically first.
+
+    The a-priori search space size |X_b|^|X_a| * |H_b|^|H_a| must stay within
+    ``DEFAULT_SEARCH_BUDGET``; larger instances raise CapExceededError, which
+    is distinct from a completed search finding nothing.
+    """
+    a.require_total("search_class_leq")
+    b.require_total("search_class_leq")
+    space = (b.domain_size ** a.domain_size) * (len(b) ** len(a))
+    if space > DEFAULT_SEARCH_BUDGET:
+        raise CapExceededError(f"search space {space} exceeds budget {DEFAULT_SEARCH_BUDGET}")
+
+    na, nb = a.domain_size, b.domain_size
+
+    def image_columns(sigma_prefix: list[int]) -> list[int]:
+        return columns(nb, [b.hypotheses[j] for j in sigma_prefix])
+
+    def candidates_exist(sigma_prefix: list[int]) -> bool:
+        # every a-point must still have a compatible image point
+        have = set(image_columns(sigma_prefix))
+        return all(want in have for want in columns(na, a.hypotheses[: len(sigma_prefix)]))
+
+    def extend(sigma_prefix: list[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if len(sigma_prefix) == len(a):
+            # candidates_exist passed on the full map, so every column is found
+            cols_b = image_columns(sigma_prefix)
+            phi = tuple(cols_b.index(want) for want in columns(na, a.hypotheses))
+            return phi, tuple(sigma_prefix)
+        for j in range(len(b)):
+            sigma_prefix.append(j)
+            if candidates_exist(sigma_prefix):
+                got = extend(sigma_prefix)
+                if got is not None:
+                    return got
+            sigma_prefix.pop()
+        return None
+
+    return extend([])
+
+
 class TestClassOrder:
     def test_inclusion_witness(self):
         t2, t3 = threshold(2), threshold(3)
@@ -779,7 +878,7 @@ class TestClassOrder:
 
     def test_budget_exceeded_is_distinct(self, monkeypatch):
         # a search space of 3^2 * 4^3 = 576, within the default budget
-        monkeypatch.setattr("spheredim.concepts.DEFAULT_SEARCH_BUDGET", 10)
+        monkeypatch.setitem(globals(), "DEFAULT_SEARCH_BUDGET", 10)
         with pytest.raises(CapExceededError):
             search_class_leq(threshold(2), threshold(3))
 

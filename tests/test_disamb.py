@@ -1,4 +1,8 @@
-"""Tests for antipodal domains, symmetrization, and disambiguation round trips."""
+"""Tests for antipodal domains, symmetrization, and disambiguation round trips.
+
+Antipodal domains, symmetrization, the antipodal extension and the
+restriction to representatives live in ``oracles``; a disambiguation's
+antipodes are its template's involution."""
 
 import random
 
@@ -14,15 +18,11 @@ from spheredim.concepts import (
     family_class,
 )
 from spheredim.disamb import (
-    AntipodalDomain,
     Disambiguation,
-    antipodal_extension,
     check_disambiguates,
     is_antipodal_class,
     pullback_disambiguation,
-    representatives_restriction,
     sphere_from_disambiguation,
-    symmetrize,
 )
 from spheredim.spheres import (
     BarycentricBoundaryKind,
@@ -38,7 +38,14 @@ from spheredim.spheres import (
     verify_witness,
 )
 
-from oracles import closure_disambiguates, extension_pullback_rows
+from oracles import (
+    AntipodalDomain,
+    antipodal_extension,
+    closure_disambiguates,
+    extension_pullback_rows,
+    representatives_restriction,
+    symmetrize,
+)
 
 V = DimensionVariant
 
@@ -91,7 +98,7 @@ class TestSymmetrize:
             size = rng.randint(1, min(6, 2 ** (2 * n)))
             cls = random_class(rng, 2 * n, size)
             domain = AntipodalDomain.standard(n)
-            assert is_antipodal_class(symmetrize(cls, domain), domain)
+            assert is_antipodal_class(symmetrize(cls, domain), domain.pairing)
 
     def test_dimensions_do_not_increase(self):
         rng = random.Random(5)
@@ -148,7 +155,7 @@ class TestExtensionRestriction:
         for cls in (cube(2), universal(3), family_class("threshold", 3)):
             ext, domain = antipodal_extension(cls)
             assert len(ext) == len(cls)
-            assert is_antipodal_class(ext, domain)
+            assert is_antipodal_class(ext, domain.pairing)
             # (H^a)^r = H under the standard representation
             restricted, _ = representatives_restriction(ext, domain)
             assert restricted == cls
@@ -182,7 +189,7 @@ class TestExtensionRestriction:
     def test_singleton_extension(self):
         ext, domain = antipodal_extension(ConceptClass.from_strings(["+-"]))
         assert len(ext) == 1
-        assert is_antipodal_class(ext, domain)
+        assert is_antipodal_class(ext, domain.pairing)
 
 
 class TestCheckDisambiguates:
@@ -212,6 +219,10 @@ class TestCheckDisambiguates:
         template = make_crosspolytope(1)
         with pytest.raises(ValueError):
             Disambiguation(ConceptClass.from_strings(["--+", "++-"]), template)
+
+    def test_involution_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            is_antipodal_class(ConceptClass.from_strings(["+-"]), (1, 0, 3, 2))
 
 
 class TestMaximalCheck:
@@ -250,7 +261,8 @@ class TestMaximalCheck:
                 d = Disambiguation(self.near_antipodal_class(rng, template), template)
                 report = check_disambiguates(d)
                 assert report.ok == closure_disambiguates(d), (kind, d.cls.rows())
-                assert report.antipodal == is_antipodal_class(d.cls, d.domain)
+                inv = template.complex.involution
+                assert report.antipodal == is_antipodal_class(d.cls, inv)
                 if not report.antipodal:
                     non_antipodal += 1
                     covering += report.ok
@@ -282,7 +294,7 @@ class TestPullback:
         w = crosspolytope_witness(cube(2), (0, 1))
         d = pullback_disambiguation(w)
         assert check_disambiguates(d).ok
-        assert is_antipodal_class(d.cls, d.domain)
+        assert is_antipodal_class(d.cls, d.template.complex.involution)
         assert len(d.cls) <= len(cube(2))
 
     def test_universal_3_hexagon_pullback(self):
@@ -358,6 +370,28 @@ class TestSphereFromDisambiguation:
         assert w.dimension == 1
         assert w.embedded
         assert verify_witness(w)
+
+    def test_vertex_map_reads_the_smaller_vertex_of_each_pair(self):
+        # the representatives and signs are those of the template's
+        # involution with each pair represented by its smaller vertex
+        extracted = 0
+        for name, n in (("cube", 2), ("cube", 3), ("universal", 3), ("universal", 4),
+                        ("universal_plus", 3), ("subsets_leq", 2)):
+            analysis = ClassAnalysis(family_class(name, n))
+            for w in (analysis.crosspolytope, analysis.barycentric):
+                if w is None:
+                    continue
+                d = pullback_disambiguation(w)
+                domain = AntipodalDomain.from_pairing(w.template.complex.involution)
+                reps = domain.representatives()
+                back = sphere_from_disambiguation(d)
+                assert back.pairs == tuple(
+                    (reps.index(r), +1 if r == v else -1)
+                    for v, r in enumerate(domain.representative)
+                )
+                assert back.cls == d.cls.restrict(reps)
+                extracted += 1
+        assert extracted >= 10
 
     def test_non_antipodal_rejected(self):
         template = make_crosspolytope(0)

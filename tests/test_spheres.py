@@ -20,7 +20,6 @@ from spheredim.concepts import (
     mask_of,
     popcount,
 )
-from spheredim.complexes import face_counts
 from spheredim.spheres import (
     BarycentricBoundaryKind,
     ClassAnalysis,
@@ -43,7 +42,7 @@ from spheredim.spheres import (
     verify_witness,
 )
 
-from oracles import complexes_isomorphic
+from oracles import complexes_isomorphic, face_counts
 
 V = DimensionVariant
 

@@ -18,7 +18,6 @@ from spheredim.complexes import (
     SimplicialComplex,
     antipodal_subcomplex,
     complex_to_payload,
-    face_counts,
     label_flip,
     point_label,
     realizable_complex,
@@ -52,7 +51,7 @@ from spheredim.storage import (
     store,
 )
 
-from oracles import bench_corpus
+from oracles import bench_corpus, face_counts
 
 
 class TestClassRoundtrip:
