@@ -20,6 +20,7 @@ from spheredim.concepts import (
     ClassFormatError,
     ConceptClass,
     family_class,
+    family_domain_size,
     format_class,
     parse_class,
     popcount,
@@ -283,9 +284,9 @@ def cmd_family(args) -> int:
         raise UsageError(f"--power must be >= 1, got {args.power}")
     _require_count("--max-domain", args.max_domain)
     _require_count("--max-hypotheses", args.max_hypotheses)
-    base = family_class(args.name, args.n)
-    _check_domain(base.domain_size * args.power, args)  # before any product
-    cls = power_class(base, args.power)
+    # the family caps, then the domain of the power, before anything is built
+    _check_domain(family_domain_size(args.name, args.n) * args.power, args)
+    cls = power_class(family_class(args.name, args.n), args.power)
     _check_hypotheses(len(cls), args)
     _emit(format_class(cls), args.output)
     return 0

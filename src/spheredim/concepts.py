@@ -191,10 +191,12 @@ class ConceptClass:
     @cached_property
     def shattered_levels(self) -> tuple[tuple[int, ...], ...]:
         """The shattered point sets (the family shatter(H)) as masks, level
-        k holding the k-sets in lexicographic order, found on first read and
-        kept with the instance like ``label_columns``.  The search stops at
-        the Sauer-Shelah cap: a shattered k-set needs 2^k distinct patterns,
-        each from its own hypothesis, so k <= log2|H| and no set is lost."""
+        k holding the k-sets in increasing mask order, which is not
+        lexicographic order on points (``max_shattered_set`` compares sorted
+        points itself), found on first read and kept with the instance like
+        ``label_columns``.  The search stops at the Sauer-Shelah cap: a
+        shattered k-set needs 2^k distinct patterns, each from its own
+        hypothesis, so k <= log2|H| and no set is lost."""
         levels = _monotone_family(
             self, lambda m: _shatters_mask(self, m), len(self).bit_length() - 1
         )
@@ -288,8 +290,9 @@ def _monotone_family(
     """Levels of a downward-closed family of point subsets, found by BFS.
 
     ``predicate(mask)`` must be monotone (true on subsets of true sets).
-    Level k lists the masks of the qualifying k-subsets in lexicographic
-    order; the search stops at the first empty level.
+    Level k lists the masks of the qualifying k-subsets in increasing mask
+    order, which is not lexicographic order on points: {1, 2} = 0b0110
+    comes before {0, 3} = 0b1001.  The search stops at the first empty level.
 
     Each candidate extends a member ``smask`` of the previous level by a
     point above its top bit.  Its facet without that point is ``smask``
@@ -517,6 +520,32 @@ def power_class(cls: ConceptClass, m: int) -> ConceptClass:
         square = product_class(square, square)
 
 
+def family_domain_size(name: str, n: int) -> int:
+    """The number of points of ``family_class(name, n)``, read without
+    building it: n for cube and threshold, 2^n for universal and
+    universal_plus, n + 1 for subsets_leq.  A bad name or n, or a family
+    past its cap, raises here."""
+    if n < 1:
+        raise ValueError("family parameter must be >= 1")
+    if name == "cube":
+        if n > FAMILY_CUBE_MAX:
+            raise CapExceededError(f"cube cap is n <= {FAMILY_CUBE_MAX}")
+        return n
+    if name in ("universal", "universal_plus"):
+        if n > FAMILY_UNIVERSAL_MAX:
+            raise CapExceededError(f"universal cap is n <= {FAMILY_UNIVERSAL_MAX}")
+        return 1 << n
+    if name == "threshold":
+        if n > FAMILY_THRESHOLD_MAX:
+            raise CapExceededError(f"threshold cap is d <= {FAMILY_THRESHOLD_MAX}")
+        return n
+    if name == "subsets_leq":
+        if n + 1 > FAMILY_CUBE_MAX:
+            raise CapExceededError(f"subsets_leq cap is d <= {FAMILY_CUBE_MAX - 1}")
+        return n + 1
+    raise ValueError(f"unknown family {name!r}")
+
+
 def family_class(name: str, n: int) -> ConceptClass:
     """Canonical generators for the named class families.
 
@@ -526,19 +555,13 @@ def family_class(name: str, n: int) -> ConceptClass:
     threshold(d): d+1 hypotheses on d points, h_i positive on the first i points.
     subsets_leq(d): indicators of all subsets of size <= d of a (d+1)-point set.
     """
-    if n < 1:
-        raise ValueError("family parameter must be >= 1")
+    size = family_domain_size(name, n)
     if name == "cube":
-        if n > FAMILY_CUBE_MAX:
-            raise CapExceededError(f"cube cap is n <= {FAMILY_CUBE_MAX}")
         hyps = tuple(
             PartialHypothesis.total(n, _reversed_bits(i, n)) for i in range(1 << n)
         )
         return ConceptClass(n, hyps)
     if name in ("universal", "universal_plus"):
-        if n > FAMILY_UNIVERSAL_MAX:
-            raise CapExceededError(f"universal cap is n <= {FAMILY_UNIVERSAL_MAX}")
-        size = 1 << n
         hyps = []
         for i in range(n):
             plus = 0
@@ -551,26 +574,18 @@ def family_class(name: str, n: int) -> ConceptClass:
             hyps.append(PartialHypothesis.total(size, (1 << size) - 1))
         return ConceptClass(size, tuple(hyps))
     if name == "threshold":
-        if n > FAMILY_THRESHOLD_MAX:
-            raise CapExceededError(f"threshold cap is d <= {FAMILY_THRESHOLD_MAX}")
         hyps = tuple(
             PartialHypothesis.total(n, (1 << i) - 1) for i in range(n + 1)
         )
         return ConceptClass(n, hyps)
-    if name == "subsets_leq":
-        d = n
-        width = d + 1
-        # the cube on d+1 points minus its all-plus concept
-        if width > FAMILY_CUBE_MAX:
-            raise CapExceededError(f"subsets_leq cap is d <= {FAMILY_CUBE_MAX - 1}")
-        full = (1 << width) - 1
-        hyps = tuple(
-            PartialHypothesis.total(width, _reversed_bits(i, width))
-            for i in range(1 << width)
-            if _reversed_bits(i, width) != full
-        )
-        return ConceptClass(width, hyps)
-    raise ValueError(f"unknown family {name!r}")
+    # subsets_leq: the cube on d+1 points minus its all-plus concept
+    full = (1 << size) - 1
+    hyps = tuple(
+        PartialHypothesis.total(size, _reversed_bits(i, size))
+        for i in range(1 << size)
+        if _reversed_bits(i, size) != full
+    )
+    return ConceptClass(size, hyps)
 
 
 def _reversed_bits(i: int, n: int) -> int:

@@ -8,7 +8,12 @@ form a cubical complex whose dimension equals VC for extremal classes; its
 barycentric subdivision is the order complex of the cube poset and, away from
 the full binary cube, embeds as a full subcomplex of the subdivided
 realizable complex.  Free points are shattered, so the cubes are found on the
-one shattered family of the class, which the Pajor count reads too.
+one shattered family of the class, which the Pajor count reads too.  The
+embedding is checked on the cubes alone: each must be the restriction of a
+concept to a nonempty support, and each maximal chain of cubes an extension
+chain.  The cubes on a support-dropping path from one concept always extend
+each other in turn, so fullness needs no walk of the realizable complex (the
+order complex of an induced subposet is always full).
 
 Collapsibility is certified constructively: a free face is a cube with exactly
 one proper coface in the current complex, and an elementary collapse removes
@@ -237,59 +242,6 @@ class EmbeddingReport:
     detail: str
 
 
-def _chain_cube_parts(
-    cls: ConceptClass, cube_bit: dict[tuple[int, int], int]
-) -> tuple[set[tuple[int, int]], set[int]]:
-    """Walk the maximal simplices of the subdivided realizable complex.
-
-    That complex is the order complex of the realizable partial hypotheses
-    with nonempty support; its maximal simplices are the support-dropping
-    paths from a concept down to a single defined point.  Returns the vertex
-    keys ``(plus, defined)`` and the distinct cube parts of the paths, where
-    ``cube_bit`` maps the key of each cube to its bit.  The paths are walked
-    once, with the cube parts below each vertex memoized, so the cost
-    follows the vertices and their stored parts rather than the |H|*n!
-    paths, which are never enumerated.  The vertices, and the vertices
-    plus the cube parts the memo holds, are each capped at
-    ``complexes.DEFAULT_CHAIN_CAP``.
-    """
-    verts: set[tuple[int, int]] = set()
-    for h in cls.hypotheses:
-        for defined in _submasks(h.defined):
-            if defined:
-                verts.add((h.plus & defined, defined))
-                if len(verts) > complexes.DEFAULT_CHAIN_CAP:
-                    raise CapExceededError("partial hypothesis cap exceeded")
-
-    below: dict[tuple[int, int], set[int]] = {}
-    held = 0  # memoized vertices plus the cube parts stored under them
-
-    def parts_below(plus: int, defined: int) -> set[int]:
-        # the cube parts of the paths from (plus, defined) down
-        nonlocal held
-        key = (plus, defined)
-        out = below.get(key)
-        if out is None:
-            bit = cube_bit.get(key, 0)
-            if not defined & (defined - 1):
-                out = {bit}
-            else:
-                out = set()
-                for x in bits(defined):
-                    d2 = defined & ~(1 << x)
-                    out.update(p | bit for p in parts_below(plus & d2, d2))
-            held += 1 + len(out)
-            if held > complexes.DEFAULT_CHAIN_CAP:
-                raise CapExceededError("chain enumeration cap exceeded")
-            below[key] = out
-        return out
-
-    parts: set[int] = set()
-    for h in cls.hypotheses:
-        parts |= parts_below(h.plus, h.defined)
-    return verts, parts
-
-
 def full_subcomplex_embedding_check(
     cls: ConceptClass, cc: Optional[CubicalComplex] = None
 ) -> EmbeddingReport:
@@ -303,17 +255,19 @@ def full_subcomplex_embedding_check(
     full cube the containment reverses: every realizable partial hypothesis
     with nonempty support is a cube.
 
-    Neither subdivided complex is built.  The maximal chains of cubes come
-    from one walk of the cube poset (``_cube_chains``).  The maximal simplices
-    of the subdivided realizable complex (the support-dropping paths from
-    each concept) are walked once, and each is kept only as its cube part:
-    the set of its vertices that are cubes.  Both containments are checked
-    on cube parts.  A set of cubes lies in a maximal simplex exactly when it
-    lies in that simplex's cube part, so a maximal chain of cubes is a
-    simplex there exactly when some cube part contains it.  Every simplex
-    spanned by cubes lies in some cube part, and the cube order complex is
-    closed under faces, so fullness holds exactly when every cube part is a
-    chain of cubes, which is tested on the poset directly.
+    Neither subdivided complex is built, and the realizable one is not
+    walked: only two things can fail.  Each cube must be a realizable vertex,
+    a restriction of some concept to a nonempty support, and each maximal
+    chain of ``_cube_chains`` must pass ``_is_chain``.  That suffices.  A
+    set of realizable cubes in which each extends the next lies in a maximal
+    simplex there: the concept extending its member of largest support
+    extends them all, and a support-dropping path from that concept passes
+    through their nested supports.  Conversely, the cubes on such a path are
+    restrictions of one concept to nested supports, so each extends the
+    next; this is fullness, which therefore holds on every input (the order
+    complex of an induced subposet is a full subcomplex).  In the full
+    binary cube every partial hypothesis is realizable, so each one with
+    nonempty support is looked up among the cubes.
 
     A caller that has already found the class extremal passes its cubical
     complex as ``cc``; without it, extremality is checked here first.
@@ -324,58 +278,40 @@ def full_subcomplex_embedding_check(
         cc = cubical_complex(cls)
     n = cls.domain_size
     if len(cls) == 1 << n:
-        # full binary cube: check every realizable nonempty-support partial
-        # hypothesis is a cube
+        # full binary cube: every nonempty-support partial hypothesis is
+        # realizable and must be a cube
         count = 0
         have = {(c.plus, c.defined) for c in cc.cubes}
-        for defined_mask in range(1, 1 << n):
-            for plus in _submasks(defined_mask):
-                h = PartialHypothesis(n, plus, defined_mask)
-                if realizable_partial(cls, h):
-                    count += 1
-                    if (h.plus, h.defined) not in have:
-                        return EmbeddingReport(True, False, count, 0, f"{h} not a cube")
+        for defined in range(1, 1 << n):
+            for plus in _submasks(defined):
+                count += 1
+                if (plus, defined) not in have:
+                    h = PartialHypothesis(n, plus, defined)
+                    return EmbeddingReport(True, False, count, 0, f"{h} not a cube")
         return EmbeddingReport(
             True, True, count, 0,
             "reversed case: the subdivided realizable complex sits inside the cube poset",
         )
 
-    cube_bit = {(c.plus, c.defined): 1 << i for i, c in enumerate(cc.cubes)}
-    verts, parts = _chain_cube_parts(cls, cube_bit)
-
-    # every cube is a vertex of the subdivided realizable complex
+    # every cube is a vertex of the subdivided realizable complex: a
+    # restriction of some concept to the cube's nonempty support
     for c in cc.cubes:
-        if c.defined == 0 or (c.plus, c.defined) not in verts:
+        if c.defined == 0 or not realizable_partial(cls, c):
             return EmbeddingReport(
                 False, False, len(cc.cubes), 0, f"cube {c} is not a realizable vertex"
             )
 
-    # every chain of cubes is a simplex there; a maximal chain that is
-    # itself a cube part needs no scan
+    # every maximal chain of cubes is an extension chain, so a simplex there
+    plus = [c.plus for c in cc.cubes]
+    defined = [c.defined for c in cc.cubes]
     chains = 0
     for s in _cube_chains(cc):
-        if s not in parts and not any((s & ~p) == 0 for p in parts):
+        if not _is_chain(plus, defined, s):
             return EmbeddingReport(
                 False, False, len(cc.cubes), chains,
                 "a chain of cubes is not realizable as a simplex",
             )
         chains += 1
-
-    # fullness: every cube part is a chain of cubes; a violation names the
-    # least violating part, so the parts need no sorting
-    plus = [c.plus for c in cc.cubes]
-    defined = [c.defined for c in cc.cubes]
-    broken = [part for part in parts if not _is_chain(plus, defined, part)]
-    if broken:
-        # in the order of the subdivided realizable complex's vertices
-        members = sorted(
-            (str(cc.cubes[i]) for i in bits(min(broken))),
-            key=lambda v: (len(v) - v.count("*"), v),
-        )
-        return EmbeddingReport(
-            False, False, len(cc.cubes), chains,
-            f"fullness violated on {members}",
-        )
     return EmbeddingReport(
         False, True, len(cc.cubes), chains, "full subcomplex embedding verified"
     )

@@ -103,6 +103,19 @@ class TestFamily:
         assert out.out == ""
         assert out.err == "budget exceeded: domain size 102 exceeds --max-domain 100\n"
 
+    def test_domain_cap_is_checked_before_the_family_is_built(self, capsys, monkeypatch):
+        def refuse(name, n):
+            raise AssertionError(f"family {name} {n} built past the domain cap")
+
+        monkeypatch.setattr(cli, "family_class", refuse)
+        assert cli.main(["--max-domain", "100", "family", "universal", "18"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "budget exceeded: domain size 262144 exceeds --max-domain 100\n"
+        # the family caps come first, with their own messages
+        assert cli.main(["--max-domain", "1", "family", "threshold", "100000"]) == 3
+        assert capsys.readouterr().err == "budget exceeded: threshold cap is d <= 4096\n"
+
     def test_hypothesis_cap_is_checked_on_the_result(self, capsys):
         argv = ["family", "cube", "2", "-m", "2"]
         assert cli.main(["--max-hypotheses", "16", *argv]) == 0

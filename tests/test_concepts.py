@@ -21,6 +21,7 @@ from spheredim.concepts import (
     dual_antipodal_witnesses,
     dual_class,
     family_class,
+    family_domain_size,
     format_class,
     mask_of,
     max_shattered_set,
@@ -763,6 +764,20 @@ class TestFamilies:
             family_class("threshold", 4097)
         with pytest.raises(ValueError):
             family_class("nonsense", 2)
+
+    def test_domain_size_is_read_without_building(self):
+        for name in ("cube", "universal", "universal_plus", "threshold", "subsets_leq"):
+            for n in (1, 2, 3, 4):
+                assert family_domain_size(name, n) == family_class(name, n).domain_size
+        assert family_domain_size("universal", 20) == 1 << 20
+        with pytest.raises(CapExceededError, match="universal cap is n <= 20"):
+            family_domain_size("universal_plus", 21)
+        with pytest.raises(CapExceededError, match="subsets_leq cap is d <= 19"):
+            family_domain_size("subsets_leq", 20)
+        with pytest.raises(ValueError):
+            family_domain_size("cube", 0)
+        with pytest.raises(ValueError):
+            family_domain_size("nonsense", 2)
 
     def test_caps_are_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr("spheredim.concepts.FAMILY_CUBE_MAX", 4)

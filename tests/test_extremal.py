@@ -309,26 +309,6 @@ def named_extremal_classes():
     return out
 
 
-def inject_cube_part(monkeypatch, bogus):
-    """Make the embedding check see ``bogus`` (a bitmask over the cubes in
-    (dimension, label) order) as one more cube part of the subdivided
-    realizable complex."""
-    real = extremal._chain_cube_parts
-
-    def with_bogus_part(cls, cube_bit):
-        verts, parts = real(cls, cube_bit)
-        return verts, parts | {bogus}
-
-    monkeypatch.setattr(extremal, "_chain_cube_parts", with_bogus_part)
-
-
-def fullness_detail(labels):
-    """The fullness failure naming ``labels`` in the order of the subdivided
-    realizable complex's vertices: by support size, then label."""
-    members = sorted(labels, key=lambda v: (len(v) - v.count("*"), v))
-    return f"fullness violated on {members}"
-
-
 # --- extremality --------------------------------------------------------
 
 
@@ -552,42 +532,6 @@ class TestEmbedding:
                 continue
             assert same_embedding_report(got, oracle_embedding_check(cls))
 
-    def test_fullness_agrees_on_dropped_chains(self, monkeypatch):
-        # a maximal chain whose vertex is swapped for one outside its top
-        # cube is not a simplex of the order complex; injected as a cube
-        # part, it must fail fullness with its members named
-        for cls in random_extremal_classes(101, 8, max_n=3) + [cls_of(FIG_SQUARE_WHISKER)]:
-            if len(cls) == 1 << cls.domain_size:
-                continue
-            sub = cubical_barycentric(cubical_complex(cls))
-            cubes = [PartialHypothesis.from_string(v) for v in sub.vertices]
-            for s in sub.maximal:
-                top = cubes[max(bits(s))]
-                outside = [
-                    i for i, c in enumerate(cubes) if c.dimension == 0 and not c.extends(top)
-                ]
-                if popcount(s) < 2 or not outside:
-                    continue
-                bogus = (s & ~(1 << min(bits(s)))) | 1 << outside[0]
-                assert not sub.has_simplex(bogus)
-                with monkeypatch.context() as patch:
-                    inject_cube_part(patch, bogus)
-                    report = full_subcomplex_embedding_check(cls)
-                assert not report.ok and not report.reversed_case
-                assert report.chains_checked == len(sub.maximal)
-                assert report.detail == fullness_detail(sub.vertices[i] for i in bits(bogus))
-
-    def test_dropped_chain_violates_fullness(self, monkeypatch):
-        # the chain **- > *-- with -+-, which is not a vertex of *--
-        cls = cls_of(FIG_SQUARE_WHISKER)
-        sub = cubical_barycentric(cubical_complex(cls))
-        index = sub.vertex_index()
-        inject_cube_part(monkeypatch, mask_of(index[row] for row in ("-+-", "*--", "**-")))
-        report = full_subcomplex_embedding_check(cls)
-        assert not report.ok and not report.reversed_case
-        assert report.chains_checked == len(sub.maximal) == 10
-        assert report.detail == "fullness violated on ['**-', '*--', '-+-']"
-
     def test_unrealizable_chain_rejected(self, monkeypatch):
         # two distinct concepts are never on one support-dropping path, so a
         # "chain" joining two 0-cubes is not a simplex of the subdivided
@@ -606,21 +550,33 @@ class TestEmbedding:
         want = oracle_embedding_check(cls)
         assert same_embedding_report(report, want) and report.detail == want.detail
 
-    def test_chain_cap(self, monkeypatch):
-        # a single concept on 10 points has 10! > 10**6 support-dropping
-        # paths, which the memoized walk never enumerates: its memo holds
-        # the 1023 nonempty-support restrictions, one cube part under each
-        cls = ConceptClass(10, (PartialHypothesis.total(10, 0),))
-        assert full_subcomplex_embedding_check(cls).ok
-        monkeypatch.setattr(complexes, "DEFAULT_CHAIN_CAP", 2 * 1023 - 1)
-        with pytest.raises(CapExceededError, match="chain enumeration cap exceeded"):
-            full_subcomplex_embedding_check(cls)
-        monkeypatch.setattr(complexes, "DEFAULT_CHAIN_CAP", 2 * 1023)
-        assert full_subcomplex_embedding_check(cls).ok
+    def test_cubes_of_another_class_are_rejected(self):
+        # the square-with-whisker cubes against the thresholdish class on the
+        # same three points: the first cube in (dimension, label) order that
+        # no concept extends is named, before any chain is checked
+        cls = cls_of(FIG_THRESHOLDISH)
+        cc = cubical_complex(cls_of(FIG_SQUARE_WHISKER))
+        first = next(c for c in cc.cubes if not realizable_partial(cls, c))
+        assert str(first) == "++-"
+        report = full_subcomplex_embedding_check(cls, cc)
+        assert not report.ok and not report.reversed_case
+        assert report.cube_vertices == len(cc.cubes) and report.chains_checked == 0
+        assert report.detail == "cube ++- is not a realizable vertex"
 
-    @pytest.mark.parametrize("n", [9, 12])
+    def test_no_chain_cap(self, monkeypatch):
+        # a single concept on 10 points has 10! support-dropping paths; the
+        # check reads only its one cube, so no chain cap applies
+        cls = ConceptClass(10, (PartialHypothesis.total(10, 0),))
+        monkeypatch.setattr(complexes, "DEFAULT_CHAIN_CAP", 1)
+        report = full_subcomplex_embedding_check(cls)
+        assert report == EmbeddingReport(
+            False, True, 1, 1, "full subcomplex embedding verified"
+        )
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
     def test_long_thresholds_answer(self, n, tmp_path, capsys):
-        # |H| * n! exceeds the chain cap from threshold 9 on
+        # the |H| * n! support-dropping paths pass the chain cap from
+        # threshold 9 on; the check walks none of them
         assert (n + 1) * math.factorial(n) > complexes.DEFAULT_CHAIN_CAP
         path = tmp_path / "t.cls"
         path.write_text(format_class(family_class("threshold", n)))
