@@ -106,6 +106,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
+def _emit_report(args, payload: dict, lines: list[str]) -> None:
+    """A report: the enveloped payload under --json, else its text lines."""
+    if args.json:
+        _emit(canonical_json(envelope("report", payload)), args.output)
+    else:
+        _emit("\n".join(lines) + "\n", args.output)
+
+
 def _class_hash(cls: ConceptClass) -> str:
     return hashlib.sha256(format_class(cls).encode()).hexdigest()[:12]
 
@@ -166,11 +174,8 @@ def _sd_payload(analysis: ClassAnalysis) -> dict:
 
 def cmd_dims(args) -> int:
     table = _dims_payload(ClassAnalysis(_load_class(args.file, args)), args.variant)
-    if args.json:
-        _emit(canonical_json(envelope("report", table)), args.output)
-    else:
-        names = {key: name for _, key, name, _ in DIMENSIONS}
-        _emit("".join(f"{names[k]:6} {v}\n" for k, v in table.items()), args.output)
+    names = {key: name for _, key, name, _ in DIMENSIONS}
+    _emit_report(args, table, [f"{names[k]:6} {v}" for k, v in table.items()])
     return 0
 
 
@@ -195,17 +200,13 @@ def cmd_witness(args) -> int:
 
 def cmd_sd(args) -> int:
     payload = _sd_payload(ClassAnalysis(_load_class(args.file, args)))
-    if args.json:
-        _emit(canonical_json(envelope("report", payload)), args.output)
-    else:
-        lower_names = ", ".join(c["name"] for c in payload["lower_certificates"])
-        upper_names = ", ".join(c["name"] for c in payload["upper_certificates"])
-        lines = [
-            f"sd interval [{payload['lower']}, {payload['upper']}]",
-            f"lower certificates: {lower_names}",
-            f"upper certificates: {upper_names}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    lower_names = ", ".join(c["name"] for c in payload["lower_certificates"])
+    upper_names = ", ".join(c["name"] for c in payload["upper_certificates"])
+    _emit_report(args, payload, [
+        f"sd interval [{payload['lower']}, {payload['upper']}]",
+        f"lower certificates: {lower_names}",
+        f"upper certificates: {upper_names}",
+    ])
     return 0
 
 
@@ -222,6 +223,11 @@ def cmd_extremal(args) -> int:
     cls = _load_class(args.file, args)
     report = is_extremal(cls)
     payload = _extremality_payload(report)
+    lines = [
+        f"hypotheses {report.size}",
+        f"shattered sets {report.shattered_count}",
+        f"extremal {str(report.extremal).lower()}",
+    ]
     if report.extremal:
         cc = cubical_complex(cls)
         payload["cube_counts"] = list(cc.counts())
@@ -238,42 +244,23 @@ def cmd_extremal(args) -> int:
             "reversed_case": embed.reversed_case,
             "detail": embed.detail,
         }
-    if args.json:
-        _emit(canonical_json(envelope("report", payload)), args.output)
-    else:
-        lines = [
-            f"hypotheses {payload['size']}",
-            f"shattered sets {payload['shattered_sets']}",
-            f"extremal {str(payload['extremal']).lower()}",
+        lines += [
+            f"cube counts {tuple(payload['cube_counts'])}",
+            f"barycentric face counts {tuple(payload['barycentric_face_counts'])}",
+            "collapsible " + ("no" if moves is None else f"yes in {len(moves)} steps"),
+            f"embedding {embed.detail}",
         ]
-        if report.extremal:
-            lines.append(f"cube counts {tuple(payload['cube_counts'])}")
-            lines.append(
-                f"barycentric face counts {tuple(payload['barycentric_face_counts'])}"
-            )
-            lines.append(
-                "collapsible "
-                + (
-                    f"yes in {payload['collapse']['steps']} steps"
-                    if payload["collapse"]["collapsible"]
-                    else "no"
-                )
-            )
-            lines.append(f"embedding {payload['embedding']['detail']}")
-        _emit("\n".join(lines) + "\n", args.output)
+    _emit_report(args, payload, lines)
     return 0
 
 
 def cmd_classify(args) -> int:
     payload = _classification_payload(ClassAnalysis(_load_class(args.file, args)))
-    if args.json:
-        _emit(canonical_json(envelope("report", payload)), args.output)
-    else:
-        lines = [f"bucket {payload['bucket']}"]
-        for key in ("flip", "order", "hexagon", "shattered_pair"):
-            if key in payload:
-                lines.append(f"{key} {payload[key]}")
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = [f"bucket {payload['bucket']}"]
+    for key in ("flip", "order", "hexagon", "shattered_pair"):
+        if key in payload:
+            lines.append(f"{key} {payload[key]}")
+    _emit_report(args, payload, lines)
     return 0
 
 
@@ -316,9 +303,6 @@ def cmd_report(args) -> int:
         "classification": classification,
         "lr_floor": lr_floor,
     }
-    if args.json:
-        _emit(canonical_json(envelope("report", payload)), args.output)
-        return 0
     lines = [
         f"class {payload['class']['hash']} on {cls.domain_size} points, {len(cls)} hypotheses",
         f"VC {dims['vc']}  VC* {dims['vc_dual']}  VC^a {dims['vc_antipodal']}  VC*a {dims['vc_dual_antipodal']}",
@@ -338,7 +322,7 @@ def cmd_report(args) -> int:
     lines.append(f"classification {classification['bucket']}")
     if lr_floor is not None:
         lines.append(f"list-replicability floor {lr_floor}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit_report(args, payload, lines)
     return 0
 
 

@@ -10,10 +10,14 @@ the full binary cube, embeds as a full subcomplex of the subdivided
 realizable complex.  Free points are shattered, so the cubes are found on the
 one shattered family of the class, which the Pajor count reads too.  The
 embedding is checked on the cubes alone: each must be the restriction of a
-concept to a nonempty support, and each maximal chain of cubes an extension
-chain.  The cubes on a support-dropping path from one concept always extend
-each other in turn, so fullness needs no walk of the realizable complex (the
-order complex of an induced subposet is always full).
+concept to a nonempty support.  A maximal chain of cubes is a facet-
+descending path, and a facet extends its cube, so every such chain is an
+extension chain by construction; the check counts them in closed form, j!*2^j
+below each top j-cube, and walks none.  The cubes on a support-dropping path
+from one concept always extend each other in turn, so fullness needs no walk
+of the realizable complex (the order complex of an induced subposet is
+always full).  Face counts of the subdivision are arithmetic on the cube
+counts, so no face cap applies to them.
 
 Collapsibility is certified constructively: a free face is a cube with exactly
 one proper coface in the current complex, and an elementary collapse removes
@@ -114,7 +118,7 @@ class CubicalComplex:
         out: dict[int, int] = {}
         for c in self.cubes:
             out[c.dimension] = out.get(c.dimension, 0) + 1
-        return tuple(out.get(d, 0) for d in range(max(out) + 1))
+        return tuple(out.get(d, 0) for d in range(max(out, default=-1) + 1))
 
     def rows(self) -> tuple[str, ...]:
         return tuple(str(c) for c in self.cubes)
@@ -159,34 +163,6 @@ def cubical_complex(cls: ConceptClass) -> CubicalComplex:
     return CubicalComplex(tuple(cubes))
 
 
-def _cube_chains(cc: CubicalComplex) -> list[int]:
-    """The maximal chains of the cube poset, sorted, as bitmasks over
-    positions in ``cc.cubes``.
-
-    A maximal chain is a facet-descending path from an inclusion-maximal cube
-    down to a vertex.
-    """
-    facets: list[list[int]] = [[] for _ in cc.cubes]
-    for j, up in enumerate(cc.cofaces):
-        for i in bits(up):
-            facets[i].append(j)
-    maximal: list[int] = []
-
-    def descend(r: int, chain_mask: int) -> None:
-        if not facets[r]:
-            maximal.append(chain_mask)
-            return
-        for f in facets[r]:
-            descend(f, chain_mask | 1 << f)
-
-    # a cube with a proper coface has a codimension-one coface, since the
-    # complex is closed under faces; so the top cubes are those without one
-    for i, up in enumerate(cc.cofaces):
-        if not up:
-            descend(i, 1 << i)
-    return sorted(maximal)
-
-
 def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
     """Face counts of the barycentric subdivision of ``cc``, the order
     complex of its cube poset, without building it.
@@ -194,38 +170,13 @@ def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
     A face of the order complex is a chain of cubes.  The complex is closed
     under facets, so below a j-cube sits the face lattice of a j-cube, with
     C(j, i)*2^(j-i) faces of dimension i, for the chain count of
-    ``complexes.subdivision_face_counts``.  A total over
-    ``complexes.DEFAULT_FACE_CAP`` raises.
+    ``complexes.subdivision_face_counts``.  The count is arithmetic on
+    ``cc.counts()`` and enumerates no chain, so no face cap applies; the
+    cubes themselves are bounded by ``DEFAULT_CUBE_CAP``.
     """
-    if not cc.cubes:
-        return ()
-    out = tuple(complexes.subdivision_face_counts(
+    return tuple(complexes.subdivision_face_counts(
         cc.counts(), lambda j, i: math.comb(j, i) << (j - i)
     ))
-    if sum(out) > complexes.DEFAULT_FACE_CAP:
-        raise CapExceededError("face enumeration cap exceeded")
-    return out
-
-
-def _is_chain(plus: list[int], defined: list[int], mask: int) -> bool:
-    """True when the cubes at the positions in ``mask`` form a chain: in
-    position order, each cube extends the next, cube i being read from
-    ``plus[i]`` and ``defined[i]``.  Equivalently, the set is a simplex of
-    the cube order complex, since every chain of a finite poset lies in a
-    maximal chain.  One pass over the bits of ``mask``, from the top, which
-    costs no negation of the mask."""
-    i = mask.bit_length() - 1
-    if i < 0:
-        return True
-    q, e = plus[i], defined[i]  # the last cube, which extends itself
-    while mask:
-        i = mask.bit_length() - 1
-        p, d = plus[i], defined[i]
-        if e & ~d or (p ^ q) & e:  # cube i does not extend the cube after it
-            return False
-        q, e = p, d
-        mask ^= 1 << i
-    return True
 
 
 def realizable_partial(cls: ConceptClass, h: PartialHypothesis) -> bool:
@@ -256,18 +207,24 @@ def full_subcomplex_embedding_check(
     with nonempty support is a cube.
 
     Neither subdivided complex is built, and the realizable one is not
-    walked: only two things can fail.  Each cube must be a realizable vertex,
-    a restriction of some concept to a nonempty support, and each maximal
-    chain of ``_cube_chains`` must pass ``_is_chain``.  That suffices.  A
-    set of realizable cubes in which each extends the next lies in a maximal
+    walked: only one thing can fail.  Each cube must be a realizable vertex,
+    a restriction of some concept to a nonempty support.  That suffices.
+    Every chain of cubes lies in a maximal one, a facet-descending path from
+    a top cube (one with no coface) to a vertex; ``CubicalComplex`` builds
+    its coface index from facets only, and a facet fixes one free point of
+    its cube, so along the path each cube extends the one above it.  A set
+    of realizable cubes in which each extends the next lies in a maximal
     simplex there: the concept extending its member of largest support
     extends them all, and a support-dropping path from that concept passes
     through their nested supports.  Conversely, the cubes on such a path are
     restrictions of one concept to nested supports, so each extends the
     next; this is fullness, which therefore holds on every input (the order
-    complex of an induced subposet is a full subcomplex).  In the full
-    binary cube every partial hypothesis is realizable, so each one with
-    nonempty support is looked up among the cubes.
+    complex of an induced subposet is a full subcomplex).  So the maximal
+    chains are counted, not walked: a j-cube has 2j facets, each a
+    (j-1)-cube, so j!*2^j distinct paths lead from a top j-cube down to a
+    vertex.  In the full binary cube every partial hypothesis is
+    realizable, so each one with nonempty support is looked up among the
+    cubes.
 
     A caller that has already found the class extremal passes its cubical
     complex as ``cc``; without it, extremality is checked here first.
@@ -301,17 +258,13 @@ def full_subcomplex_embedding_check(
                 False, False, len(cc.cubes), 0, f"cube {c} is not a realizable vertex"
             )
 
-    # every maximal chain of cubes is an extension chain, so a simplex there
-    plus = [c.plus for c in cc.cubes]
-    defined = [c.defined for c in cc.cubes]
-    chains = 0
-    for s in _cube_chains(cc):
-        if not _is_chain(plus, defined, s):
-            return EmbeddingReport(
-                False, False, len(cc.cubes), chains,
-                "a chain of cubes is not realizable as a simplex",
-            )
-        chains += 1
+    # every maximal chain of cubes is an extension chain, so a simplex there;
+    # j!*2^j of them descend from each top j-cube
+    chains = sum(
+        math.factorial(c.dimension) << c.dimension
+        for c, up in zip(cc.cubes, cc.cofaces)
+        if not up
+    )
     return EmbeddingReport(
         False, True, len(cc.cubes), chains, "full subcomplex embedding verified"
     )

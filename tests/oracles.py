@@ -14,9 +14,10 @@ None is part of the package, and no command reaches any of them:
   the antipodal extension and the restriction to representatives: a
   disambiguation's antipodes are its template's involution, each pair
   represented by its smaller vertex;
-- the restriction of a class at a partial hypothesis, and the order complex
-  of a cube poset, whose face counts ``extremal.cubical_face_counts`` reads
-  without building it;
+- the restriction of a class at a partial hypothesis, the maximal chains of
+  a cube poset, which the embedding check counts without listing them, and
+  the order complex they span, whose face counts
+  ``extremal.cubical_face_counts`` reads without building it;
 - the loader of the benchmark's corpus, whose classes several test files
   read.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from spheredim import complexes, extremal
+from spheredim import complexes
 from spheredim.complexes import AntipodalComplex, SimplicialComplex
 from spheredim.concepts import (
     CapExceededError,
@@ -321,14 +322,41 @@ def restriction(cls: ConceptClass, h: PartialHypothesis) -> ConceptClass:
     return out
 
 
+def cube_chains(cc: CubicalComplex) -> list[int]:
+    """The maximal chains of the cube poset, sorted, as bitmasks over
+    positions in ``cc.cubes``.
+
+    A maximal chain is a facet-descending path from an inclusion-maximal cube
+    down to a vertex.
+    """
+    facets: list[list[int]] = [[] for _ in cc.cubes]
+    for j, up in enumerate(cc.cofaces):
+        for i in bits(up):
+            facets[i].append(j)
+    maximal: list[int] = []
+
+    def descend(r: int, chain_mask: int) -> None:
+        if not facets[r]:
+            maximal.append(chain_mask)
+            return
+        for f in facets[r]:
+            descend(f, chain_mask | 1 << f)
+
+    # a cube with a proper coface has a codimension-one coface, since the
+    # complex is closed under faces; so the top cubes are those without one
+    for i, up in enumerate(cc.cofaces):
+        if not up:
+            descend(i, 1 << i)
+    return sorted(maximal)
+
+
 def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
     """Order complex of the cube poset: vertices are cubes, simplices chains.
 
     Maximal simplices are the facet-descending paths from the inclusion-
-    maximal cubes down to vertices, read through the module, so that a test
-    that patches ``extremal._cube_chains`` reaches this complex too.
+    maximal cubes down to vertices, as ``cube_chains`` lists them.
     """
-    return SimplicialComplex(cc.rows(), tuple(extremal._cube_chains(cc)))
+    return SimplicialComplex(cc.rows(), tuple(cube_chains(cc)))
 
 
 def bench_corpus():

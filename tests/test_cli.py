@@ -282,12 +282,27 @@ class TestExtremal:
             in out.stdout
         )
 
-    def test_cube_7_exceeds_face_cap(self, tmp_path):
-        # 17,121,893 chains of cubes, over the 10**7 face cap
+    def test_cube_7_answers_and_cube_8_exceeds_cube_cap(self, tmp_path):
+        # cube 7 has 17,121,893 chains of cubes, which are counted, not
+        # listed; cube 8 has 6,561 cubes, over the cube cap
         out = self.extremal_of_cube(7, tmp_path)
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert out.stdout == (
+            "hypotheses 128\n"
+            "shattered sets 128\n"
+            "extremal true\n"
+            "cube counts (128, 448, 672, 560, 280, 84, 14, 1)\n"
+            "barycentric face counts (2187, 75938, 669480, 2544528, 4986240, 5295360,"
+            " 2903040, 645120)\n"
+            "collapsible yes in 1093 steps\n"
+            "embedding reversed case: the subdivided realizable complex sits inside"
+            " the cube poset\n"
+        )
+        out = self.extremal_of_cube(8, tmp_path)
         assert out.returncode == 3
         assert out.stdout == ""
-        assert out.stderr == "budget exceeded: face enumeration cap exceeded\n"
+        assert out.stderr == "budget exceeded: cube cap 4096 exceeded\n"
 
 
 class TestClassify:

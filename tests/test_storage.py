@@ -528,6 +528,17 @@ class TestCubicalRoundtrip:
         store(shuffled, p)
         assert load("cubical", p) == shuffled
 
+    def test_empty_complex_counts(self, tmp_path):
+        # an empty complex has no cube of any dimension, before and after a
+        # round trip
+        empty = CubicalComplex(())
+        assert empty.counts() == ()
+        p = tmp_path / "empty.json"
+        store(empty, p)
+        assert json.loads(p.read_text())["payload"] == {"cubes": []}
+        back = load("cubical", p)
+        assert back == empty and back.counts() == ()
+
     def test_closure_violation_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(
