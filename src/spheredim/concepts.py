@@ -110,14 +110,6 @@ class PartialHypothesis:
         """Number of undefined coordinates, d(h) = n - |supp(h)|."""
         return self.n - popcount(self.defined)
 
-    def extends(self, other: "PartialHypothesis") -> bool:
-        """True when self >= other, i.e. self agrees with other on supp(other)."""
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (other.defined & ~self.defined) == 0 and (
-            (self.plus ^ other.plus) & other.defined
-        ) == 0
-
     def restrict(self, points: Sequence[int]) -> "PartialHypothesis":
         """Project onto the given points, reindexed in the given order."""
         plus = 0

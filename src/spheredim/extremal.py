@@ -8,7 +8,9 @@ form a cubical complex whose dimension equals VC for extremal classes; its
 barycentric subdivision is the order complex of the cube poset and, away from
 the full binary cube, embeds as a full subcomplex of the subdivided
 realizable complex.  Free points are shattered, so the cubes are found on the
-one shattered family of the class, which the Pajor count reads too.  The
+one shattered family of the class, which the Pajor count reads too, level by
+level: with x the top point of a shattered set S, a pattern k off S spans a
+cube on S iff k and k | x both span one on S - x.  The
 embedding is checked on the cubes alone: each must be the restriction of a
 concept to a nonempty support.  A maximal chain of cubes is a facet-
 descending path, and a facet extends its cube, so every such chain is an
@@ -22,7 +24,11 @@ counts, so no face cap applies to them.
 Collapsibility is certified constructively: a free face is a cube with exactly
 one proper coface in the current complex, and an elementary collapse removes
 the pair.  A certificate is a collapse sequence ending at a single vertex,
-found by greedy ordering with backtracking under a node budget.
+found by greedy ordering with backtracking under a node budget.  Each state
+of the search keeps its free faces as a bitmask.  Whether a cube is free
+depends only on which of its cofaces are left, and collapsing the pair
+(c, d) removes only c and d, so only the facets of c and of d can change
+status; the search tests those again and no other cube.
 
 Classes of VC at most 1 are classified into four mutually exclusive buckets:
 a singleton; threshold-like (a subclass of thresholds after a per-point sign
@@ -37,13 +43,12 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from spheredim.concepts import (
     CapExceededError,
     ConceptClass,
     PartialHypothesis,
-    bits,
     columns,
     mask_of,
     popcount,
@@ -91,76 +96,94 @@ class CubicalComplex:
 
     cubes: tuple[PartialHypothesis, ...]
     cofaces: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    facets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Sort the cubes by (dimension, label), check that they share one
-        length and are closed under facets, and build the coface index:
+        length and are closed under facets, and build the incidence index:
         ``cofaces[i]`` is the bitmask of the positions in ``cubes`` of the
-        codimension-one cubes that have ``cubes[i]`` as a facet."""
+        codimension-one cubes that have ``cubes[i]`` as a facet, and
+        ``facets[i]`` the bitmask of the facets of ``cubes[i]``.  Each cube's
+        dimension and label are computed once, for the sort, ``counts`` and
+        ``rows``."""
         if len({c.n for c in self.cubes}) > 1:
             raise ValueError("cubes must all have the same length")
-        object.__setattr__(
-            self, "cubes", tuple(sorted(self.cubes, key=lambda c: (c.dimension, str(c))))
-        )
-        index = {(c.plus, c.defined): i for i, c in enumerate(self.cubes)}
-        if len(index) != len(self.cubes):
+        n = self.cubes[0].n if self.cubes else 0
+        sort_keys = [(n - popcount(c.defined), str(c)) for c in self.cubes]
+        order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
+        cubes = tuple(self.cubes[i] for i in order)
+        counts = [0] * (max((d for d, _ in sort_keys), default=-1) + 1)
+        for d, _ in sort_keys:
+            counts[d] += 1
+        object.__setattr__(self, "cubes", cubes)
+        object.__setattr__(self, "_labels", tuple(sort_keys[i][1] for i in order))
+        object.__setattr__(self, "_counts", tuple(counts))
+        index = {c.plus | c.defined << n: i for i, c in enumerate(cubes)}
+        if len(index) != len(cubes):
             raise ValueError("duplicate cubes")
-        cofaces = [0] * len(self.cubes)
-        for i, c in enumerate(self.cubes):
-            for facet in _facets(c):
-                j = index.get((facet.plus, facet.defined))
-                if j is None:
-                    raise ValueError(f"cube {c} is missing its facet {facet}")
-                cofaces[j] |= 1 << i
+        full = (1 << n) - 1
+        cofaces = [0] * len(cubes)
+        facets = [0] * len(cubes)
+        for i, c in enumerate(cubes):
+            # a facet fixes one free point of its cube, each way
+            free = full & ~c.defined
+            while free:
+                bit = free & -free
+                free ^= bit
+                defined = c.defined | bit
+                for plus in (c.plus, c.plus | bit):
+                    j = index.get(plus | defined << n)
+                    if j is None:
+                        facet = PartialHypothesis(n, plus, defined)
+                        raise ValueError(f"cube {c} is missing its facet {facet}")
+                    cofaces[j] |= 1 << i
+                    facets[i] |= 1 << j
         object.__setattr__(self, "cofaces", tuple(cofaces))
+        object.__setattr__(self, "facets", tuple(facets))
 
     def counts(self) -> tuple[int, ...]:
-        out: dict[int, int] = {}
-        for c in self.cubes:
-            out[c.dimension] = out.get(c.dimension, 0) + 1
-        return tuple(out.get(d, 0) for d in range(max(out, default=-1) + 1))
+        return self._counts
 
     def rows(self) -> tuple[str, ...]:
-        return tuple(str(c) for c in self.cubes)
+        return self._labels
 
     @classmethod
     def from_strings(cls, rows) -> "CubicalComplex":
         return cls(tuple(PartialHypothesis.from_string(r) for r in rows))
 
 
-def _facets(c: PartialHypothesis) -> list[PartialHypothesis]:
-    """Subcubes of codimension one: fix one free coordinate each way."""
-    out = []
-    free = ((1 << c.n) - 1) & ~c.defined
-    for x in bits(free):
-        bit = 1 << x
-        out.append(PartialHypothesis(c.n, c.plus, c.defined | bit))
-        out.append(PartialHypothesis(c.n, c.plus | bit, c.defined | bit))
-    return out
-
-
 def cubical_complex(cls: ConceptClass) -> CubicalComplex:
     """All partial hypotheses whose completion cube lies inside the class,
-    at most ``DEFAULT_CUBE_CAP`` of them.  The free points of a cube are
-    shattered, so walking the shattered family finds every cube: a group of
-    2^k concepts that agree off a shattered k-set is one, and a set that is
-    shattered but not strongly shattered has no such group and adds none."""
+    at most ``DEFAULT_CUBE_CAP`` of them.
+
+    The free points of a cube are shattered, so the cubes are found on the
+    shattered family, one level after the other.  The cubes free on the
+    empty set are the concepts.  With x the top point of a shattered set S,
+    a pattern k off S is a cube free on S iff k and k | x are both cubes
+    free on S - x, which is shattered, one level down: the completions of
+    the two are the completions of k on S.  A set that is shattered but not
+    strongly shattered gets no cube this way.
+    """
     cls.require_total("cubical_complex")
     n = cls.domain_size
     full = (1 << n) - 1
-    cubes: list[PartialHypothesis] = []
+    # free set -> the plus masks of its cubes
+    found = {0: {h.plus for h in cls.hypotheses}}
+    count = 0
     for level in cls.shattered_levels:
         for smask in level:
-            target = 1 << popcount(smask)
-            groups: dict[int, int] = defaultdict(int)
-            for h in cls.hypotheses:
-                groups[h.plus & ~smask] += 1
-            for key, count in sorted(groups.items()):
-                if count == target:
-                    cubes.append(PartialHypothesis(n, key, full & ~smask))
-                    if len(cubes) > DEFAULT_CUBE_CAP:
-                        raise CapExceededError(f"cube cap {DEFAULT_CUBE_CAP} exceeded")
-    return CubicalComplex(tuple(cubes))
+            if smask:
+                x = 1 << (smask.bit_length() - 1)
+                lower = found[smask ^ x]
+                found[smask] = {k for k in lower if not k & x and k | x in lower}
+            count += len(found[smask])
+            if count > DEFAULT_CUBE_CAP:
+                raise CapExceededError(f"cube cap {DEFAULT_CUBE_CAP} exceeded")
+    return CubicalComplex(tuple(
+        PartialHypothesis(n, k, full & ~smask) for smask, keys in found.items() for k in keys
+    ))
 
 
 def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
@@ -177,11 +200,6 @@ def cubical_face_counts(cc: CubicalComplex) -> tuple[int, ...]:
     return tuple(complexes.subdivision_face_counts(
         cc.counts(), lambda j, i: math.comb(j, i) << (j - i)
     ))
-
-
-def realizable_partial(cls: ConceptClass, h: PartialHypothesis) -> bool:
-    """True when some concept of the class extends h."""
-    return any(g.extends(h) for g in cls.hypotheses)
 
 
 @dataclass(frozen=True)
@@ -234,6 +252,8 @@ def full_subcomplex_embedding_check(
             raise WitnessError("embedding check requires an extremal class")
         cc = cubical_complex(cls)
     n = cls.domain_size
+    if cc.cubes and cc.cubes[0].n != n:
+        raise ValueError("length mismatch")
     if len(cls) == 1 << n:
         # full binary cube: every nonempty-support partial hypothesis is
         # realizable and must be a cube
@@ -251,9 +271,16 @@ def full_subcomplex_embedding_check(
         )
 
     # every cube is a vertex of the subdivided realizable complex: a
-    # restriction of some concept to the cube's nonempty support
+    # restriction of some concept to the cube's nonempty support, so its
+    # pattern is among the concepts' patterns on that support
+    patterns: dict[int, set[int]] = {}
     for c in cc.cubes:
-        if c.defined == 0 or not realizable_partial(cls, c):
+        seen = patterns.get(c.defined)
+        if seen is None:
+            seen = patterns[c.defined] = {
+                g.plus & c.defined for g in cls.hypotheses if not c.defined & ~g.defined
+            }
+        if c.defined == 0 or c.plus not in seen:
             return EmbeddingReport(
                 False, False, len(cc.cubes), 0, f"cube {c} is not a realizable vertex"
             )
@@ -288,68 +315,78 @@ def collapse_certificate(
     dimension, then label) with backtracking.  Exhausting the node budget
     raises, which is distinct from a completed search finding no sequence;
     so does a complex of more than ``DEFAULT_CUBE_CAP`` cubes.
+
+    The free faces are kept incrementally.  Whether a cube is free depends
+    only on which of its cofaces are left, and collapsing the pair (c, d)
+    removes only c and d, so the cubes whose status can change are the
+    facets of c and of d; only those are tested again.
     """
     if len(cc.cubes) > DEFAULT_CUBE_CAP:
         raise CapExceededError(f"collapse cube cap is {DEFAULT_CUBE_CAP}")
     # A state is a bitmask over the cubes, which are in (dimension, label)
-    # order, so a scan of its bits visits candidate free faces in greedy order.
+    # order, so a scan of the bits of its free mask visits the free faces in
+    # greedy order.  Every state is closed under faces (an elementary collapse
+    # keeps that), so a cube has exactly one proper coface iff it has exactly
+    # one codimension-one coface: a coface of codimension two or more has two
+    # codimension-one cofaces of the cube among its faces.
     labels = cc.rows()
-    dims = [c.dimension for c in cc.cubes]
     cofaces = cc.cofaces
+    facets = cc.facets
+
+    def free_among(st: int, candidates: int) -> int:
+        # the free mask of ``st`` restricted to ``candidates``
+        out = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            up = cofaces[low.bit_length() - 1] & st
+            if up and not up & (up - 1):
+                out |= low
+        return out
+
     state = (1 << len(cc.cubes)) - 1
     dead: set[int] = set()
     moves: list[tuple[str, str]] = []
     nodes = 0
-
-    def free_pairs(st: int) -> list[tuple[int, int]]:
-        # Every state is closed under faces (an elementary collapse keeps
-        # that), so a cube has exactly one proper coface iff it has exactly
-        # one codimension-one coface: a coface of codimension two or more
-        # has two codimension-one cofaces of the cube among its faces.
-        out = []
-        rest = st
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            c = low.bit_length() - 1
-            up = cofaces[c] & st
-            if up and not up & (up - 1):
-                out.append((c, up.bit_length() - 1))
-        return out
-
     # the search is depth-first, with an explicit stack of the states
-    # entered and the free pairs each has left to try, so that its depth
-    # (one state per collapse step) is not bounded by Python's recursion
-    # limit
-    stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
+    # entered, each with its free mask and the free faces it has left to
+    # try, so that its depth (one state per collapse step) is not bounded by
+    # Python's recursion limit
+    stack: list[list[int]] = []
 
-    def enter(st: int) -> Optional[bool]:
+    def enter(st: int, free: int) -> Optional[bool]:
         # the outcome of a state decided on entry, or None once it is pushed
         nonlocal nodes
         if st and not st & (st - 1):
-            return dims[st.bit_length() - 1] == 0
+            return not facets[st.bit_length() - 1]  # a vertex has no facets
         if st in dead:
             return False
         nodes += 1
         if nodes > node_budget:
             raise CapExceededError(f"collapse node budget {node_budget} exceeded")
-        stack.append((st, iter(free_pairs(st))))
+        stack.append([st, free, free])
         return None
 
-    outcome = enter(state)
+    outcome = enter(state, free_among(state, state))
     while stack and not outcome:
-        st, pending = stack[-1]
+        top = stack[-1]
+        st, free, left = top
         if outcome is False:  # the state the last move led to failed
             moves.pop()
-        pair = next(pending, None)
-        if pair is None:
+        if not left:
             dead.add(st)
             stack.pop()
             outcome = False
-        else:
-            c, d = pair
-            moves.append((labels[c], labels[d]))
-            outcome = enter(st & ~(1 << c | 1 << d))
+            continue
+        low = left & -left  # the next free face c, and its one coface d
+        top[2] = left ^ low
+        c = low.bit_length() - 1
+        up = cofaces[c] & st
+        d = up.bit_length() - 1
+        moves.append((labels[c], labels[d]))
+        rest = st ^ low ^ up
+        touched = (facets[c] | facets[d]) & rest
+        outcome = enter(rest, free & rest & ~touched | free_among(rest, touched))
     return moves if outcome else None
 
 

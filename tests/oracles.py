@@ -14,21 +14,28 @@ None is part of the package, and no command reaches any of them:
   the antipodal extension and the restriction to representatives: a
   disambiguation's antipodes are its template's involution, each pair
   represented by its smaller vertex;
-- the restriction of a class at a partial hypothesis, the maximal chains of
-  a cube poset, which the embedding check counts without listing them, and
-  the order complex they span, whose face counts
+- the extension order on partial hypotheses, the restriction of a class at
+  a partial hypothesis, and the test that one is realizable, which the
+  embedding check makes on masks;
+- the maximal chains of a cube poset, which the embedding check counts
+  without listing them, and the order complex they span, whose face counts
   ``extremal.cubical_face_counts`` reads without building it;
+- the cubes of a class found by grouping all concepts once per shattered
+  set, which the level-by-level build replaced, and the collapse search that
+  rescans every cube for free faces at each step, which the search keeping
+  its free faces incrementally replaced;
 - the loader of the benchmark's corpus, whose classes several test files
   read.
 """
 
 import importlib.util
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from spheredim import complexes
+from spheredim import complexes, extremal
 from spheredim.complexes import AntipodalComplex, SimplicialComplex
 from spheredim.concepts import (
     CapExceededError,
@@ -308,7 +315,7 @@ def restriction(cls: ConceptClass, h: PartialHypothesis) -> ConceptClass:
     cls.require_total("restriction")
     if h.n != cls.domain_size:
         raise ValueError("length mismatch")
-    kept = tuple(g for g in cls.hypotheses if g.extends(h))
+    kept = tuple(g for g in cls.hypotheses if extends(g, h))
     if not kept:
         raise WitnessError(f"partial hypothesis {h} is not realizable")
     out = ConceptClass(cls.domain_size, kept)
@@ -320,6 +327,19 @@ def restriction(cls: ConceptClass, h: PartialHypothesis) -> ConceptClass:
     except CapExceededError:
         pass
     return out
+
+
+def extends(h: PartialHypothesis, other: PartialHypothesis) -> bool:
+    """True when h >= other in the extension order: h agrees with other on
+    the support of other."""
+    if h.n != other.n:
+        raise ValueError("length mismatch")
+    return (other.defined & ~h.defined) == 0 and ((h.plus ^ other.plus) & other.defined) == 0
+
+
+def realizable_partial(cls: ConceptClass, h: PartialHypothesis) -> bool:
+    """True when some concept of the class extends h."""
+    return any(extends(g, h) for g in cls.hypotheses)
 
 
 def cube_chains(cc: CubicalComplex) -> list[int]:
@@ -357,6 +377,105 @@ def cubical_barycentric(cc: CubicalComplex) -> SimplicialComplex:
     maximal cubes down to vertices, as ``cube_chains`` lists them.
     """
     return SimplicialComplex(cc.rows(), tuple(cube_chains(cc)))
+
+
+def grouped_cubical_complex(cls: ConceptClass) -> CubicalComplex:
+    """``extremal.cubical_complex`` by grouping: for each shattered k-set S,
+    the concepts are grouped by their pattern off S, and a group of 2^k is a
+    cube.  It reads ``extremal.DEFAULT_CUBE_CAP`` at call time."""
+    cls.require_total("cubical_complex")
+    n = cls.domain_size
+    full = (1 << n) - 1
+    cubes: list[PartialHypothesis] = []
+    for level in cls.shattered_levels:
+        for smask in level:
+            target = 1 << popcount(smask)
+            groups: dict[int, int] = defaultdict(int)
+            for h in cls.hypotheses:
+                groups[h.plus & ~smask] += 1
+            for key, count in sorted(groups.items()):
+                if count == target:
+                    cubes.append(PartialHypothesis(n, key, full & ~smask))
+                    if len(cubes) > extremal.DEFAULT_CUBE_CAP:
+                        raise CapExceededError(
+                            f"cube cap {extremal.DEFAULT_CUBE_CAP} exceeded"
+                        )
+    return CubicalComplex(tuple(cubes))
+
+
+def cube_incidence(cubes) -> tuple[tuple[PartialHypothesis, ...], list[int], list[int]]:
+    """The cubes in (dimension, label) order, with the coface and the facet
+    bitmask of each over positions in that order, as ``CubicalComplex``
+    indexed them by building every facet as a ``PartialHypothesis`` and
+    looking it up."""
+    ordered = tuple(sorted(cubes, key=lambda c: (c.dimension, str(c))))
+    index = {(c.plus, c.defined): i for i, c in enumerate(ordered)}
+    cofaces = [0] * len(ordered)
+    facets = [0] * len(ordered)
+    for i, c in enumerate(ordered):
+        for x in bits(((1 << c.n) - 1) & ~c.defined):
+            for plus in (c.plus, c.plus | 1 << x):
+                j = index[(plus, c.defined | 1 << x)]
+                cofaces[j] |= 1 << i
+                facets[i] |= 1 << j
+    return ordered, cofaces, facets
+
+
+def rescan_collapse_certificate(
+    cc: CubicalComplex, node_budget: int = extremal.DEFAULT_COLLAPSE_BUDGET
+) -> Optional[list[tuple[str, str]]]:
+    """``extremal.collapse_certificate`` with the free faces of each state
+    found by scanning every cube of it: the same depth-first search, in the
+    same greedy order, under the same node budget and cube cap."""
+    if len(cc.cubes) > extremal.DEFAULT_CUBE_CAP:
+        raise CapExceededError(f"collapse cube cap is {extremal.DEFAULT_CUBE_CAP}")
+    labels = cc.rows()
+    dims = [c.dimension for c in cc.cubes]
+    cofaces = cc.cofaces
+    state = (1 << len(cc.cubes)) - 1
+    dead: set[int] = set()
+    moves: list[tuple[str, str]] = []
+    nodes = 0
+
+    def free_pairs(st: int) -> list[tuple[int, int]]:
+        # a cube of a face-closed state is free iff it has exactly one
+        # codimension-one coface in it
+        out = []
+        for c in bits(st):
+            up = cofaces[c] & st
+            if up and not up & (up - 1):
+                out.append((c, up.bit_length() - 1))
+        return out
+
+    stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
+
+    def enter(st: int) -> Optional[bool]:
+        nonlocal nodes
+        if st and not st & (st - 1):
+            return dims[st.bit_length() - 1] == 0
+        if st in dead:
+            return False
+        nodes += 1
+        if nodes > node_budget:
+            raise CapExceededError(f"collapse node budget {node_budget} exceeded")
+        stack.append((st, iter(free_pairs(st))))
+        return None
+
+    outcome = enter(state)
+    while stack and not outcome:
+        st, pending = stack[-1]
+        if outcome is False:
+            moves.pop()
+        pair = next(pending, None)
+        if pair is None:
+            dead.add(st)
+            stack.pop()
+            outcome = False
+        else:
+            c, d = pair
+            moves.append((labels[c], labels[d]))
+            outcome = enter(st & ~(1 << c | 1 << d))
+    return moves if outcome else None
 
 
 def bench_corpus():

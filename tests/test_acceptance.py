@@ -43,7 +43,6 @@ from spheredim.extremal import (
     cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
-    realizable_partial,
 )
 from spheredim.signrank import (
     product_representation,
@@ -63,6 +62,7 @@ from oracles import (
     cubical_barycentric,
     euler_characteristic,
     face_counts,
+    realizable_partial,
     restriction,
     strongly_shattered_family,
 )

@@ -1,15 +1,21 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from spheredim import cli
+from spheredim.concepts import family_class, format_class
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+CI_EXTREMAL_FAMILIES = ("subsets_leq 6", "threshold 12", "threshold 16", "cube 7")
 
 
 def run_cli(*argv, env_extra=None):
@@ -281,6 +287,32 @@ class TestExtremal:
             "barycentric face counts (729, 14896, 87128, 224640, 289920, 184320, 46080)\n"
             in out.stdout
         )
+
+    @staticmethod
+    def ci_pinned_outputs():
+        """The families that the workflow's "Extremal on large families"
+        step runs, and the stdout it pins for each, read from its heredocs:
+        file stem -> text."""
+        step = WORKFLOW.read_text().split("- name: Extremal on large families", 1)[1]
+        step = step.split("- name:", 1)[0]
+        loop = re.search(r"for family in (.*); do", step).group(1)
+        assert re.findall(r'"([^"]+)"', loop) == list(CI_EXTREMAL_FAMILIES)
+        bodies = re.findall(
+            r'cat > "\$RUNNER_TEMP/(\w+)\.out" <<\'OUT\'\n(.*?\n) *OUT\n', step, re.S
+        )
+        return {stem: textwrap.dedent(body) for stem, body in bodies}
+
+    @pytest.mark.parametrize("family", CI_EXTREMAL_FAMILIES)
+    def test_large_families_match_ci(self, family, tmp_path, capsys):
+        # the same runs as the workflow step, in-process, so a wrong count
+        # or step number fails locally too
+        pinned = self.ci_pinned_outputs()
+        assert sorted(pinned) == sorted(f.replace(" ", "_") for f in CI_EXTREMAL_FAMILIES)
+        name, n = family.split()
+        path = tmp_path / "family.cls"
+        path.write_text(format_class(family_class(name, int(n))))
+        assert cli.main(["extremal", str(path)]) == 0
+        assert capsys.readouterr().out == pinned[family.replace(" ", "_")]
 
     def test_cube_7_answers_and_cube_8_exceeds_cube_cap(self, tmp_path):
         # cube 7 has 17,121,893 chains of cubes, which are counted, not

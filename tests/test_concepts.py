@@ -36,7 +36,7 @@ from spheredim.concepts import (
     _shatters_mask,
 )
 
-from oracles import _strongly_shatters_mask, strongly_shattered_family
+from oracles import _strongly_shatters_mask, extends, strongly_shattered_family
 
 V = DimensionVariant
 
@@ -290,9 +290,9 @@ class TestPartialHypothesis:
     def test_extension_order(self):
         lo = PartialHypothesis.from_string("+**")
         hi = PartialHypothesis.from_string("+-*")
-        assert hi.extends(lo)
-        assert not lo.extends(hi)
-        assert hi.extends(hi)
+        assert extends(hi, lo)
+        assert not extends(lo, hi)
+        assert extends(hi, hi)
 
     @staticmethod
     def parse_by_character(text):

@@ -35,7 +35,6 @@ from spheredim.extremal import (
     cubical_face_counts,
     full_subcomplex_embedding_check,
     is_extremal,
-    realizable_partial,
     verify_threshold_certificate,
 )
 from spheredim.spheres import verify_witness
@@ -43,8 +42,13 @@ from spheredim.spheres import verify_witness
 from oracles import (
     cube_chains,
     cubical_barycentric,
+    cube_incidence,
     euler_characteristic,
+    extends,
     face_counts,
+    grouped_cubical_complex,
+    realizable_partial,
+    rescan_collapse_certificate,
     restriction,
     strongly_shattered_family,
 )
@@ -167,7 +171,7 @@ def validate_collapse(cc, moves):
         free = PartialHypothesis.from_string(free_s)
         cof = PartialHypothesis.from_string(cof_s)
         assert free in state and cof in state
-        cofaces = [d for d in state if d != free and free.extends(d)]
+        cofaces = [d for d in state if d != free and extends(free, d)]
         assert cofaces == [cof]
         state -= {free, cof}
     assert len(state) == 1
@@ -292,7 +296,7 @@ def oracle_collapse_certificate(cc, node_budget=extremal.DEFAULT_COLLAPSE_BUDGET
     def free_pairs(st):
         out = []
         for c in st:
-            cofaces = [d for d in st if d is not c and c != d and c.extends(d)]
+            cofaces = [d for d in st if d is not c and c != d and extends(c, d)]
             if len(cofaces) == 1:
                 out.append((c, cofaces[0]))
         out.sort(key=lambda p: (p[0].dimension, str(p[0])))
@@ -318,6 +322,43 @@ def oracle_collapse_certificate(cc, node_budget=extremal.DEFAULT_COLLAPSE_BUDGET
     if dfs(state):
         return moves
     return None
+
+
+def closed_downsets(seed, n, count):
+    """Seeded down-closed families on n points, as classes: the subsets of
+    one to four random sets of one to four points each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        members = set()
+        for _ in range(rng.randint(1, 4)):
+            g = mask_of(rng.sample(range(n), rng.randint(1, 4)))
+            members.update(m for m in range(1 << n) if m & ~g == 0)
+        hyps = tuple(PartialHypothesis.total(n, m) for m in sorted(members))
+        out.append(ConceptClass(n, hyps))
+    return out
+
+
+def replaced_code_corpus():
+    """The classes on which the cube build and the collapse search are
+    compared with the code they replaced (``grouped_cubical_complex`` and
+    ``rescan_collapse_certificate``): cube 5-6, subsets_leq 4-5, threshold
+    8, 20 down-sets on 6 points and 40 non-extremal classes on at most 5
+    points, whose searches backtrack or find no certificate."""
+    classes = [family_class("cube", 5), family_class("cube", 6)]
+    classes += [family_class("subsets_leq", 4), family_class("subsets_leq", 5)]
+    classes.append(family_class("threshold", 8))
+    classes += closed_downsets(131, 6, 20)
+    rng = random.Random(137)
+    nonextremal = []
+    while len(nonextremal) < 40:
+        cls = random_class(rng, max_n=5, max_size=12)
+        if not is_extremal(cls).extremal:
+            nonextremal.append(cls)
+    return classes + nonextremal
+
+
+HOLLOW_CYCLE = ("--", "-+", "+-", "++", "*-", "*+", "-*", "+*")
 
 
 def named_extremal_classes():
@@ -420,7 +461,7 @@ class TestCubicalBarycentric:
             for combo in itertools.combinations(cubes, r):
                 ordered = sorted(combo, key=lambda c: c.dimension)
                 if all(
-                    b.extends(a) or a.extends(b)
+                    extends(b, a) or extends(a, b)
                     for a, b in itertools.combinations(ordered, 2)
                 ):
                     total += 1
@@ -475,7 +516,7 @@ class TestCubicalBarycentric:
                 size = rng.randint(1, min(4, len(order)))
                 part = mask_of(rng.sample(range(len(order)), size))
                 members = [order[i] for i in bits(part)]
-                want = all(a.extends(b) for a, b in zip(members, members[1:]))
+                want = all(extends(a, b) for a, b in zip(members, members[1:]))
                 assert is_chain(plus, defined, part) == want
                 assert want == sub.has_simplex(part)
             # every facet-descending path is an extension chain, which is
@@ -652,6 +693,74 @@ class TestRestriction:
                         assert is_extremal(restriction(cls, h)).extremal
 
 
+class TestAgainstReplacedCode:
+    """The level-by-level cube build and the search that keeps its free
+    faces incrementally give what the code they replaced gave."""
+
+    @staticmethod
+    def outcome(search, cc, budget):
+        try:
+            return ("done", search(cc, node_budget=budget))
+        except CapExceededError as exc:
+            return ("cap", str(exc))
+
+    def test_cubical_complex_matches_grouping(self):
+        for cls in replaced_code_corpus():
+            got = cubical_complex(cls)
+            want = grouped_cubical_complex(cls)
+            assert got.cubes == want.cubes and got.cofaces == want.cofaces
+            ordered, cofaces, facets = cube_incidence(want.cubes)
+            assert got.cubes == ordered
+            assert list(got.cofaces) == cofaces and list(got.facets) == facets
+            assert got.rows() == tuple(str(c) for c in ordered)
+            assert got.counts() == tuple(
+                sum(c.dimension == d for c in ordered)
+                for d in range(max(c.dimension for c in ordered) + 1)
+            )
+
+    def test_collapse_matches_rescan(self):
+        ccs = [cubical_complex(cls) for cls in replaced_code_corpus()]
+        ccs.append(CubicalComplex.from_strings(HOLLOW_CYCLE))
+        backtracked = 0
+        for cc in ccs:
+            for budget in (0, 1, 2, 3, 5, 8, extremal.DEFAULT_COLLAPSE_BUDGET):
+                got = self.outcome(collapse_certificate, cc, budget)
+                assert got == self.outcome(rescan_collapse_certificate, cc, budget)
+            # a search that enters more states than one per move, or than
+            # one if it fails, backtracked
+            moves = got[1]
+            if self.outcome(collapse_certificate, cc, len(moves or [None]))[0] == "cap":
+                backtracked += 1
+        assert got == ("done", None)  # the hollow cycle
+        assert backtracked >= 20
+
+    def test_cube_cap_exit_matches(self, monkeypatch, tmp_path, capsys):
+        classes = replaced_code_corpus()[::5]
+        totals = [len(cubical_complex(cls).cubes) for cls in classes]
+        for cls, total in zip(classes, totals):
+            for cap in sorted({0, 1, len(cls), total // 2, total - 1, total}):
+                monkeypatch.setattr(extremal, "DEFAULT_CUBE_CAP", cap)
+                results = []
+                for build in (cubical_complex, grouped_cubical_complex):
+                    try:
+                        results.append(build(cls).cubes)
+                    except CapExceededError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1]
+                assert (results[0] == f"cube cap {cap} exceeded") == (total > cap)
+        # the command exits 3 on it, after the Pajor count
+        path = tmp_path / "subsets.cls"
+        path.write_text(format_class(family_class("subsets_leq", 4)))
+        monkeypatch.setattr(extremal, "DEFAULT_CUBE_CAP", 210)
+        assert cli.main(["extremal", str(path)]) == 3
+        assert capsys.readouterr().err == "budget exceeded: cube cap 210 exceeded\n"
+        monkeypatch.setattr(extremal, "DEFAULT_CUBE_CAP", 3)
+        cc = CubicalComplex.from_strings(HOLLOW_CYCLE)
+        for search in (collapse_certificate, rescan_collapse_certificate):
+            with pytest.raises(CapExceededError, match="^collapse cube cap is 3$"):
+                search(cc)
+
+
 class TestCollapse:
     def test_square_collapses(self):
         cc = cubical_complex(family_class("cube", 2))
@@ -666,7 +775,7 @@ class TestCollapse:
         validate_collapse(cc, moves)
 
     def test_hollow_cycle_has_no_certificate(self):
-        cc = CubicalComplex.from_strings(["--", "-+", "+-", "++", "*-", "*+", "-*", "+*"])
+        cc = CubicalComplex.from_strings(HOLLOW_CYCLE)
         assert collapse_certificate(cc) is None
         assert oracle_collapse_certificate(cc) is None
 
