@@ -19,6 +19,7 @@ from spheredim.concepts import (
     CapExceededError,
     ClassFormatError,
     ConceptClass,
+    PartialHypothesis,
     family_class,
     family_domain_size,
     format_class,
@@ -118,18 +119,16 @@ def _class_hash(cls: ConceptClass) -> str:
     return hashlib.sha256(format_class(cls).encode()).hexdigest()[:12]
 
 
-def _flip_string(mask: int, n: int) -> str:
-    return "".join("-" if mask & (1 << x) else "+" for x in range(n))
-
-
 def _classification_payload(analysis: ClassAnalysis) -> dict:
     got = analysis.classification
     if isinstance(got, Singleton):
         return {"bucket": "singleton"}
     if isinstance(got, ThresholdLike):
+        # the flip row reads '-' at the flipped points, '+' elsewhere
+        n = analysis.cls.domain_size
         return {
             "bucket": "threshold_like",
-            "flip": _flip_string(got.flip_mask, analysis.cls.domain_size),
+            "flip": str(PartialHypothesis.total(n, ((1 << n) - 1) & ~got.flip_mask)),
             "order": list(got.order),
         }
     if isinstance(got, Vc1NonThreshold):

@@ -23,6 +23,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 ALPHABET = {"-", "+", "*"}
+# the digit of a point in ``PartialHypothesis.__str__``: undefined, minus, plus
+_ROW_GLYPHS = str.maketrans("012", "*-+")
 
 DEFAULT_PRODUCT_CAP = 1 << 20
 FAMILY_CUBE_MAX = 20
@@ -77,8 +79,9 @@ class PartialHypothesis:
 
     @classmethod
     def from_string(cls, text: str) -> "PartialHypothesis":
-        """Parse a row in linear time: character i is bit i, so the
-        reversed row, rewritten as two 0/1 strings, gives both masks."""
+        """Parse a row in linear time, the mirror image of ``__str__``:
+        character i is bit i, so the reversed row, rewritten as two 0/1
+        strings, gives both masks."""
         if not ALPHABET.issuperset(text):
             ch = next(ch for ch in text if ch not in ALPHABET)
             raise ClassFormatError(f"illegal character {ch!r} in hypothesis")
@@ -92,14 +95,14 @@ class PartialHypothesis:
         return cls(n, plus, (1 << n) - 1)
 
     def __str__(self) -> str:
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            if not self.defined & bit:
-                out.append("*")
-            else:
-                out.append("+" if self.plus & bit else "-")
-        return "".join(out)
+        """Write the row in linear time, the mirror image of ``from_string``:
+        the two masks, written in binary and read as octal digits, add to
+        one digit per point (0 undefined, 1 minus, 2 plus) under a sentinel
+        at bit n, and the reversed octal string, sentinel dropped, puts
+        bit i at character i."""
+        digits = int(format(self.defined | 1 << self.n, "b"), 8)
+        digits += int(format(self.plus, "b"), 8)
+        return format(digits, "o")[:0:-1].translate(_ROW_GLYPHS)
 
     @property
     def is_total(self) -> bool:
@@ -541,49 +544,33 @@ def family_domain_size(name: str, n: int) -> int:
 def family_class(name: str, n: int) -> ConceptClass:
     """Canonical generators for the named class families.
 
-    cube(n): all 2^n hypotheses on n points.
+    cube(n): all 2^n hypotheses on n points, the n-th power of the one-point
+        class {-, +}, so in power order: lexicographic, '-' before '+'.
     universal(n): n indicator hypotheses on the 2^n subsets of [n].
     universal_plus(n): universal(n) plus the all-minus and all-plus hypotheses.
     threshold(d): d+1 hypotheses on d points, h_i positive on the first i points.
-    subsets_leq(d): indicators of all subsets of size <= d of a (d+1)-point set.
+    subsets_leq(d): indicators of all subsets of size <= d of a (d+1)-point set:
+        cube(d+1) without its last row, the all-plus one.
     """
     size = family_domain_size(name, n)
-    if name == "cube":
-        hyps = tuple(
-            PartialHypothesis.total(n, _reversed_bits(i, n)) for i in range(1 << n)
-        )
-        return ConceptClass(n, hyps)
-    if name in ("universal", "universal_plus"):
-        hyps = []
-        for i in range(n):
-            plus = 0
-            for s in range(size):
-                if s & (1 << i):
-                    plus |= 1 << s
-            hyps.append(PartialHypothesis.total(size, plus))
-        if name == "universal_plus":
-            hyps.append(PartialHypothesis.total(size, 0))
-            hyps.append(PartialHypothesis.total(size, (1 << size) - 1))
-        return ConceptClass(size, tuple(hyps))
+    if name in ("cube", "subsets_leq"):
+        cube = power_class(ConceptClass.from_strings(["-", "+"]), size)
+        if name == "cube":
+            return cube
+        return ConceptClass(size, cube.hypotheses[:-1])
     if name == "threshold":
         hyps = tuple(
             PartialHypothesis.total(n, (1 << i) - 1) for i in range(n + 1)
         )
         return ConceptClass(n, hyps)
-    # subsets_leq: the cube on d+1 points minus its all-plus concept
-    full = (1 << size) - 1
-    hyps = tuple(
-        PartialHypothesis.total(size, _reversed_bits(i, size))
-        for i in range(1 << size)
-        if _reversed_bits(i, size) != full
-    )
-    return ConceptClass(size, hyps)
-
-
-def _reversed_bits(i: int, n: int) -> int:
-    """Reindex so that the leftmost string position is the most significant bit."""
-    out = 0
-    for j in range(n):
-        if i & (1 << (n - 1 - j)):
-            out |= 1 << j
-    return out
+    # point s of universal(n) is the subset of [n] with the set bits of s
+    hyps = [
+        PartialHypothesis.total(
+            size, int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (n - 1 - i)), 2)
+        )
+        for i in range(n)
+    ]
+    if name == "universal_plus":
+        hyps.append(PartialHypothesis.total(size, 0))
+        hyps.append(PartialHypothesis.total(size, (1 << size) - 1))
+    return ConceptClass(size, tuple(hyps))

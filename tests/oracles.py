@@ -24,6 +24,11 @@ None is part of the package, and no command reaches any of them:
   set, which the level-by-level build replaced, and the collapse search that
   rescans every cube for free faces at each step, which the search keeping
   its free faces incrementally replaced;
+- the formatter of a row by one bit test per character, which the one-pass
+  ``PartialHypothesis.__str__`` replaced, and the CLI's own writer of a
+  threshold certificate's flip, which now goes through that one codec;
+- the named families built by loops over bits, which powers of the
+  one-point cube and one binary string per universal row replaced;
 - the loader of the benchmark's corpus, whose classes several test files
   read.
 """
@@ -43,6 +48,7 @@ from spheredim.concepts import (
     PartialHypothesis,
     _monotone_family,
     bits,
+    family_domain_size,
     popcount,
 )
 from spheredim.disamb import is_antipodal_class
@@ -476,6 +482,71 @@ def rescan_collapse_certificate(
             moves.append((labels[c], labels[d]))
             outcome = enter(st & ~(1 << c | 1 << d))
     return moves if outcome else None
+
+
+def row_by_character(h: PartialHypothesis) -> str:
+    """Character i of the row tests bit i of each mask: quadratic in the row
+    length, since each test ANDs a whole mask."""
+    out = []
+    for i in range(h.n):
+        bit = 1 << i
+        if not h.defined & bit:
+            out.append("*")
+        else:
+            out.append("+" if h.plus & bit else "-")
+    return "".join(out)
+
+
+def flip_string(mask: int, n: int) -> str:
+    """A threshold certificate's flip row: '-' at the flipped points."""
+    return "".join("-" if mask & (1 << x) else "+" for x in range(n))
+
+
+def family_class_by_loops(name: str, n: int) -> ConceptClass:
+    """The named families built bit by bit, under the caps of
+    ``family_domain_size``: the cube enumerates 0..2^n - 1 with its leftmost
+    point as the most significant bit, and a universal row tests each point
+    against its index."""
+    size = family_domain_size(name, n)
+    if name == "cube":
+        hyps = tuple(
+            PartialHypothesis.total(n, _reversed_bits(i, n)) for i in range(1 << n)
+        )
+        return ConceptClass(n, hyps)
+    if name in ("universal", "universal_plus"):
+        hyps = []
+        for i in range(n):
+            plus = 0
+            for s in range(size):
+                if s & (1 << i):
+                    plus |= 1 << s
+            hyps.append(PartialHypothesis.total(size, plus))
+        if name == "universal_plus":
+            hyps.append(PartialHypothesis.total(size, 0))
+            hyps.append(PartialHypothesis.total(size, (1 << size) - 1))
+        return ConceptClass(size, tuple(hyps))
+    if name == "threshold":
+        hyps = tuple(
+            PartialHypothesis.total(n, (1 << i) - 1) for i in range(n + 1)
+        )
+        return ConceptClass(n, hyps)
+    # subsets_leq: the cube on d+1 points minus its all-plus concept
+    full = (1 << size) - 1
+    hyps = tuple(
+        PartialHypothesis.total(size, _reversed_bits(i, size))
+        for i in range(1 << size)
+        if _reversed_bits(i, size) != full
+    )
+    return ConceptClass(size, hyps)
+
+
+def _reversed_bits(i: int, n: int) -> int:
+    """Reindex so that the leftmost string position is the most significant bit."""
+    out = 0
+    for j in range(n):
+        if i & (1 << (n - 1 - j)):
+            out |= 1 << j
+    return out
 
 
 def bench_corpus():

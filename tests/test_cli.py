@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +12,10 @@ from pathlib import Path
 import pytest
 
 from spheredim import cli
-from spheredim.concepts import family_class, format_class
+from spheredim.concepts import ConceptClass, PartialHypothesis, family_class, format_class
+from spheredim.spheres import ClassAnalysis
+
+from oracles import flip_string
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -108,6 +113,17 @@ class TestFamily:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "budget exceeded: domain size 102 exceeds --max-domain 100\n"
+
+    def test_universal_18_is_written_in_one_pass(self, tmp_path):
+        # 18 rows of 262,144 points; the digest is that of the rows written
+        # one character per bit test, which took about 20 s on Python 3.11
+        path = tmp_path / "universal18.cls"
+        assert cli.main(["family", "universal", "18", "-o", str(path)]) == 0
+        data = path.read_bytes()
+        assert len(data) == 4_718_610
+        assert hashlib.sha256(data).hexdigest() == (
+            "cae2a781a086ffa82d6070656c0783be53612b8edd4eb5e9aaa832b6e425ddc7"
+        )
 
     def test_domain_cap_is_checked_before_the_family_is_built(self, capsys, monkeypatch):
         def refuse(name, n):
@@ -343,6 +359,23 @@ class TestClassify:
         payload = json.loads(out.stdout)["payload"]
         assert payload["bucket"] == "threshold_like"
         assert payload["order"] == [0, 1, 2]
+
+    def test_flip_row_matches_the_writer_by_character(self):
+        # thresholds on 1-64 points under seeded flips and point orders: the
+        # payload writes the certificate's flip mask '-' at each flipped point
+        rng = random.Random(42)
+        for _ in range(150):
+            d = rng.randint(1, 64)
+            flip = rng.getrandbits(d)
+            order = rng.sample(range(d), d)
+            prefixes = [sum(1 << x for x in order[:i]) for i in range(d + 1)]
+            cls = ConceptClass(
+                d, tuple(PartialHypothesis.total(d, p ^ flip) for p in prefixes)
+            )
+            analysis = ClassAnalysis(cls)
+            payload = cli._classification_payload(analysis)
+            assert payload["bucket"] == "threshold_like"
+            assert payload["flip"] == flip_string(analysis.classification.flip_mask, d)
 
     def test_hexagon_bucket(self, tmp_path):
         p = tmp_path / "three.cls"

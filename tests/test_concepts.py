@@ -36,7 +36,13 @@ from spheredim.concepts import (
     _shatters_mask,
 )
 
-from oracles import _strongly_shatters_mask, extends, strongly_shattered_family
+from oracles import (
+    _strongly_shatters_mask,
+    extends,
+    family_class_by_loops,
+    row_by_character,
+    strongly_shattered_family,
+)
 
 V = DimensionVariant
 
@@ -327,6 +333,27 @@ class TestPartialHypothesis:
                 h = PartialHypothesis.from_string(row)
                 assert (h.n, h.plus, h.defined) == want
                 assert str(h) == row
+
+    def test_str_matches_the_formatter_by_character(self):
+        # total and partial rows of 0-64 points, the empty row and all-'*' rows
+        rng = random.Random(30)
+        hyps = [PartialHypothesis(n, 0, 0) for n in range(0, 65, 8)]
+        for _ in range(20000):
+            n = rng.randint(0, 64)
+            full = (1 << n) - 1
+            defined = full if rng.random() < 0.5 else rng.getrandbits(n)
+            hyps.append(PartialHypothesis(n, rng.getrandbits(n) & defined, defined))
+        for h in hyps:
+            row = str(h)
+            assert row == row_by_character(h)
+            assert PartialHypothesis.from_string(row) == h
+
+    def test_long_rows_are_written_in_one_pass(self):
+        # a 2^20-point row has 315,653 decimal digits as an integer, past
+        # Python's default int/str limit; bases 2 and 8 have no such limit
+        n = 1 << 20
+        h = PartialHypothesis(n, int("10" * (n // 2), 2), (1 << n) - 2)
+        assert str(h) == "*+" + "-+" * (n // 2 - 1)
 
 
 
@@ -753,6 +780,21 @@ class TestFamilies:
 
     def test_subsets_leq_1(self):
         assert family_class("subsets_leq", 1).rows() == ("--", "-+", "+-")
+
+    @pytest.mark.parametrize(
+        "name, top",
+        [("cube", 12), ("subsets_leq", 11), ("threshold", 40),
+         ("universal", 12), ("universal_plus", 12)],
+    )
+    def test_families_match_the_loops(self, name, top):
+        # cube order is power order: lexicographic, '-' before '+'
+        for n in range(1, top + 1):
+            want = family_class_by_loops(name, n)
+            got = family_class(name, n)
+            assert got == want, (name, n)
+            assert format_class(got) == "".join(
+                row_by_character(h) + "\n" for h in want.hypotheses
+            )
 
     def test_caps(self):
         with pytest.raises(CapExceededError):

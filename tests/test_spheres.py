@@ -377,6 +377,22 @@ class TestSdBounds:
             sb = sd_bounds(universal(n))
             assert sb.lower == n - 2
 
+    @pytest.mark.parametrize(
+        "name, intervals",
+        [
+            ("universal", [(-1, -1), (0, 0), (1, 1), (2, 7), (3, 15)]),
+            ("universal_plus", [(0, 0), (1, 3), (2, 7), (3, 15)]),
+            ("subsets_leq", [(0, 0), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        ],
+    )
+    def test_named_family_intervals_pinned(self, name, intervals):
+        # check data: a change to a bound changes these numbers, and says so
+        got = []
+        for n in range(1, len(intervals) + 1):
+            sb = sd_bounds(family_class(name, n))
+            got.append((sb.lower, sb.upper))
+        assert got == intervals
+
     def test_universal_1_is_singleton(self):
         sb = sd_bounds(universal(1))
         assert (sb.lower, sb.upper) == (-1, -1)
