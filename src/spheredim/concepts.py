@@ -10,9 +10,12 @@ Four dimensions are computed here.  A set S is shattered when every sign
 pattern on S is realized by some hypothesis, and antipodally shattered when
 every pattern is realized up to a global sign flip.  The primal dimensions are
 the largest sizes of such sets; the dual dimensions are the primal ones of the
-dual class (domain and hypotheses swapped).  All searches enumerate subsets in
-increasing size and exit early, which is sound because both shattering notions
-are downward closed.
+dual class (domain and hypotheses swapped).  Both searches grow a set only
+from sets already found, which is sound because both shattering notions are
+downward closed.  The shattered family is built by splitting hypothesis cells:
+a shattered set's hypotheses fall into one nonempty cell per pattern, and a
+point extends the set iff it splits every cell in two.  The antipodal search
+runs level by level and tests each candidate set against the whole class.
 """
 
 from __future__ import annotations
@@ -189,13 +192,11 @@ class ConceptClass:
         k holding the k-sets in increasing mask order, which is not
         lexicographic order on points (``max_shattered_set`` compares sorted
         points itself), found on first read and kept with the instance like
-        ``label_columns``.  The search stops at the Sauer-Shelah cap: a
+        ``label_columns``.  ``_shattered_levels`` builds them by splitting
+        hypothesis cells.  The search stops at the Sauer-Shelah cap: a
         shattered k-set needs 2^k distinct patterns, each from its own
         hypothesis, so k <= log2|H| and no set is lost."""
-        levels = _monotone_family(
-            self, lambda m: _shatters_mask(self, m), len(self).bit_length() - 1
-        )
-        return tuple(map(tuple, levels))
+        return tuple(map(tuple, _shattered_levels(self, len(self).bit_length() - 1)))
 
     def restrict(self, points: Sequence[int]) -> "ConceptClass":
         """Restriction to a point sequence, which must keep hypotheses distinct."""
@@ -293,6 +294,14 @@ def _monotone_family(
     point above its top bit.  Its facet without that point is ``smask``
     itself, so only the other k-1 facets, ``cand ^ low`` for each set bit
     ``low`` of ``smask``, are looked up before the predicate runs.
+
+    The antipodal search of ``max_shattered_set`` is the one library
+    caller; the shattered family has its own builder, ``_shattered_levels``.
+    The antipodal search could split cells the same way, with each cell
+    merged with its flip, but it stays here until the benchmark stops
+    keeping every pass's stdout (see ROADMAP.md): there a faster dual
+    antipodal op adds passes, and with them resident memory past the
+    benchmark's peak-RSS bound.
     """
     n = cls.domain_size
     limit = n if max_size is None else min(n, max_size)
@@ -320,6 +329,67 @@ def _monotone_family(
         levels.append(nxt)
         current = nxt
         size += 1
+    return levels
+
+
+def _shattered_levels(
+    cls: ConceptClass, max_size: Optional[int] = None
+) -> list[list[int]]:
+    """Levels of the shattered family, found by splitting hypothesis cells,
+    equal to ``_monotone_family`` with ``_shatters_mask``.
+
+    A shattered k-set S splits the hypotheses defined on S into 2^k
+    nonempty cells, one per pattern, each a mask over hypotheses cut from
+    the '+' and '-' columns of S's points.  S + {y} is shattered iff y
+    splits every cell into a nonempty '+' half and a nonempty '-' half.
+    The search runs depth first: S carries its cells and the mask of the
+    points above its top bit that extend it, and a child S + {y} tries
+    only the points of that mask above y, since S + {y, z} shattered makes
+    S + {z} shattered.  So no candidate is tested against the whole class
+    and no facet is looked up.  Only the cells on the current path are
+    kept, fewer than 2^(max_size + 1) masks, since a level may hold
+    millions of sets; each level is sorted at the end.
+    """
+    n = cls.domain_size
+    limit = n if max_size is None else min(n, max_size)
+    plus = columns(n, cls.hypotheses)
+    minus = transpose(n, (h.defined & ~h.plus for h in cls.hypotheses))
+    levels: list[list[int]] = [[0]] + [[] for _ in range(limit)]
+
+    def extend(smask: int, cells: list[int], ext: int, size: int) -> None:
+        """Add the children S + {y}, y in ``ext``, of the ``size``-set S."""
+        level = levels[size + 1]
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            level.append(smask | low)
+            if not ext or size + 1 == limit:
+                continue
+            y = low.bit_length() - 1
+            p, m = plus[y], minus[y]
+            split = [half for c in cells for half in (c & p, c & m)]
+            grow = 0
+            rest = ext
+            while rest:  # bits(ext), inlined: every candidate comes through here
+                bit = rest & -rest
+                rest ^= bit
+                z = bit.bit_length() - 1
+                p, m = plus[z], minus[z]
+                for c in split:
+                    if not (c & p and c & m):
+                        break
+                else:
+                    grow |= bit
+            if grow:
+                extend(smask | low, split, grow, size + 1)
+
+    if limit:
+        ext = mask_of(x for x in range(n) if plus[x] and minus[x])
+        extend(0, [(1 << len(cls.hypotheses)) - 1], ext, 0)
+    while not levels[-1]:
+        levels.pop()
+    for level in levels:
+        level.sort()
     return levels
 
 

@@ -1,6 +1,7 @@
 """Tests for concept classes, shattering, and dimension computations."""
 
 import itertools
+import math
 import random
 import re
 from typing import Optional, Sequence
@@ -33,6 +34,7 @@ from spheredim.concepts import (
     shatters,
     _antipodally_shatters_mask,
     _monotone_family,
+    _shattered_levels,
     _shatters_mask,
 )
 
@@ -488,6 +490,73 @@ class TestShatteringKernel:
             got = _monotone_family(cls, predicate, max_size)
             assert got == oracle_monotone_family(cls, predicate, max_size)
             assert got == oracle_closed_levels(n, predicate, max_size)
+
+
+class TestShatteredLevels:
+    """The cell-splitting builder of the shattered family against the
+    candidate-by-candidate level search and against the family by
+    definition, with and without a size cap."""
+
+    @staticmethod
+    def assert_levels_match_oracles(cls, max_sizes):
+        n = cls.domain_size
+        predicate = lambda m: _shatters_mask(cls, m)
+        for max_size in max_sizes:
+            got = _shattered_levels(cls, max_size)
+            assert got == _monotone_family(cls, predicate, max_size)
+            assert got == oracle_closed_levels(n, predicate, max_size)
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["total", "partial"])
+    def test_random_classes(self, partial):
+        rng = random.Random(113 + partial)
+        for _ in range(1000):
+            n = rng.randint(1, 9)
+            rows = set()
+            for _ in range(rng.randint(1, 40)):
+                rows.add("".join(rng.choice("-+*" if partial else "-+") for _ in range(n)))
+            cls = ConceptClass.from_strings(sorted(rows))
+            cap = len(cls).bit_length() - 1
+            self.assert_levels_match_oracles(cls, (None, cap, rng.randint(0, n)))
+
+    @pytest.mark.parametrize("rows", [["-+*+"], ["****"], ["-"]], ids=repr)
+    def test_one_hypothesis(self, rows):
+        cls = ConceptClass.from_strings(rows)
+        self.assert_levels_match_oracles(cls, (None, 0, 2))
+        assert cls.shattered_levels == ((0,),)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # points 0 and 3 are constant, 1 and 2 duplicate each other
+            ["+--+", "++++", "+-++", "+++*"],
+            # a column constant where defined, and one defined nowhere
+            ["+-*+", "++*-", "*-*+", "+**-", "--*-"],
+            # three copies of one column
+            ["---", "+++", "-+-"],
+        ],
+        ids=repr,
+    )
+    def test_constant_and_duplicate_columns(self, rows):
+        cls = ConceptClass.from_strings(rows)
+        self.assert_levels_match_oracles(cls, (None, 0, 1, 2))
+
+    def test_cube_8(self):
+        cls = cube(8)
+        self.assert_levels_match_oracles(cls, (None, 8, 5))
+        assert [len(level) for level in cls.shattered_levels] == [
+            math.comb(8, k) for k in range(9)
+        ]
+
+    def test_threshold_40(self):
+        # the family by definition would read all 2^40 masks, so the closed
+        # form stands in for it: every point carries both labels, and no
+        # hypothesis is '-' at a point and '+' at a later one
+        cls = threshold(40)
+        singletons = [1 << x for x in range(40)]
+        for max_size in (None, len(cls).bit_length() - 1, 1, 0):
+            got = _shattered_levels(cls, max_size)
+            assert got == _monotone_family(cls, lambda m: _shatters_mask(cls, m), max_size)
+            assert got == ([[0], singletons] if max_size != 0 else [[0]])
 
 
 class TestStrongShattering:

@@ -551,6 +551,32 @@ class TestSoundnessSweep:
         assert len(loose) == 374
         assert sum(weight[c] for c in loose) == 63502
 
+    def test_seeded_classes_on_5_to_8_points(self):
+        # 1,300 classes drawn from a fixed seed, chosen before any bound was
+        # run on them: n = randint(5, 8) points and randint(2, 3n) distinct
+        # random rows each.  A new bound changes the loose count and the
+        # histogram of (lower, upper), which are pinned as check data
+        rng = random.Random(2025)
+        histogram = Counter()
+        for _ in range(1300):
+            n = rng.randint(5, 8)
+            masks = rng.sample(range(1 << n), rng.randint(2, 3 * n))
+            sb = sd_bounds(ConceptClass(n, tuple(PartialHypothesis.total(n, m) for m in masks)))
+            assert sb.lower <= sb.upper, (n, masks)
+            for cert in sb.lower_certificates:
+                if cert.witness is not None:
+                    assert verify_witness(cert.witness), (n, masks, cert.name)
+            histogram[sb.lower, sb.upper] += 1
+        loose = sum(count for (lower, upper), count in histogram.items() if lower < upper)
+        print(f"loose sd intervals on 5 to 8 points: {loose} of 1300 classes")
+        print("(lower, upper): count", dict(sorted(histogram.items())))
+        assert loose == 1139
+        assert histogram == {
+            (0, 0): 102, (1, 1): 59, (1, 2): 4, (1, 3): 64, (1, 4): 192,
+            (1, 5): 133, (1, 6): 65, (1, 7): 6, (2, 3): 4, (2, 4): 148,
+            (2, 5): 197, (2, 6): 222, (2, 7): 86, (3, 6): 8, (3, 7): 10,
+        }
+
 
 # --- one analysis per class ----------------------------------------------
 
@@ -615,15 +641,18 @@ class TestClassAnalysis:
         [("report", 4), ("sd", 2), ("extremal", 1), ("dims", 4), ("witness", 2), ("classify", 0)],
     )
     def test_one_primal_search_per_class(self, command, searches, monkeypatch, tmp_path, capsys):
-        # the primal search runs once per class and is kept with it, so VC,
-        # the Pajor count and the cubes read one family; the antipodal and
-        # dual searches keep their own runs
-        calls = count_calls(monkeypatch, ("_monotone_family",))
+        # the shattered family is built once per class, the dual class
+        # included, and kept with it, so VC, the Pajor count and the cubes
+        # read one family; the antipodal searches keep their own level
+        # searches, the rest of each command's searches
+        families = {"report": 2, "sd": 1, "extremal": 1, "dims": 2, "witness": 1, "classify": 0}
+        calls = count_calls(monkeypatch, ("_shattered_levels", "_monotone_family"))
         path = tmp_path / "c.cls"
         path.write_text(format_class(ANALYSED["figure"]))
         assert cli.main([command, str(path)]) == 0
         assert capsys.readouterr().out
-        assert calls["_monotone_family"] == searches
+        assert calls["_shattered_levels"] == families[command]
+        assert calls["_monotone_family"] == searches - families[command]
 
     @pytest.mark.parametrize("name", sorted(ANALYSED))
     def test_witness_builds_one_antipodal_subcomplex(self, name, monkeypatch, tmp_path, capsys):
